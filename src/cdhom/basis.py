@@ -21,7 +21,6 @@ applied exclusively through the diagonal D(mu) where needed downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,18 +28,6 @@ import numpy as np
 from .errors import NormalizationError
 from .representation import ModelParams, TriangularRep
 from .scalars import VectorPolynomial, binom, pochhammer
-
-
-@dataclass(frozen=True)
-class BasisVector:
-    """A ladder or orthonormal basis vector with its (j, n) bookkeeping."""
-
-    j: int
-    n: int
-    poly: VectorPolynomial
-
-    def __call__(self, z: complex) -> np.ndarray:
-        return self.poly(z)
 
 
 def op_E(f: VectorPolynomial) -> VectorPolynomial:
@@ -65,7 +52,7 @@ def minus_F(f: VectorPolynomial, params: ModelParams, rep: TriangularRep) -> Vec
     return z_part + f.apply_matrix(rep.rho_y) + f.derivative().shift_degree(2)
 
 
-def u_closed(j: int, n: int, params: ModelParams) -> BasisVector:
+def u_closed(j: int, n: int, params: ModelParams) -> VectorPolynomial:
     """The ladder vector u^j_n = (-F)^n eps_j from its closed form."""
     m = params.m
     if not 0 <= j <= m:
@@ -79,7 +66,7 @@ def u_closed(j: int, n: int, params: ModelParams) -> BasisVector:
             continue  # C(n, k) = 0: the component is identically zero
         c = binom(n, k) * pochhammer(j + 1.0, k) * pochhammer(2.0 * params.lam - m + 2 * j + k, n - k)
         coeffs[n - k, ell] = c
-    return BasisVector(j=j, n=n, poly=VectorPolynomial(coeffs))
+    return VectorPolynomial(coeffs)
 
 
 def sigma_single(j: int, k: int, params: ModelParams) -> float:
@@ -101,7 +88,7 @@ def sigma_cumulative(j: int, n: int, params: ModelParams) -> float:
     return pochhammer(2.0 * params.lambda_j(j), n) * pochhammer(1.0, n)
 
 
-def e_basis(j: int, n: int, params: ModelParams) -> BasisVector:
+def e_basis(j: int, n: int, params: ModelParams) -> VectorPolynomial:
     """Orthonormal vector e^j_{n-j} (without its mu_j factor).
 
     Structurally zero when n < j, so series code can sum uniformly.
@@ -112,15 +99,14 @@ def e_basis(j: int, n: int, params: ModelParams) -> BasisVector:
     if not 0 <= j <= m:
         raise ValueError(f"j must lie in 0..{m}, got {j}")
     if n < j:
-        return BasisVector(j=j, n=n, poly=VectorPolynomial.zero(m))
+        return VectorPolynomial.zero(m)
     radicand = sigma_cumulative(j, n - j, params)
     if radicand <= 0.0:
         raise NormalizationError(
             f"sigma^{j}_{n - j} = {radicand} <= 0: normalization degenerates "
             f"(2*lam = {2 * params.lam} vs m = {m})"
         )
-    u = u_closed(j, n - j, params)
-    return BasisVector(j=j, n=n, poly=u.poly * (radicand ** -0.5))
+    return u_closed(j, n - j, params) * (radicand ** -0.5)
 
 
 def _poch_ratio(x: float, y: float, n: int) -> float:

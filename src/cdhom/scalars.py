@@ -145,11 +145,6 @@ class VectorPolynomial:
         return float(np.max(np.abs(self.coeffs)))
 
 
-def poly_eval(p: VectorPolynomial, z: complex) -> np.ndarray:
-    """Evaluate a vector polynomial at z."""
-    return p(z)
-
-
 def poly_distance(p: VectorPolynomial, q: VectorPolynomial) -> float:
     """Max absolute coefficient difference between two polynomials."""
     d = max(p.degree, q.degree)

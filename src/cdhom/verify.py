@@ -5,24 +5,22 @@ closed forms, commutation relations, positive definiteness, homogeneity
 at truncation, ...) at explicitly pinned tolerances and returns a
 record; the report aggregates them.  Reports are byte-stable for a fixed
 config and seed: all sampled points are drawn from seeded generators and
-no timestamps are recorded.  Independent checks may run in parallel
-(capped by CDHOM_THREADS); results are assembled in submission order.
+no timestamps are recorded.  Checks are declared once, in the registry
+`CHECKS`, and run one at a time in registry order.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
 import platform
-import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, goldens
-from .basis import basis_value_matrix, e_basis, minus_F, op_E, op_F, op_H, u_closed
+from .basis import basis_value_matrix, g_matrix, minus_F, op_E, op_F, op_H, u_closed
 from .errors import ConfigError, NormalizationError
 from .kernel import (
     SampleGrid,
@@ -47,33 +45,6 @@ from .representation import ModelParams, TriangularRep, act_U, check_cocycle, mu
 from .scalars import VectorPolynomial, poly_distance
 
 SUITES = ("all", "kernel", "shift", "rep", "operator")
-
-DEFAULT_TOLERANCES = {
-    "hermitian_symmetry": 1e-12,
-    "kernel_oracle": 1e-8,
-    "positive_definite": 1e-10,
-    "quasi_invariance": 1e-8,
-    "normalization": 1e-10,
-    "monotone_truncation": 1e-12,
-    "golden_g": 1e-12,
-    "golden_w": 1e-12,
-    "golden_k": 1e-10,
-    "adjoint_reproducing": 1e-6,
-    "column_action": 1e-12,
-    "shift_norm_bound": 1e-12,
-    "cocycle": 1e-10,
-    "rotation_multiplier_constant": 1e-10,
-    "multiplier_holomorphy": 1e-6,
-    "sl2_commutators": 1e-10,
-    "ladder_recursion": 1e-10,
-    "rotation_k_type": 1e-10,
-    "infinitesimal_generators": 1e-6,
-    "homogeneity_rotation": 1e-10,
-    "homogeneity_interior": 1e-4,
-    "homogeneity_monotone": 1e-12,
-    "representation_unitarity": 1e-6,
-    "calculus_rotation": 1e-12,
-}
 
 _SUBGROUP_TIMES = (0.2, -0.2, 0.11)
 _SUBGROUP_ELEMENTS = (("X0", X0), ("X1", X1), ("Y", Y))
@@ -166,16 +137,22 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _result(name: str, cfg: RunConfig, residual: float, note: str = "", **parameters) -> CheckResult:
-    tol = cfg.tolerance(name)
-    return CheckResult(
-        name=name,
-        parameters=parameters,
-        residual=float(residual),
-        tolerance=tol,
-        passed=bool(residual <= tol),
-        note=note,
-    )
+# A check function measures one identity and returns (residual, parameters, note).
+Measurement = tuple[float, dict, str]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One registry entry: suite, report name, default tolerance and check function."""
+
+    suite: str
+    name: str
+    tolerance: float
+    fn: Callable[[RunConfig], Measurement]
+
+
+def _measured(residual: float, note: str = "", **parameters) -> Measurement:
+    return residual, parameters, note
 
 
 def _subgroup_elements():
@@ -184,9 +161,9 @@ def _subgroup_elements():
             yield f"exp({t}*{name})", exp_basis(elem, t)
 
 
-def _seeded_disc_points(cfg: RunConfig, count: int, salt: int, r: float | None = None) -> list[complex]:
-    rng = np.random.default_rng(cfg.seed + salt)
-    r = cfg.r_max if r is None else r
+def seeded_points(seed: int, count: int, r: float = 0.5) -> list[complex]:
+    """`count` points of the closed disc |z| <= r, rejection-sampled from a seeded generator."""
+    rng = np.random.default_rng(seed)
     pts: list[complex] = []
     while len(pts) < count:
         z = complex(rng.uniform(-r, r), rng.uniform(-r, r))
@@ -198,36 +175,34 @@ def _seeded_disc_points(cfg: RunConfig, count: int, salt: int, r: float | None =
 # ---------------------------------------------------------------- kernel suite
 
 
-def check_hermitian_symmetry(cfg: RunConfig) -> CheckResult:
+def check_hermitian_symmetry(cfg: RunConfig) -> Measurement:
     p, grid = cfg.params(), cfg.grid()
     worst = 0.0
     for z, w in itertools.product(grid.points, repeat=2):
         k = kernel_full(z, w, p)
         worst = max(worst, float(np.max(np.abs(k - kernel_full(w, z, p).conj().T))))
-    return _result("hermitian_symmetry", cfg, worst, points=len(grid.points))
+    return _measured(worst, points=len(grid.points))
 
 
-def check_kernel_oracle(cfg: RunConfig) -> CheckResult:
+def check_kernel_oracle(cfg: RunConfig) -> Measurement:
     p, grid = cfg.params(), cfg.grid()
     worst = 0.0
     for z, w in itertools.product(grid.points, repeat=2):
         dev = np.max(np.abs(kernel_series(z, w, p, cfg.truncation) - kernel_full(z, w, p)))
         worst = max(worst, float(dev))
-    return _result("kernel_oracle", cfg, worst, truncation=cfg.truncation)
+    return _measured(worst, truncation=cfg.truncation)
 
 
-def check_pd(cfg: RunConfig) -> CheckResult:
-    report = check_positive_definite(cfg.params(), cfg.grid(), tolerance=-cfg.tolerance("positive_definite"))
-    return _result(
-        "positive_definite",
-        cfg,
+def check_pd(cfg: RunConfig) -> Measurement:
+    report = check_positive_definite(cfg.params(), cfg.grid())
+    return _measured(
         max(0.0, -report.min_eigenvalue),
         min_eigenvalue=report.min_eigenvalue,
         gram_size=report.gram_size,
     )
 
 
-def check_qi(cfg: RunConfig) -> CheckResult:
+def check_qi(cfg: RunConfig) -> Measurement:
     p, grid = cfg.params(), cfg.grid()
     rep = TriangularRep.from_params(p)
     worst, worst_g = 0.0, ""
@@ -235,126 +210,118 @@ def check_qi(cfg: RunConfig) -> CheckResult:
         r = check_quasi_invariance(g, grid, p, rep)
         if r > worst:
             worst, worst_g = r, label
-    return _result("quasi_invariance", cfg, worst, worst_element=worst_g)
+    return _measured(worst, worst_element=worst_g)
 
 
-def check_normalization(cfg: RunConfig) -> CheckResult:
-    report = normalize_kernel(cfg.params(), cfg.grid())
-    return _result("normalization", cfg, report.residual)
+def check_normalization(cfg: RunConfig) -> Measurement:
+    return _measured(normalize_kernel(cfg.params(), cfg.grid()).residual)
 
 
-def check_monotone_truncation(cfg: RunConfig) -> CheckResult:
+def check_monotone_truncation(cfg: RunConfig) -> Measurement:
     p = cfg.params()
-    pts = _seeded_disc_points(cfg, 3, salt=3)
+    pts = seeded_points(cfg.seed + 3, 3, cfg.r_max)
     worst_increase = 0.0
     for z, w in zip(pts, reversed(pts)):
         ref = kernel_full(z, w, p)
         devs = [float(np.max(np.abs(kernel_series(z, w, p, n) - ref))) for n in range(10, cfg.truncation + 1, 10)]
         for a, b in zip(devs, devs[1:]):
             worst_increase = max(worst_increase, b - a)
-    return _result("monotone_truncation", cfg, max(0.0, worst_increase))
+    return _measured(max(0.0, worst_increase))
 
 
 # ----------------------------------------------------------------- shift suite
 
 
-def _golden_g_reference(n: int, p: ModelParams) -> np.ndarray | None:
-    if p.m == 1:
-        return goldens.g_matrix_m1(n, p.lam)
-    if p.m == 2:
-        return goldens.g_matrix_m2(n, p.lam)
-    return None
+def _mu_ratios(p: ModelParams) -> tuple[float, ...]:
+    return tuple(mu / p.mu[0] for mu in p.mu[1:])
 
 
-def _golden_w_reference(n: int, p: ModelParams) -> np.ndarray | None:
-    if p.m == 1:
-        return goldens.shift_block_m1(n, p.lam, p.mu[1] / p.mu[0])
-    if p.m == 2:
-        return goldens.shift_block_m2(n, p.lam, p.mu[1] / p.mu[0], p.mu[2] / p.mu[0])
-    return None
+def _closed(family: str, p: ModelParams):
+    """The explicit closed form `goldens.<family>_m1` or `_m2` for this m."""
+    return getattr(goldens, f"{family}_m{p.m}")
 
 
-def check_golden_g(cfg: RunConfig) -> CheckResult:
-    from .basis import g_matrix
-
-    p = cfg.params()
-    worst = 0.0
-    covered = p.m in (1, 2)
-    if covered:
-        for n in range(21):
-            ref = _golden_g_reference(n, p)
-            worst = max(worst, float(np.max(np.abs(g_matrix(n, p) - ref))))
-    note = "" if covered else "explicit closed forms exist only for m in {1, 2}; skipped"
-    return _result("golden_g", cfg, worst, note=note, covered=covered)
+def _degrees(cfg: RunConfig) -> list[tuple]:
+    return [(n,) for n in range(21)]
 
 
-def check_golden_w(cfg: RunConfig) -> CheckResult:
-    p = cfg.params()
-    worst = 0.0
-    covered = p.m in (1, 2)
-    if covered:
-        for n in range(21):
-            ref = _golden_w_reference(n, p)
-            worst = max(worst, float(np.max(np.abs(shift_block(n, p) - ref))))
-    note = "" if covered else "explicit closed forms exist only for m in {1, 2}; skipped"
-    return _result("golden_w", cfg, worst, note=note, covered=covered)
+def _point_pairs(cfg: RunConfig) -> list[tuple]:
+    return list(zip(seeded_points(cfg.seed + 1, 10, cfg.r_max), seeded_points(cfg.seed + 2, 10, cfg.r_max)))
 
 
-def check_golden_k(cfg: RunConfig) -> CheckResult:
-    p = cfg.params()
-    worst = 0.0
-    covered = p.m in (1, 2)
-    if covered:
-        zs = _seeded_disc_points(cfg, 10, salt=1)
-        ws = _seeded_disc_points(cfg, 10, salt=2)
-        for z, w in zip(zs, ws):
-            if p.m == 1:
-                ref = goldens.kernel_m1(z, w, p.lam, p.mu[1] / p.mu[0])
-            else:
-                ref = goldens.kernel_m2(z, w, p.lam, p.mu[1] / p.mu[0], p.mu[2] / p.mu[0])
-            worst = max(worst, float(np.max(np.abs(kernel_full(z, w, p) - p.mu[0] ** 2 * ref))))
-    note = "" if covered else "explicit closed forms exist only for m in {1, 2}; skipped"
-    return _result("golden_k", cfg, worst, note=note, covered=covered)
+def _golden_check(samples, general, closed_form) -> Callable[[RunConfig], Measurement]:
+    """Max |general(p, *args) - closed_form(p, *args)| over the sampled arguments."""
+
+    def check(cfg: RunConfig) -> Measurement:
+        p = cfg.params()
+        if p.m not in (1, 2):
+            return _measured(0.0, "explicit closed forms exist only for m in {1, 2}; skipped", covered=False)
+        if 2 * p.lam <= p.m:
+            raise NormalizationError(f"closed forms need 2*lam > m (2*lam = {2 * p.lam}, m = {p.m})")
+        worst = 0.0
+        for args in samples(cfg):
+            worst = max(worst, float(np.max(np.abs(general(p, *args) - closed_form(p, *args)))))
+        return _measured(worst, covered=True)
+
+    return check
 
 
-def check_adjoint(cfg: RunConfig) -> CheckResult:
+# The general-m construction against the explicit m = 1, 2 closed forms.  The
+# lambdas look functions up at call time, so wrappers installed on module names
+# (as the benchmark's tracer does) see every call.
+check_golden_g = _golden_check(
+    _degrees,
+    lambda p, n: g_matrix(n, p),
+    lambda p, n: _closed("g_matrix", p)(n, p.lam),
+)
+check_golden_w = _golden_check(
+    _degrees,
+    lambda p, n: shift_block(n, p),
+    lambda p, n: _closed("shift_block", p)(n, p.lam, *_mu_ratios(p)),
+)
+check_golden_k = _golden_check(
+    _point_pairs,
+    lambda p, z, w: kernel_full(z, w, p),
+    lambda p, z, w: p.mu[0] ** 2 * _closed("kernel", p)(z, w, p.lam, *_mu_ratios(p)),
+)
+
+
+def check_adjoint(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     t_mat = truncate(p, cfg.truncation).matrix
     rng = np.random.default_rng(cfg.seed + 4)
     worst = 0.0
-    for w in _seeded_disc_points(cfg, 4, salt=5, r=0.3):
+    for w in seeded_points(cfg.seed + 5, 4, 0.3):
         xi = rng.standard_normal(p.m + 1) + 1j * rng.standard_normal(p.m + 1)
         c = reproducing_coefficients(w, xi, p, cfg.truncation)
         resid = t_mat.conj().T @ c - np.conjugate(w) * c
         worst = max(worst, float(np.linalg.norm(resid) / np.linalg.norm(c)))
-    return _result("adjoint_reproducing", cfg, worst, truncation=cfg.truncation)
+    return _measured(worst, truncation=cfg.truncation)
 
 
-def check_column_action(cfg: RunConfig) -> CheckResult:
+def check_column_action(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     worst = 0.0
     for n in range(11):
         w_blk = shift_block(n, p)
-        for z in _seeded_disc_points(cfg, 2, salt=6):
+        for z in seeded_points(cfg.seed + 6, 2, cfg.r_max):
             lhs = z * basis_value_matrix(n, z, p)
             rhs = basis_value_matrix(n + 1, z, p) @ w_blk
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _result("column_action", cfg, worst)
+    return _measured(worst)
 
 
-def check_shift_norm_bound(cfg: RunConfig) -> CheckResult:
+def check_shift_norm_bound(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     block_sup = max(float(np.linalg.norm(shift_block(n, p), 2)) for n in range(cfg.truncation))
     t_norm = float(np.linalg.norm(truncate(p, cfg.truncation).matrix, 2))
-    return _result(
-        "shift_norm_bound", cfg, max(0.0, t_norm - block_sup), block_sup=block_sup, truncated_norm=t_norm
-    )
+    return _measured(max(0.0, t_norm - block_sup), block_sup=block_sup, truncated_norm=t_norm)
 
 
 # ------------------------------------------------------------------- rep suite
 
 
-def check_cocycle_sweep(cfg: RunConfig) -> CheckResult:
+def check_cocycle_sweep(cfg: RunConfig) -> Measurement:
     from .mobius import X as X_UPPER
     from .mobius import Y_LOWER
 
@@ -367,10 +334,10 @@ def check_cocycle_sweep(cfg: RunConfig) -> CheckResult:
     for g, h in itertools.product(elements, repeat=2):
         for z in zs:
             worst = max(worst, check_cocycle(g, h, z, p, rep))
-    return _result("cocycle", cfg, worst, pairs=len(elements) ** 2, points=len(zs))
+    return _measured(worst, pairs=len(elements) ** 2, points=len(zs))
 
 
-def check_rotation_multiplier(cfg: RunConfig) -> CheckResult:
+def check_rotation_multiplier(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     worst = 0.0
@@ -381,20 +348,20 @@ def check_rotation_multiplier(cfg: RunConfig) -> CheckResult:
         for z in cfg.grid().points:
             dev = np.max(np.abs(multiplier_J(k, z, p, rep) @ np.linalg.inv(j0) - eye))
             worst = max(worst, float(dev))
-    return _result("rotation_multiplier_constant", cfg, worst)
+    return _measured(worst)
 
 
-def check_holomorphy(cfg: RunConfig) -> CheckResult:
+def check_holomorphy(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     g = exp_basis(X1, 0.17)
     h = 1e-6
     worst = 0.0
-    for z in _seeded_disc_points(cfg, 4, salt=7):
+    for z in seeded_points(cfg.seed + 7, 4, cfg.r_max):
         dx = (multiplier_J0(g, z + h, rep) - multiplier_J0(g, z - h, rep)) / (2 * h)
         dy = (multiplier_J0(g, z + 1j * h, rep) - multiplier_J0(g, z - 1j * h, rep)) / (2j * h)
         worst = max(worst, float(np.max(np.abs(dx - dy))))
-    return _result("multiplier_holomorphy", cfg, worst)
+    return _measured(worst)
 
 
 def _test_polynomials(p: ModelParams, seed: int, degree: int = 15, count: int = 3) -> list[VectorPolynomial]:
@@ -406,7 +373,7 @@ def _test_polynomials(p: ModelParams, seed: int, degree: int = 15, count: int = 
     return out
 
 
-def check_sl2(cfg: RunConfig) -> CheckResult:
+def check_sl2(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     worst = 0.0
@@ -418,23 +385,23 @@ def check_sl2(cfg: RunConfig) -> CheckResult:
         worst = max(worst, poly_distance(hf, op_F(f, p, rep) * (-1.0)) / scale)
         ef = op_E(op_F(f, p, rep)) - op_F(op_E(f), p, rep)
         worst = max(worst, poly_distance(ef, op_H(f, p, rep) * (-2.0)) / scale)
-    return _result("sl2_commutators", cfg, worst, degree=15)
+    return _measured(worst, degree=15)
 
 
-def check_ladder_recursion(cfg: RunConfig) -> CheckResult:
+def check_ladder_recursion(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     worst = 0.0
     for j in range(p.m + 1):
-        current = u_closed(j, 0, p).poly
+        current = u_closed(j, 0, p)
         for n in range(15):
             current = minus_F(current, p, rep)
-            ref = u_closed(j, n + 1, p).poly
+            ref = u_closed(j, n + 1, p)
             worst = max(worst, poly_distance(current, ref) / max(ref.max_abs(), 1.0))
-    return _result("ladder_recursion", cfg, worst, max_n=15)
+    return _measured(worst, max_n=15)
 
 
-def check_k_type(cfg: RunConfig) -> CheckResult:
+def check_k_type(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     g = GroupElement.rotation(0.4)
@@ -447,10 +414,10 @@ def check_k_type(cfg: RunConfig) -> CheckResult:
             ref = mono(z0)
             keep = np.abs(ref) > 1e-14
             worst = max(worst, float(np.max(np.abs(np.abs(vals[keep] / ref[keep]) - 1.0))))
-    return _result("rotation_k_type", cfg, worst)
+    return _measured(worst)
 
 
-def check_infinitesimal(cfg: RunConfig) -> CheckResult:
+def check_infinitesimal(cfg: RunConfig) -> Measurement:
     from .mobius import X as X_UPPER
     from .mobius import H as H_DIAG
     from .mobius import Y_LOWER
@@ -471,46 +438,44 @@ def check_infinitesimal(cfg: RunConfig) -> CheckResult:
             dn = act_U(exp_basis(elem, -h), f, p, rep)(z)
             fd = (up - dn) / (2 * h)
             worst = max(worst, float(np.max(np.abs(fd - expected(z)))))
-    return _result("infinitesimal_generators", cfg, worst, step=h)
+    return _measured(worst, step=h)
 
 
 # -------------------------------------------------------------- operator suite
 
 
-def check_homog_rotation(cfg: RunConfig) -> CheckResult:
+def check_homog_rotation(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     worst = 0.0
     for theta in (0.3, -0.45):
         worst = max(worst, check_homogeneity(GroupElement.rotation(theta), p, rep, 40))
-    return _result("homogeneity_rotation", cfg, worst, truncation=40)
+    return _measured(worst, truncation=40)
 
 
-def check_homog_interior(cfg: RunConfig) -> CheckResult:
+def check_homog_interior(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     worst = 0.0
-    for label, g in (("exp(0.05*X1)", exp_basis(X1, 0.05)), ("exp(0.05*Y)", exp_basis(Y, 0.05))):
+    for g in (exp_basis(X1, 0.05), exp_basis(Y, 0.05)):
         worst = max(worst, check_homogeneity(g, p, rep, 40))
-    return _result("homogeneity_interior", cfg, worst, truncation=40, guard_band=5)
+    return _measured(worst, truncation=40, guard_band=5)
 
 
-def check_homog_monotone(cfg: RunConfig) -> CheckResult:
+def check_homog_monotone(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     g = exp_basis(X1, 0.05)
     seq = [check_homogeneity(g, p, rep, n, window=15) for n in (20, 40, 60)]
     worst_increase = max(b - a for a, b in zip(seq, seq[1:]))
-    return _result(
-        "homogeneity_monotone",
-        cfg,
+    return _measured(
         max(0.0, worst_increase),
         residuals={f"N{n}": s for n, s in zip((20, 40, 60), seq)},
         window=15,
     )
 
 
-def check_unitarity(cfg: RunConfig) -> CheckResult:
+def check_unitarity(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     n_trunc, guard = 40, 10
@@ -520,10 +485,10 @@ def check_unitarity(cfg: RunConfig) -> CheckResult:
         u = representation_matrix(g, p, rep, n_trunc).matrix
         gram = (u.conj().T @ u - np.eye(u.shape[0]))[np.ix_(keep, keep)]
         worst = max(worst, float(np.linalg.norm(gram)))
-    return _result("representation_unitarity", cfg, worst, truncation=n_trunc, guard_band=guard)
+    return _measured(worst, truncation=n_trunc, guard_band=guard)
 
 
-def check_calculus_rotation(cfg: RunConfig) -> CheckResult:
+def check_calculus_rotation(cfg: RunConfig) -> Measurement:
     import cmath
 
     p = cfg.params()
@@ -533,53 +498,43 @@ def check_calculus_rotation(cfg: RunConfig) -> CheckResult:
         g = GroupElement.rotation(theta)
         dev = np.max(np.abs(mobius_calculus(g, t_mat) - cmath.exp(1j * theta) * t_mat))
         worst = max(worst, float(dev))
-    return _result("calculus_rotation", cfg, worst)
+    return _measured(worst)
 
 
-_SUITE_CHECKS = {
-    "kernel": (
-        check_hermitian_symmetry,
-        check_kernel_oracle,
-        check_pd,
-        check_qi,
-        check_normalization,
-        check_monotone_truncation,
-    ),
-    "shift": (
-        check_golden_g,
-        check_golden_w,
-        check_golden_k,
-        check_adjoint,
-        check_column_action,
-        check_shift_norm_bound,
-    ),
-    "rep": (
-        check_cocycle_sweep,
-        check_rotation_multiplier,
-        check_holomorphy,
-        check_sl2,
-        check_ladder_recursion,
-        check_k_type,
-        check_infinitesimal,
-    ),
-    "operator": (
-        check_homog_rotation,
-        check_homog_interior,
-        check_homog_monotone,
-        check_unitarity,
-        check_calculus_rotation,
-    ),
-}
+# Every check is declared here once; registry order is report order.
+CHECKS = (
+    Check("kernel", "hermitian_symmetry", 1e-12, check_hermitian_symmetry),
+    Check("kernel", "kernel_oracle", 1e-8, check_kernel_oracle),
+    Check("kernel", "positive_definite", 1e-10, check_pd),
+    Check("kernel", "quasi_invariance", 1e-8, check_qi),
+    Check("kernel", "normalization", 1e-10, check_normalization),
+    Check("kernel", "monotone_truncation", 1e-12, check_monotone_truncation),
+    Check("shift", "golden_g", 1e-12, check_golden_g),
+    Check("shift", "golden_w", 1e-12, check_golden_w),
+    Check("shift", "golden_k", 1e-10, check_golden_k),
+    Check("shift", "adjoint_reproducing", 1e-6, check_adjoint),
+    Check("shift", "column_action", 1e-12, check_column_action),
+    Check("shift", "shift_norm_bound", 1e-12, check_shift_norm_bound),
+    Check("rep", "cocycle", 1e-10, check_cocycle_sweep),
+    Check("rep", "rotation_multiplier_constant", 1e-10, check_rotation_multiplier),
+    Check("rep", "multiplier_holomorphy", 1e-6, check_holomorphy),
+    Check("rep", "sl2_commutators", 1e-10, check_sl2),
+    Check("rep", "ladder_recursion", 1e-10, check_ladder_recursion),
+    Check("rep", "rotation_k_type", 1e-10, check_k_type),
+    Check("rep", "infinitesimal_generators", 1e-6, check_infinitesimal),
+    Check("operator", "homogeneity_rotation", 1e-10, check_homog_rotation),
+    Check("operator", "homogeneity_interior", 1e-4, check_homog_interior),
+    Check("operator", "homogeneity_monotone", 1e-12, check_homog_monotone),
+    Check("operator", "representation_unitarity", 1e-6, check_unitarity),
+    Check("operator", "calculus_rotation", 1e-12, check_calculus_rotation),
+)
+
+DEFAULT_TOLERANCES = {check.name: check.tolerance for check in CHECKS}
 
 
 def _max_workers() -> int:
-    cap = os.environ.get("CDHOM_THREADS", "")
-    try:
-        if cap and int(cap) >= 1:
-            return int(cap)
-    except ValueError:
-        pass
-    return min(8, os.cpu_count() or 1)
+    # Checks run serially.  Kept only because the benchmark records it as provenance.
+    return 1
 
 
 def _environment() -> dict:
@@ -605,42 +560,28 @@ def _config_echo(cfg: RunConfig, suite: str) -> dict:
     }
 
 
+def _run_check(check: Check, cfg: RunConfig) -> CheckResult:
+    """Run one check and stamp its registered name and tolerance onto the record."""
+    try:
+        residual, parameters, note = check.fn(cfg)
+    except NormalizationError as exc:
+        residual, parameters, note = float("inf"), {}, f"degenerate normalization: {exc}"
+    tol = cfg.tolerance(check.name)
+    return CheckResult(
+        name=check.name,
+        parameters=parameters,
+        residual=float(residual),
+        tolerance=tol,
+        passed=bool(residual <= tol),
+        note=note,
+    )
+
+
 def run_suite(cfg: RunConfig, suite: str = "all") -> VerificationReport:
-    """Run the selected checks and assemble the report (deterministically)."""
+    """Run the selected checks one at a time, in registry order, and assemble the report."""
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
-    names = ("kernel", "shift", "rep", "operator") if suite == "all" else (suite,)
-    checks = [fn for name in names for fn in _SUITE_CHECKS[name]]
-
-    def run_one(fn) -> CheckResult:
-        try:
-            return fn(cfg)
-        except NormalizationError as exc:
-            name = fn.__name__.removeprefix("check_")
-            alias = {
-                "pd": "positive_definite",
-                "qi": "quasi_invariance",
-                "homog_rotation": "homogeneity_rotation",
-                "homog_interior": "homogeneity_interior",
-                "homog_monotone": "homogeneity_monotone",
-                "unitarity": "representation_unitarity",
-                "cocycle_sweep": "cocycle",
-                "sl2": "sl2_commutators",
-                "k_type": "rotation_k_type",
-                "adjoint": "adjoint_reproducing",
-            }.get(name, name)
-            tol = dict(cfg.tolerances).get(alias, DEFAULT_TOLERANCES.get(alias, 0.0))
-            return CheckResult(
-                name=alias,
-                parameters={},
-                residual=float("inf"),
-                tolerance=tol,
-                passed=False,
-                note=f"degenerate normalization: {exc}",
-            )
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(run_one, checks))
+    results = [_run_check(check, cfg) for check in CHECKS if suite in ("all", check.suite)]
     return VerificationReport(
         config=_config_echo(cfg, suite),
         environment=_environment(),

@@ -124,10 +124,10 @@ def test_ladder_closed_form_vs_recursion():
     for m, lam in ((1, 1.0), (2, 1.5), (3, 2.0), (4, 2.6)):
         p, rep = mk(lam, m, [1.0] * (m + 1))
         for j in range(m + 1):
-            current = u_closed(j, 0, p).poly
+            current = u_closed(j, 0, p)
             for n in range(15):
                 current = minus_F(current, p, rep)
-                ref = u_closed(j, n + 1, p).poly
+                ref = u_closed(j, n + 1, p)
                 dev = poly_distance(current, ref) / max(ref.max_abs(), 1.0)
                 worst = max(worst, dev)
     report("ladder closed form vs recursion (m<=4, n<=15, all j)", worst, 1e-10)

@@ -114,19 +114,26 @@ def test_verify_determinism_byte_identical():
     assert first.stdout == second.stdout
 
 
-def test_verify_degenerate_negative(tmp_path):
+@pytest.mark.parametrize(
+    "suite, check",
+    [("kernel", "positive_definite"), ("shift", "golden_g"), ("operator", "homogeneity_rotation")],
+)
+def test_verify_degenerate_negative(tmp_path, suite, check):
+    from cdhom.verify import DEFAULT_TOLERANCES
+
     out = tmp_path / "report.json"
     res = run_cli(
         "verify", "--lambda", "0.5", "--m", "1", "--mu", "1,1",
-        "--allow-degenerate", "--suite", "kernel", "--out", str(out),
+        "--allow-degenerate", "--suite", suite, "--out", str(out),
     )
-    assert res.returncode == 1
+    assert res.returncode == 1, res.stderr
     report = json.loads(out.read_text())
     jsonschema.validate(report, SCHEMA)
     assert report["passed"] is False
-    pd = next(c for c in report["checks"] if c["name"] == "positive_definite")
-    assert not pd["passed"]
-    assert "degenerate" in pd["note"]
+    assert all(c["name"] in DEFAULT_TOLERANCES for c in report["checks"])
+    record = next(c for c in report["checks"] if c["name"] == check)
+    assert not record["passed"]
+    assert "degenerate" in record["note"]
 
 
 def test_verify_tolerance_override_forces_failure():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cdhom import ModelParams, ZeroBaseError, binom, cpow_principal, pochhammer, poly_eval, u_closed
+from cdhom import ModelParams, ZeroBaseError, binom, cpow_principal, pochhammer, u_closed
 from cdhom.scalars import VectorPolynomial
 
 
@@ -78,7 +78,7 @@ def test_poly_eval_constant_unit_vectors():
     for m in (0, 1, 3):
         for j in range(m + 1):
             p = VectorPolynomial.monomial(m, j, 0)
-            got = poly_eval(p, 0.3 - 0.4j)
+            got = p(0.3 - 0.4j)
             expect = np.zeros(m + 1)
             expect[j] = 1.0
             assert np.array_equal(got, expect)
@@ -90,14 +90,14 @@ def test_poly_eval_component_powers_at_zero():
     coeffs = np.zeros((m + 1, m + 1), dtype=complex)
     for ell in range(m + 1):
         coeffs[ell, ell] = 1.0
-    got = poly_eval(VectorPolynomial(coeffs), 0.0)
+    got = VectorPolynomial(coeffs)(0.0)
     assert np.array_equal(got, np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 def test_poly_eval_ladder_vector():
     # u^0_1 for m=1, lam=1 is ((2*lam - 1) z, 1) = (z, 1)
     p = ModelParams(lam=1.0, m=1, mu=(1.0, 1.0))
-    got = poly_eval(u_closed(0, 1, p).poly, 0.5)
+    got = u_closed(0, 1, p)(0.5)
     assert got == pytest.approx(np.array([0.5, 1.0]))
 
 
