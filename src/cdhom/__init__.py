@@ -15,7 +15,6 @@ from .basis import (
     op_F,
     op_H,
     sigma_cumulative,
-    sigma_single,
     u_closed,
 )
 from .errors import (
@@ -54,7 +53,6 @@ from .mobius import (
     act,
     derivative,
     exp_basis,
-    infinitesimal_action,
 )
 from .operator import (
     TruncatedOperator,
@@ -115,7 +113,6 @@ __all__ = [
     "e_basis",
     "exp_basis",
     "g_matrix",
-    "infinitesimal_action",
     "kernel_Bj_closed",
     "kernel_Kj",
     "kernel_full",
@@ -132,7 +129,6 @@ __all__ = [
     "representation_matrix",
     "shift_block",
     "sigma_cumulative",
-    "sigma_single",
     "truncate",
     "u_closed",
 ]

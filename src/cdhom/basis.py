@@ -69,20 +69,13 @@ def u_closed(j: int, n: int, params: ModelParams) -> VectorPolynomial:
     return VectorPolynomial(coeffs)
 
 
-def sigma_single(j: int, k: int, params: ModelParams) -> float:
-    """Norm-ratio constant sigma_k^j = (2*lam_j + k - 1) * k, k >= 1.
+def sigma_cumulative(j: int, n: int, params: ModelParams) -> float:
+    """Product of sigma_k^j = (2*lam_j + k - 1) * k for k = 1..n, equal to (2*lam_j)_n (1)_n.
 
-    A non-positive value signals the degenerate regime 2*lam <= m; the
+    A non-positive factor signals the degenerate regime 2*lam <= m; the
     normalizing constructors (e_basis, g_matrix) reject it with
     NormalizationError.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return (2.0 * params.lambda_j(j) + k - 1.0) * k
-
-
-def sigma_cumulative(j: int, n: int, params: ModelParams) -> float:
-    """Product of sigma_k^j for k = 1..n, equal to (2*lam_j)_n (1)_n."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     return pochhammer(2.0 * params.lambda_j(j), n) * pochhammer(1.0, n)
@@ -163,14 +156,25 @@ def g_matrix(n: int, params: ModelParams) -> np.ndarray:
     return _g_matrix_cached(n, params)
 
 
-def basis_value_matrix(n: int, z: complex, params: ModelParams) -> np.ndarray:
-    """G(mu, n, z) = D_n(z) G(n) D(mu): column j is mu_j e^j_{n-j}(z).
+def basis_values(points, slots, params: ModelParams) -> np.ndarray:
+    """Values of the basis vectors mu_j e^j_{n-j} at many points and slots at once.
 
-    D_n(z) carries z^(n-l) on the diagonal, with structural zeros in the
-    rows l > n.
+    Slot i = n*(m+1) + j labels (n, j).  Entry [s, l, k] is component l of
+    the basis vector of slots[k] at points[s], namely z^(n-l) * mu_j * G(n)[l, j];
+    slots with j > n are zero.  The result has shape (len(points), m+1, len(slots)).
     """
     m = params.m
-    dn = np.zeros(m + 1, dtype=complex)
-    for ell in range(min(n, m) + 1):
-        dn[ell] = z ** (n - ell)
-    return dn[:, None] * g_matrix(n, params) * params.mu_array()[None, :]
+    zs = np.asarray(points, dtype=complex).reshape(-1)
+    degrees, cols = np.divmod(np.asarray(slots, dtype=int), m + 1)
+    distinct, which = np.unique(degrees, return_inverse=True)
+    g_table = np.array([g_matrix(int(n), params) for n in distinct])
+    coeffs = g_table[which, :, cols].T * params.mu_array()[cols]  # [l, k] = mu_j * G(n)[l, j]
+    powers = zs[:, None] ** np.arange(distinct[-1] + 1)[None, :]
+    # G(n)[l, j] vanishes for l > n, so the exponent clipped to 0 there multiplies a zero.
+    exponents = np.maximum(degrees[None, :] - np.arange(m + 1)[:, None], 0)
+    return powers[:, exponents] * coeffs[None, :, :]
+
+
+def basis_value_matrix(n: int, z: complex, params: ModelParams) -> np.ndarray:
+    """G(mu, n, z) = D_n(z) G(n) D(mu): column j is mu_j e^j_{n-j}(z)."""
+    return basis_values([z], range(n * (params.m + 1), (n + 1) * (params.m + 1)), params)[0]

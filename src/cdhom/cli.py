@@ -21,7 +21,7 @@ from .basis import g_matrix
 from .errors import ConfigError, DomainError, NormalizationError, PoleError
 from .kernel import kernel_full
 from .operator import shift_block
-from .verify import RunConfig, run_suite, seeded_points
+from .verify import SUITES, RunConfig, run_suite, seeded_points
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -72,12 +72,12 @@ def _add_model_args(sub: argparse.ArgumentParser):
     sub.add_argument("--lambda", dest="lam", type=float, required=True, help="weight parameter (2*lambda > m)")
     sub.add_argument("--m", type=int, required=True, help="block size minus one")
     sub.add_argument("--mu", type=str, required=True, help="m+1 comma-separated positive scale factors")
-    sub.add_argument("--truncation", type=int, default=60, help="series/operator truncation degree")
-    sub.add_argument("--rmax", type=float, default=0.5, help="grid radius for verification checks")
+    sub.add_argument("--truncation", type=int, default=RunConfig.truncation, help="series/operator truncation degree")
+    sub.add_argument("--rmax", type=float, default=RunConfig.r_max, help="grid radius for verification checks")
     sub.add_argument("--tol", action="append", default=[], metavar="CHECK=VAL", help="tolerance override")
     sub.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     sub.add_argument("--out", type=str, default="", help="write output to this path instead of stdout")
-    sub.add_argument("--seed", type=int, default=20260810, help="seed for sampled points")
+    sub.add_argument("--seed", type=int, default=RunConfig.seed, help="seed for sampled points")
     sub.add_argument("--allow-degenerate", action="store_true", help="permit 2*lambda <= m (negative tests)")
 
 
@@ -244,12 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites and emit a report")
     _add_model_args(p_verify)
-    p_verify.add_argument("--suite", choices=("all", "kernel", "shift", "rep", "operator"), default="all")
+    p_verify.add_argument("--suite", choices=SUITES, default="all")
     p_verify.set_defaults(func=cmd_verify)
 
     p_fix = sub.add_parser("fixtures", help="write golden fixture files from the explicit closed forms")
     p_fix.add_argument("--out", type=str, default="fixtures")
-    p_fix.add_argument("--seed", type=int, default=20260810)
+    p_fix.add_argument("--seed", type=int, default=RunConfig.seed)
     p_fix.set_defaults(func=cmd_fixtures)
     return parser
 

@@ -46,7 +46,7 @@ class SampleGrid:
             raise ValueError("grid must contain at least one point")
         if len(set(self.points)) != len(self.points):
             raise ValueError("grid points must be pairwise distinct")
-        if any(abs(z) > self.r_max for z in self.points):
+        if not all(abs(z) <= self.r_max for z in self.points):
             raise ValueError(f"grid point outside radius {self.r_max}")
         if not self.r_max < 1.0:
             raise ValueError("r_max must be < 1")
@@ -64,7 +64,7 @@ def default_grid(r_max: float = 0.5) -> SampleGrid:
 
 def _require_disc(*points: complex):
     for z in points:
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:  # also rejects NaN
             raise DomainError(f"|z| = {abs(z)} is not inside the open unit disc")
 
 

@@ -137,17 +137,3 @@ def exp_basis(elem: LieAlgebraElement, t: float) -> GroupElement:
         ) * mat
     return GroupElement.from_matrix(out)
 
-
-def infinitesimal_action(elem: LieAlgebraElement) -> tuple[complex, complex, complex]:
-    """Vector-field coefficients (c0, c1, c2) of d/dt exp(t*elem).z at t=0.
-
-    For M = [[alpha, beta], [gamma, -alpha]] the field is
-    beta + 2*alpha*z - gamma*z^2; in particular x -> 1, h -> z, y -> -z^2.
-    """
-    mat = elem.matrix()
-    return (complex(mat[0, 1]), 2.0 * complex(mat[0, 0]), -complex(mat[1, 0]))
-
-
-def eval_vector_field(coeffs: tuple[complex, complex, complex], z: complex) -> complex:
-    c0, c1, c2 = coeffs
-    return c0 + c1 * z + c2 * z * z

@@ -12,8 +12,9 @@ the truncated matrix are evaluated exactly as (aT + bI)(cT + dI)^(-1),
 which agrees with the infinite functional calculus on every retained
 block because the shift only propagates downward in degree.
 
-The unitary group action is recovered column by column: U_g applied to a
-basis vector is sampled on a circle and expanded back in the basis by an
+The unitary group action is recovered in one batched solve: every basis
+vector and its image under U_g are sampled on a circle (one basis_values
+call each), and all columns are expanded back in the basis at once by an
 equilibrated least-squares solve; equispaced samples make blocks of
 different degree exactly orthogonal, so the solve is benign and its
 residual measures the mass leaked past degree N.
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import basis_value_matrix, g_matrix
+from .basis import basis_values, g_matrix
 from .errors import SingularGError, SingularResolventError, TruncationLossWarning
 from .mobius import GroupElement, act
 from .representation import ModelParams, TriangularRep, multiplier_J
@@ -77,13 +78,6 @@ class TruncatedOperator:
     n_trunc: int
     matrix: np.ndarray = field(repr=False)
 
-    @property
-    def block_size(self) -> int:
-        return self.params.m + 1
-
-    def degree_slice(self, n: int) -> slice:
-        return slice(n * self.block_size, (n + 1) * self.block_size)
-
 
 def truncate(params: ModelParams, n_trunc: int) -> TruncatedOperator:
     """Assemble the truncated block-shift matrix of degrees 0..N."""
@@ -114,8 +108,12 @@ def mobius_calculus(g: GroupElement, t) -> np.ndarray:
     return np.linalg.solve(resolvent, g.a * mat + g.b * eye)
 
 
-def _active_indices(m: int, n_trunc: int) -> list[tuple[int, int]]:
-    return [(n, j) for n in range(n_trunc + 1) for j in range(min(n, m) + 1)]
+def active_slots(m: int, max_degree: int) -> np.ndarray:
+    """Flat indices i = n*(m+1) + j of the slots with j <= n <= max_degree, in increasing order.
+
+    The slots with j > n hold structurally zero vectors and are left out.
+    """
+    return np.array([n * (m + 1) + j for n in range(max_degree + 1) for j in range(min(n, m) + 1)], dtype=int)
 
 
 @dataclass(frozen=True)
@@ -144,59 +142,39 @@ def representation_matrix(
     residual (mass outside degrees <= N).
     """
     m = params.m
-    active = _active_indices(m, n_trunc)
+    slots = active_slots(m, n_trunc)
     n_samples = 2 * (n_trunc + 1)
     zs = sample_radius * np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
-
-    powers_z = zs[:, None] ** np.arange(n_trunc + 1)[None, :]
     ginv = g.inverse()
     ys = np.array([act(ginv, z) for z in zs])
-    powers_y = ys[:, None] ** np.arange(n_trunc + 1)[None, :]
     jmats = np.array([multiplier_J(ginv, z, params, rep) for z in zs])
 
-    g_cols = {}  # (n, j) -> scaled coefficient column over components
-    mu = params.mu_array()
-    for n, j in active:
-        g_cols[(n, j)] = mu[j] * g_matrix(n, params)[:, j]
-
     n_rows = n_samples * (m + 1)
-    a_mat = np.zeros((n_rows, len(active)), dtype=complex)
-    v_mat = np.zeros((n_rows, len(active)), dtype=complex)
-    for i, (n, j) in enumerate(active):
-        col = g_cols[(n, j)]
-        ells = np.arange(min(n, m) + 1)
-        vals_z = np.zeros((n_samples, m + 1), dtype=complex)
-        vals_z[:, ells] = powers_z[:, n - ells] * col[ells][None, :]
-        a_mat[:, i] = vals_z.reshape(-1)
-        vals_y = np.zeros((n_samples, m + 1), dtype=complex)
-        vals_y[:, ells] = powers_y[:, n - ells] * col[ells][None, :]
-        v_mat[:, i] = np.einsum("skl,sl->sk", jmats, vals_y).reshape(-1)
+    a_mat = basis_values(zs, slots, params).reshape(n_rows, len(slots))
+    v_mat = np.einsum("skl,slK->skK", jmats, basis_values(ys, slots, params)).reshape(n_rows, len(slots))
 
     col_norms = np.linalg.norm(a_mat, axis=0)
-    a_eq = a_mat / col_norms[None, :]
-    coeffs_eq, _, _, svals = np.linalg.lstsq(a_eq, v_mat, rcond=None)
+    a_mat /= col_norms[None, :]
+    coeffs_eq, _, _, svals = np.linalg.lstsq(a_mat, v_mat, rcond=None)
     conditioning = float(svals[0] / svals[-1])
-    resid = np.linalg.norm(a_eq @ coeffs_eq - v_mat, axis=0)
+    resid = np.linalg.norm(a_mat @ coeffs_eq - v_mat, axis=0)
     v_norms = np.linalg.norm(v_mat, axis=0)
     rel_loss = resid / np.where(v_norms > 0, v_norms, 1.0)
     truncation_loss = float(np.max(rel_loss))
     # Columns at the truncation boundary always leak; only losses well inside
     # the guard band mean the truncation is too small for this group element.
-    interior = [i for i, (n, _) in enumerate(active) if n <= n_trunc - DEFAULT_GUARD_BAND]
-    if interior and float(np.max(rel_loss[interior])) > 0.1:
+    interior = slots // (m + 1) <= n_trunc - DEFAULT_GUARD_BAND
+    if interior.any() and float(np.max(rel_loss[interior])) > 0.1:
         warnings.warn(
             f"interior columns of U_g lost {np.max(rel_loss[interior]):.2f} of their mass "
             f"past degree {n_trunc}; increase the truncation for this group element",
             TruncationLossWarning,
             stacklevel=2,
         )
-    coeffs = coeffs_eq / col_norms[:, None]
 
     size = (n_trunc + 1) * (m + 1)
     out = np.zeros((size, size), dtype=complex)
-    for col_i, (n, j) in enumerate(active):
-        for row_i, (p, q) in enumerate(active):
-            out[p * (m + 1) + q, n * (m + 1) + j] = coeffs[row_i, col_i]
+    out[np.ix_(slots, slots)] = coeffs_eq / col_norms[:, None]
     return RepresentationMatrixResult(
         matrix=out,
         conditioning=conditioning,
@@ -231,17 +209,12 @@ def check_homogeneity(
     u_mat = representation_matrix(g, params, rep, n_trunc, sample_radius=sample_radius).matrix
     lhs = u_mat.conj().T @ t_mat @ u_mat
     rhs = mobius_calculus(g, t_mat)
-    m = params.m
-    keep = [n * (m + 1) + j for n, j in _active_indices(m, n_trunc) if n <= window]
+    keep = active_slots(params.m, window)
     diff = lhs - rhs
     return float(np.linalg.norm(diff[np.ix_(keep, keep)]))
 
 
 def reproducing_coefficients(w: complex, xi: np.ndarray, params: ModelParams, n_trunc: int) -> np.ndarray:
     """Basis coefficients of K_w xi up to degree N: c_(n,j) = <xi, b_(n,j)(w)>."""
-    m = params.m
-    out = np.zeros((n_trunc + 1) * (m + 1), dtype=complex)
-    for n in range(n_trunc + 1):
-        vals = basis_value_matrix(n, w, params)  # column j is b_(n,j)(w)
-        out[n * (m + 1): (n + 1) * (m + 1)] = vals.conj().T @ np.asarray(xi, dtype=complex)
-    return out
+    vals = basis_values([w], np.arange((n_trunc + 1) * (params.m + 1)), params)[0]  # column i is b_i(w)
+    return vals.conj().T @ np.asarray(xi, dtype=complex)

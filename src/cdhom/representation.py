@@ -19,6 +19,7 @@ C^(m+1)-valued functions by (U_g f)(z) = J_{g^{-1}}(z) f(g^{-1}.z).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -49,6 +50,8 @@ class ModelParams:
         object.__setattr__(self, "mu", tuple(float(v) for v in self.mu))
         if self.m < 0:
             raise ValueError(f"m must be a nonnegative integer, got {self.m}")
+        if not all(math.isfinite(v) for v in (self.lam, *self.mu)):
+            raise ValueError(f"lam and mu must be finite, got lam={self.lam}, mu={self.mu}")
         if len(self.mu) != self.m + 1:
             raise ValueError(f"mu must have m+1 = {self.m + 1} entries, got {len(self.mu)}")
         if any(v <= 0 for v in self.mu):

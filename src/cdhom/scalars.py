@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import ZeroBaseError
 
-_POLE_EPS = 1e-14
-
 
 def pochhammer(x: float, n: int) -> float:
     """Rising factorial (x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, goldens
-from .basis import basis_value_matrix, g_matrix, minus_F, op_E, op_F, op_H, u_closed
+from .basis import basis_values, g_matrix, minus_F, op_E, op_F, op_H, u_closed
 from .errors import ConfigError, NormalizationError
 from .kernel import (
     SampleGrid,
@@ -33,7 +33,7 @@ from .kernel import (
 )
 from .mobius import X0, X1, Y, GroupElement, exp_basis
 from .operator import (
-    _active_indices,
+    active_slots,
     check_homogeneity,
     mobius_calculus,
     representation_matrix,
@@ -300,14 +300,14 @@ def check_adjoint(cfg: RunConfig) -> Measurement:
 
 
 def check_column_action(cfg: RunConfig) -> Measurement:
+    """z B_n(z) = B_{n+1}(z) W(n) for n <= 10, with B_n(z) the degree-n block of basis values."""
     p = cfg.params()
+    w_blks = np.array([shift_block(n, p) for n in range(11)])
     worst = 0.0
-    for n in range(11):
-        w_blk = shift_block(n, p)
-        for z in seeded_points(cfg.seed + 6, 2, cfg.r_max):
-            lhs = z * basis_value_matrix(n, z, p)
-            rhs = basis_value_matrix(n + 1, z, p) @ w_blk
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    for z in seeded_points(cfg.seed + 6, 2, cfg.r_max):
+        vals = basis_values([z], np.arange(12 * (p.m + 1)), p)[0]
+        blocks = vals.reshape(p.m + 1, 12, p.m + 1).transpose(1, 0, 2)  # blocks[n] = B_n(z)
+        worst = max(worst, float(np.max(np.abs(z * blocks[:-1] - blocks[1:] @ w_blks))))
     return _measured(worst)
 
 
@@ -479,7 +479,7 @@ def check_unitarity(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     n_trunc, guard = 40, 10
-    keep = [n * (p.m + 1) + j for n, j in _active_indices(p.m, n_trunc) if n <= n_trunc - guard]
+    keep = active_slots(p.m, n_trunc - guard)
     worst = 0.0
     for g in (GroupElement.rotation(0.3), exp_basis(X1, 0.1), exp_basis(Y, -0.1)):
         u = representation_matrix(g, p, rep, n_trunc).matrix

@@ -12,7 +12,6 @@ from cdhom import (
     op_F,
     op_H,
     sigma_cumulative,
-    sigma_single,
     u_closed,
 )
 from cdhom.scalars import VectorPolynomial, poly_distance
@@ -149,29 +148,23 @@ def test_ladder_recursion_agreement(m, lam):
             assert poly_distance(current, ref) <= 1e-10 * max(ref.max_abs(), 1.0)
 
 
-def test_sigma_single_values():
-    # lam_j = 1 at j = 0 requires lam = m/2 + 1 - j... use m=0, lam=1
-    p0, _ = make(1.0, 0)
-    assert sigma_single(0, 1, p0) == 2.0
-    # boundary root: 2*lam_j = 1 - k
-    pb = ModelParams(lam=0.0, m=1, mu=(1.0, 1.0), allow_degenerate=True)
-    assert sigma_single(0, 2, pb) == 0.0  # 2*lam_0 = -1 = 1 - 2
-    p1, _ = make(1.0, 1)
-    assert sigma_single(0, 2, p1) == 4.0
-
-
 def test_sigma_cumulative_empty():
     p, _ = make(1.7, 2)
     for j in range(3):
         assert sigma_cumulative(j, 0, p) == 1.0
 
 
+def sigma(j, k, p):
+    """The norm-ratio factor sigma_k^j = (2*lam_j + k - 1) * k, k >= 1."""
+    return (2.0 * p.lambda_j(j) + k - 1.0) * k
+
+
 def test_sigma_cumulative_product_oracle():
     p0, _ = make(1.0, 0)  # lam_0 = 1
-    brute = sigma_single(0, 1, p0) * sigma_single(0, 2, p0)
+    brute = sigma(0, 1, p0) * sigma(0, 2, p0)
     assert brute == sigma_cumulative(0, 2, p0) == 12.0
     p1, _ = make(1.0, 1)  # lam_0 = 1/2: sigma_k = k^2
-    brute = np.prod([sigma_single(0, k, p1) for k in (1, 2, 3)])
+    brute = np.prod([sigma(0, k, p1) for k in (1, 2, 3)])
     assert brute == sigma_cumulative(0, 3, p1) == 36.0
 
 

@@ -142,9 +142,10 @@ def test_verify_tolerance_override_forces_failure():
 
 
 def test_exit_code_domain_error():
-    res = run_cli("kernel-eval", *BASE_M1, "--z", "1.5", "--w", "0")
-    assert res.returncode == 2
-    assert "domain error" in res.stderr
+    for z, w in (("1.5", "0"), ("0", "nan")):
+        res = run_cli("kernel-eval", *BASE_M1, "--z", z, "--w", w)
+        assert res.returncode == 2, (z, w)
+        assert "domain error" in res.stderr
 
 
 def test_exit_code_config_errors():
@@ -152,6 +153,10 @@ def test_exit_code_config_errors():
     assert run_cli("verify", "--lambda", "0.5", "--m", "1", "--mu", "1,1").returncode == 3
     assert run_cli("nonsense").returncode == 3
     assert run_cli("verify", *BASE_M1, "--tol", "nosuchcheck=1").returncode == 3
+    for lam, mu in (("1", "1,inf"), ("1", "1,nan"), ("inf", "1,1")):
+        res = run_cli("kernel-eval", "--lambda", lam, "--m", "1", "--mu", mu, "--z", "0", "--w", "0")
+        assert res.returncode == 3, (lam, mu)
+        assert "config error" in res.stderr
 
 
 def test_fixtures_regeneration_is_stable(tmp_path):

@@ -68,8 +68,9 @@ def test_bj_first_diagonal_at_origin():
 
 def test_bj_rejects_outside_disc():
     p, _ = make(1.0, 1)
-    with pytest.raises(DomainError):
-        kernel_Bj_closed(0, 1.1, 0.0, p)
+    for z in (1.1, complex("nan")):
+        with pytest.raises(DomainError):
+            kernel_Bj_closed(0, z, 0.0, p)
 
 
 def test_bj_block_zero_outside_range():
@@ -314,3 +315,9 @@ def test_default_grid_shape():
 def test_grid_rejects_duplicates():
     with pytest.raises(ValueError):
         SampleGrid(points=(0.1, 0.1), r_max=0.5)
+
+
+def test_grid_rejects_points_outside_radius():
+    for z in (0.6, complex("nan")):
+        with pytest.raises(ValueError):
+            SampleGrid(points=(0.1, z), r_max=0.5)

@@ -3,8 +3,8 @@ import cmath
 import numpy as np
 import pytest
 
-from cdhom import GroupElement, PoleError, act, derivative, exp_basis, infinitesimal_action
-from cdhom.mobius import H, X, X0, X1, Y, Y_LOWER, eval_vector_field
+from cdhom import GroupElement, PoleError, act, derivative, exp_basis
+from cdhom.mobius import H, X, X0, X1, Y, Y_LOWER
 
 REAL_BASIS = [("X0", X0), ("X1", X1), ("Y", Y)]
 ALL_BASIS = [("x", X), ("y", Y_LOWER), ("h", H)] + REAL_BASIS
@@ -123,19 +123,24 @@ def test_chain_rule():
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def flow_velocity(elem, z, h=1e-6):
+    """d/dt exp(t*elem).z at t = 0, by central differences."""
+    return (act(exp_basis(elem, h), z) - act(exp_basis(elem, -h), z)) / (2 * h)
+
+
 def test_infinitesimal_action_triangular_basis():
-    assert infinitesimal_action(X) == (1.0, 0.0, 0.0)
-    assert infinitesimal_action(Y_LOWER) == (0.0, 0.0, -1.0)
-    assert infinitesimal_action(H) == (0.0, 1.0, 0.0)
+    # x, h, y generate the vector fields 1, z, -z^2 on the disc
+    for elem, field in ((X, lambda z: 1.0), (H, lambda z: z), (Y_LOWER, lambda z: -z * z)):
+        for z in (0.0, 0.3, -0.2 + 0.4j):
+            assert abs(flow_velocity(elem, z) - field(z)) < 1e-6
 
 
 def test_infinitesimal_action_matches_flow():
-    h = 1e-6
+    # M = [[alpha, beta], [gamma, -alpha]] generates the field beta + 2*alpha*z - gamma*z^2
     for name, elem in ALL_BASIS:
-        field = infinitesimal_action(elem)
+        (alpha, beta), (gamma, _) = elem.matrix()
         for z in (0.0, 0.3, -0.2 + 0.4j):
-            fd = (act(exp_basis(elem, h), z) - act(exp_basis(elem, -h), z)) / (2 * h)
-            assert abs(fd - eval_vector_field(field, z)) < 1e-6, name
+            assert abs(flow_velocity(elem, z) - (beta + 2 * alpha * z - gamma * z * z)) < 1e-6, name
 
 
 def test_group_element_rejects_bad_determinant():

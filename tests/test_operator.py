@@ -18,16 +18,12 @@ from cdhom import (
 from cdhom import goldens
 from cdhom.basis import basis_value_matrix
 from cdhom.mobius import X1, Y
-from cdhom.operator import _active_indices, reproducing_coefficients
+from cdhom.operator import active_slots, reproducing_coefficients
 
 
 def make(lam, m, mu=None):
     p = ModelParams(lam=lam, m=m, mu=mu or tuple([1.0] * (m + 1)))
     return p, TriangularRep.from_params(p)
-
-
-def active_keep(m, n_trunc, max_degree):
-    return [n * (m + 1) + j for n, j in _active_indices(m, n_trunc) if n <= max_degree]
 
 
 # ----------------------------------------------------------------- shift blocks
@@ -76,16 +72,13 @@ def test_shift_block_diagonal_tends_to_one():
 
 def test_truncate_block_structure():
     p, _ = make(1.6, 2, (1.0, 0.7, 1.3))
-    op = truncate(p, 6)
-    mat = op.matrix
+    mat = truncate(p, 6).matrix
+    blocks = mat.reshape(7, 3, 7, 3).copy()  # blocks[q, :, n, :] maps degree n to degree q
     for n in range(6):
-        blk = mat[op.degree_slice(n + 1), op.degree_slice(n)]
-        assert np.max(np.abs(blk - shift_block(n, p))) <= 1e-14
+        assert np.max(np.abs(blocks[n + 1, :, n, :] - shift_block(n, p))) <= 1e-14
+        blocks[n + 1, :, n, :] = 0.0
     # everything else vanishes
-    probe = mat.copy()
-    for n in range(6):
-        probe[op.degree_slice(n + 1), op.degree_slice(n)] = 0.0
-    assert np.max(np.abs(probe)) == 0.0
+    assert np.max(np.abs(blocks)) == 0.0
     # nilpotency of the truncated shift
     power = np.linalg.matrix_power(mat, 8)
     assert np.max(np.abs(power)) == 0.0
@@ -163,7 +156,7 @@ def test_calculus_singular_resolvent():
 def test_representation_identity():
     p, rep = make(1.0, 1, (1.0, 0.8))
     res = representation_matrix(GroupElement.identity(), p, rep, 12)
-    keep = active_keep(1, 12, 12)
+    keep = active_slots(1, 12)
     sub = res.matrix[np.ix_(keep, keep)]
     assert np.max(np.abs(sub - np.eye(len(keep)))) <= 1e-12
     assert res.conditioning < 1e4
@@ -174,8 +167,8 @@ def test_representation_rotation_diagonal_phases():
     theta = 0.3
     res = representation_matrix(GroupElement.rotation(theta), p, rep, 15)
     mat = res.matrix
-    for n, j in _active_indices(1, 15):
-        i = n * 2 + j
+    for i in active_slots(1, 15):
+        n = i // 2
         expect = cmath.exp(-1j * theta * (p.eta + n))
         assert abs(mat[i, i] - expect) <= 1e-11
         row = mat[i].copy()
@@ -187,7 +180,7 @@ def test_representation_unitary_on_interior():
     # guard band 10 keeps the truncation tail below the stated tolerance
     p, rep = make(1.0, 1, (1.0, 0.8))
     n_trunc, guard = 40, 10
-    keep = active_keep(1, n_trunc, n_trunc - guard)
+    keep = active_slots(1, n_trunc - guard)
     for g in (GroupElement.rotation(0.3), exp_basis(X1, 0.1), exp_basis(Y, -0.1)):
         u = representation_matrix(g, p, rep, n_trunc).matrix
         gram = (u.conj().T @ u - np.eye(u.shape[0]))[np.ix_(keep, keep)]
@@ -203,7 +196,7 @@ def test_representation_unitary_on_interior():
 def test_representation_unitarity_narrow_guard_band():
     p, rep = make(1.0, 1, (1.0, 0.8))
     n_trunc, guard = 40, 5
-    keep = active_keep(1, n_trunc, n_trunc - guard)
+    keep = active_slots(1, n_trunc - guard)
     u = representation_matrix(exp_basis(X1, 0.1), p, rep, n_trunc).matrix
     gram = (u.conj().T @ u - np.eye(u.shape[0]))[np.ix_(keep, keep)]
     assert np.linalg.norm(gram) <= 1e-6

@@ -33,6 +33,9 @@ def test_params_positivity_enforced():
         ModelParams(lam=1.0, m=1, mu=(1.0, -2.0))
     with pytest.raises(ValueError):
         ModelParams(lam=1.0, m=1, mu=(1.0,))
+    for lam, mu in ((1.0, (1.0, float("inf"))), (1.0, (1.0, float("nan"))), (float("inf"), (1.0, 1.0))):
+        with pytest.raises(ValueError):
+            ModelParams(lam=lam, m=1, mu=mu, allow_degenerate=True)
 
 
 def test_params_derived_quantities():
