@@ -14,8 +14,13 @@ ladder u^j_n = (-F)^n eps_j whose closed form is, with k = l - j,
 (zero for l < j).  Dividing u^j_{n-j} by sqrt((2*lam_j)_{n-j} (1)_{n-j})
 gives the orthonormal vectors e^j_{n-j}; their coefficients assemble into
 the lower-triangular matrices G(n) that drive both the block shift and
-the kernel computations.  Scale factors mu never enter here: they are
-applied exclusively through the diagonal D(mu) where needed downstream.
+the kernel computations.  Scale factors mu never enter G(n): they are
+applied through the diagonal D(mu) where needed downstream.
+
+Basis values come from two separate routes.  `basis_values` reads them
+off G(n); its ladder twin `ladder_values` builds them from the closed
+form of u^j_{n-j} and its normalization, and feeds only the series
+oracle `kernel.kernel_series`, so the oracle shares no code with G(n).
 """
 
 from __future__ import annotations
@@ -81,25 +86,64 @@ def sigma_cumulative(j: int, n: int, params: ModelParams) -> float:
     return pochhammer(2.0 * params.lambda_j(j), n) * pochhammer(1.0, n)
 
 
+def _require_normalizable(j: int, n: int, params: ModelParams):
+    """Raise NormalizationError unless e^j_{n-j} has a normalization: n <= j or 2*lam_j > 0.
+
+    2*lam_j = 2*lam - m + 2j is positive for every j exactly when 2*lam > m.
+    """
+    two_lj = 2.0 * params.lambda_j(j)
+    if n > j and not two_lj > 0.0:
+        raise NormalizationError(
+            f"2*lam_{j} = {two_lj} <= 0: the normalization of e^{j}_{n - j} degenerates "
+            f"(2*lam = {2 * params.lam} vs m = {params.m})"
+        )
+
+
+def _ladder_coefficients(n_max: int, params: ModelParams) -> np.ndarray:
+    """Coefficients c[n, l, j] of e^j_{n-j} for n <= n_max: component l is c[n, l, j] z^(n-l).
+
+    With N = n - j and k = l - j, the closed form u^j_N over sqrt(sigma^j_N) is
+
+        c = C(N, k) (j+1)_k (2*lam_j + k)_{N-k} / sqrt((2*lam_j)_N N!),
+
+    built here as ratio products so that no rising factorial is formed:
+
+        c at N = k       = prod_{i=1..k} (j+i)/i * sqrt(i / (2*lam_j + i - 1)),
+        c(N) / c(N - 1)  = sqrt(N (2*lam_j + N - 1)) / (N - k)        for N > k.
+
+    Entries with l < j or l > n are zero.  Columns j whose normalization
+    degenerates (see _require_normalizable) hold meaningless values.
+    """
+    m = params.m
+    n = np.arange(n_max + 1)[:, None, None]
+    ell = np.arange(m + 1)[None, :, None]
+    j = np.arange(m + 1)[None, None, :]
+    big_n, k = n - j, ell - j
+    two_lj = 2.0 * params.lam - m + 2.0 * j
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lowest = np.cumprod(np.where(k > 0, (j + k) / k * np.sqrt(k / (two_lj + k - 1)), 1.0), axis=1)
+        step = np.where(big_n > k, np.sqrt(big_n * (two_lj + big_n - 1)) / (big_n - k), 1.0)
+        ladder = np.cumprod(np.where(big_n == k, lowest, step), axis=0)
+    return np.where((k >= 0) & (big_n >= k), ladder, 0.0)
+
+
 def e_basis(j: int, n: int, params: ModelParams) -> VectorPolynomial:
     """Orthonormal vector e^j_{n-j} (without its mu_j factor).
 
     Structurally zero when n < j, so series code can sum uniformly.
-    Raises NormalizationError when the normalizing radicand is not
-    positive, which happens exactly in the degenerate regime 2*lam <= m.
+    Raises NormalizationError when the normalization degenerates, which
+    happens exactly in the degenerate regime 2*lam <= m.
     """
     m = params.m
     if not 0 <= j <= m:
         raise ValueError(f"j must lie in 0..{m}, got {j}")
     if n < j:
         return VectorPolynomial.zero(m)
-    radicand = sigma_cumulative(j, n - j, params)
-    if radicand <= 0.0:
-        raise NormalizationError(
-            f"sigma^{j}_{n - j} = {radicand} <= 0: normalization degenerates "
-            f"(2*lam = {2 * params.lam} vs m = {m})"
-        )
-    return u_closed(j, n - j, params) * (radicand ** -0.5)
+    _require_normalizable(j, n, params)
+    comps = np.arange(min(n, m) + 1)
+    coeffs = np.zeros((n + 1, m + 1))
+    coeffs[n - comps, comps] = _ladder_coefficients(n, params)[n, comps, j]
+    return VectorPolynomial(coeffs)
 
 
 def _poch_ratio(x: float, y: float, n: int) -> float:
@@ -173,6 +217,25 @@ def basis_values(points, slots, params: ModelParams) -> np.ndarray:
     # G(n)[l, j] vanishes for l > n, so the exponent clipped to 0 there multiplies a zero.
     exponents = np.maximum(degrees[None, :] - np.arange(m + 1)[:, None], 0)
     return powers[:, exponents] * coeffs[None, :, :]
+
+
+def ladder_values(points, n_max: int, params: ModelParams) -> np.ndarray:
+    """Values of mu_j e^j_{n-j} at many points and all degrees n <= n_max, from the ladder closed form.
+
+    The twin of basis_values for the series oracle: it never reads G(n).
+    Entry [s, n, l, j] is component l of mu_j e^j_{n-j} at points[s], namely
+    mu_j * c[n, l, j] * z^(n-l) with c from _ladder_coefficients; slots with
+    j > n are zero.  The result has shape (len(points), n_max+1, m+1, m+1).
+    """
+    m = params.m
+    for j in range(m + 1):
+        _require_normalizable(j, n_max, params)
+    coeffs = _ladder_coefficients(n_max, params) * params.mu_array()
+    zs = np.asarray(points, dtype=complex).reshape(-1)
+    powers = zs[:, None] ** np.arange(n_max + 1)[None, :]
+    # c[n, l, j] vanishes for l > n, so the exponent clipped to 0 there multiplies a zero.
+    exponents = np.maximum(np.arange(n_max + 1)[:, None] - np.arange(m + 1)[None, :], 0)
+    return powers[:, exponents, None] * coeffs[None]
 
 
 def basis_value_matrix(n: int, z: complex, params: ModelParams) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Subcommands: kernel-eval, shift-weights, basis-emit, verify, fixtures.
 Exit codes: 0 success, 1 verification failure, 2 domain error, 3 config
-error.  Output is JSON (schema under cdhom/schemas/) or flat CSV, with
-complex numbers serialized as {"re": ..., "im": ...}; identical config
-and seed produce byte-identical output.
+error (including parameters so large that a computed value overflows).
+Output is JSON (schema under cdhom/schemas/) or flat CSV, with complex
+numbers serialized as {"re": ..., "im": ...}; identical config and seed
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -113,10 +114,17 @@ def _complex_matrix(mat: np.ndarray) -> list:
     return [[_c(v) for v in row] for row in mat]
 
 
+def _require_finite(values: np.ndarray, what: str):
+    """Refuse to emit a non-finite value: it means the parameters overflow double precision."""
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"a value of {what} is not finite: the parameters are out of the representable range")
+
+
 def cmd_kernel_eval(args) -> int:
     cfg = _config_from(args)
     z, w = _parse_complex(args.z), _parse_complex(args.w)
     mat = kernel_full(z, w, cfg.params())
+    _require_finite(mat, "K(z, w)")
     if cfg.fmt == "json":
         payload = {
             "config": {"lambda": cfg.lam, "m": cfg.m, "mu": list(cfg.mu)},
@@ -143,6 +151,7 @@ def _table_command(block, key: str):
         records = []
         for n in range(args.nmax + 1):
             mat = block(n, p)
+            _require_finite(mat, f"the {key} at n = {n}")
             for row in range(p.m + 1):
                 for col in range(p.m + 1):
                     records.append({"n": n, "row": row, "col": col, "value": float(mat[row, col])})
@@ -261,6 +270,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
+        return EXIT_CONFIG
+    except OverflowError as exc:
+        sys.stderr.write(f"config error: the parameters are out of the representable range ({exc})\n")
         return EXIT_CONFIG
     except (DomainError, PoleError, NormalizationError) as exc:
         sys.stderr.write(f"domain error: {exc}\n")

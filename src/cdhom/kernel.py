@@ -12,7 +12,10 @@ entry is evaluated through its finite Leibniz closed form
 
 with s = z*conj(w), not through a series.  The independent oracle
 kernel_series sums the orthonormal-basis outer products instead and goes
-through the ladder closed form, so the two routes share no code path.
+through the ladder closed form (`basis.ladder_values`), so the two routes
+share no code path.  kernel_series takes scalar points or broadcastable
+point arrays: one ladder table serves every point, and all pairs are
+contracted at once, giving shape broadcast(z, w).shape + (m+1, m+1).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import e_basis
+from .basis import ladder_values
 from .errors import DomainError, NormalizationError, SingularKernelColumnError
 from .mobius import GroupElement, act
 from .representation import ModelParams, TriangularRep, multiplier_J
@@ -130,21 +133,42 @@ def kernel_full(z: complex, w: complex, params: ModelParams) -> np.ndarray:
     return out
 
 
-def kernel_series(z: complex, w: complex, params: ModelParams, n_trunc: int = DEFAULT_TRUNCATION) -> np.ndarray:
+def _series_factors(z, w, params: ModelParams, n_trunc: int):
+    """Broadcast shape of (z, w), ladder values at the flattened z and conjugated ones at w."""
+    zs, ws = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+    _require_disc(*zs.flat, *ws.flat)
+    # The ladder coefficients are real, so e(w)^* is e evaluated at conj(w).
+    return zs.shape, ladder_values(zs, n_trunc, params), ladder_values(ws.conj(), n_trunc, params)
+
+
+def kernel_series(z, w, params: ModelParams, n_trunc: int = DEFAULT_TRUNCATION) -> np.ndarray:
     """Truncated basis series sum_{n<=N} sum_j mu_j^2 e^j_{n-j}(z) e^j_{n-j}(w)^*.
 
     This is the independent oracle for kernel_full: it goes through the
     ladder closed form and the normalizing constants, not through the
-    derivative formula.
+    derivative formula.  z and w are points or broadcastable point arrays;
+    the result has shape broadcast(z, w).shape + (m+1, m+1), so a scalar
+    pair gives one (m+1) x (m+1) matrix.
     """
-    _require_disc(z, w)
+    shape, vz, vw = _series_factors(z, w, params, n_trunc)
+    out = np.einsum("snlj,snpj->slp", vz, vw)
+    return out.reshape(shape + out.shape[1:])
+
+
+def kernel_series_partial_sums(z, w, params: ModelParams, n_trunc: int) -> np.ndarray:
+    """Every truncation of kernel_series at once: entry [..., N, :, :] sums the degrees n <= N.
+
+    The terms mu_j^2 e^j_{n-j}(z) e^j_{n-j}(w)^* are accumulated one at a
+    time in the order (n, j), so consecutive truncations share their prefix
+    exactly as a sequential sum does, and a term below half an ulp of the
+    sum leaves it unchanged.  The result has shape
+    broadcast(z, w).shape + (n_trunc+1, m+1, m+1).
+    """
+    shape, vz, vw = _series_factors(z, w, params, n_trunc)
     m = params.m
-    out = np.zeros((m + 1, m + 1), dtype=complex)
-    for n in range(n_trunc + 1):
-        for j in range(min(n, m) + 1):
-            vec = e_basis(j, n, params)
-            out += params.mu[j] ** 2 * np.outer(vec(z), vec(w).conjugate())
-    return out
+    terms = np.einsum("snlj,snpj->snjlp", vz, vw).reshape(len(vz), -1, m + 1, m + 1)
+    sums = np.cumsum(terms, axis=1)[:, m :: m + 1]  # the running sum after slot j = m of each degree
+    return sums.reshape(shape + sums.shape[1:])
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,29 @@ def test_exit_code_config_errors():
         assert "config error" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [("shift-weights", ["--nmax", "2"]), ("basis-emit", ["--nmax", "2"]), ("kernel-eval", ["--z", "0.1", "--w", "0.1"])],
+)
+def test_exit_code_overflowing_parameters(command, extra):
+    res = run_cli(command, "--lambda", "1e300", "--m", "1", "--mu", "1,1", *extra)
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.startswith("config error") and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_verify_kernel_suite_at_high_truncation(tmp_path):
+    out = tmp_path / "report.json"
+    res = run_cli(
+        "verify", "--lambda", "1.6", "--m", "2", "--mu", "1,0.7,1.3",
+        "--truncation", "200", "--suite", "kernel", "--out", str(out),
+    )
+    assert res.returncode == 0, res.stderr
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, SCHEMA)
+    assert all(c["residual"] is not None and c["passed"] for c in report["checks"])  # null marks non-finite
+
+
 def test_fixtures_regeneration_is_stable(tmp_path):
     res = run_cli("fixtures", "--out", str(tmp_path))
     assert res.returncode == 0

@@ -21,7 +21,9 @@ from cdhom import (
     normalize_kernel,
 )
 from cdhom import goldens
+from cdhom.kernel import kernel_series_partial_sums
 from cdhom.mobius import X0, X1, Y
+from cdhom.verify import RunConfig, run_suite
 
 ORACLE_TUPLES = [
     (1, 1.0, (1.0, 1.0)),
@@ -225,6 +227,51 @@ def test_series_truncation_monotone():
     devs = [np.max(np.abs(kernel_series(z, w, p, n) - ref)) for n in range(5, 61, 5)]
     for a, b in zip(devs, devs[1:]):
         assert b <= a + 1e-12
+
+
+@pytest.mark.parametrize("m,lam,mu", [(2, 1.6, (1.0, 0.7, 1.3)), (6, 3.7, (1.0, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7))])
+def test_series_batched_matches_pairwise(m, lam, mu):
+    p, _ = make(lam, m, mu)
+    pts = np.array(default_grid().points[::2] + (0.0, 0.6 - 0.7j))
+    got = kernel_series(pts[:, None], pts[None, :], p, 60)
+    assert got.shape == (len(pts), len(pts), m + 1, m + 1)
+    for i, z in enumerate(pts):
+        for k, w in enumerate(pts):
+            ref = kernel_series(complex(z), complex(w), p, 60)
+            assert np.max(np.abs(got[i, k] - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    assert kernel_series(pts, 0.2j, p, 60).shape == (len(pts), m + 1, m + 1)
+
+
+def test_series_partial_sums_are_the_truncations():
+    p, _ = make(1.6, 2, (1.0, 0.7, 1.3))
+    z, w = np.array([0.3, -0.2 + 0.4j]), np.array([0.45j, 0.1])
+    sums = kernel_series_partial_sums(z, w, p, 30)
+    assert sums.shape == (2, 31, 3, 3)
+    for n in (0, 1, 7, 30):
+        assert np.max(np.abs(sums[:, n] - kernel_series(z, w, p, n))) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.8 + 0.8j, complex("nan"), complex(0.1, float("nan"))])
+def test_series_array_rejects_points_outside_disc(bad):
+    p, _ = make(1.0, 1)
+    pts = np.array([0.1, 0.2j, bad])
+    with pytest.raises(DomainError):
+        kernel_series(pts[:, None], pts[None, :], p, 10)
+    with pytest.raises(DomainError):
+        kernel_series(0.1, pts, p, 10)
+
+
+@pytest.mark.parametrize("lam,m", [(0.5, 1), (0.75, 2)])
+def test_series_degenerate_raises_and_oracle_reports_inf(lam, m):
+    mu = (1.0,) * (m + 1)
+    p = ModelParams(lam=lam, m=m, mu=mu, allow_degenerate=True)
+    pts = np.array(default_grid().points)
+    with pytest.raises(NormalizationError):
+        kernel_series(pts[:, None], pts[None, :], p, 60)
+    report = run_suite(RunConfig(lam=lam, m=m, mu=mu, allow_degenerate=True), "kernel")
+    record = next(c for c in report.checks if c.name == "kernel_oracle")
+    assert record.residual == float("inf") and not record.passed
+    assert record.note.startswith("degenerate normalization")
 
 
 # ---------------------------------------------------------- positive definite
