@@ -176,7 +176,7 @@ def _g_entry(n: int, ell: int, j: int, params: ModelParams) -> float:
     return math.sqrt(radicand) * pochhammer(j + 1.0, k) / pochhammer(1.0, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _g_matrix_cached(n: int, params: ModelParams) -> np.ndarray:
     m = params.m
     out = np.zeros((m + 1, m + 1))

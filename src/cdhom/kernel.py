@@ -204,18 +204,25 @@ def check_positive_definite(
     )
 
 
-def check_quasi_invariance(
-    g: GroupElement, grid: SampleGrid, params: ModelParams, rep: TriangularRep
-) -> float:
-    """Max over grid pairs of || J_g(z) K(g.z, g.w) J_g(w)^* - K(z, w) ||_F."""
+def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: TriangularRep) -> float | list[float]:
+    """Max over grid pairs of || J_g(z) K(g.z, g.w) J_g(w)^* - K(z, w) ||_F.
+
+    g is one GroupElement, giving one float, or a sequence of them, giving
+    one float per element; K(z, w) on the grid is evaluated once for all.
+    """
     pts = grid.points
-    jz = {z: multiplier_J(g, z, params, rep) for z in pts}
-    worst = 0.0
-    for z in pts:
-        for w in pts:
-            lhs = jz[z] @ kernel_full(act(g, z), act(g, w), params) @ jz[w].conj().T
-            worst = max(worst, float(np.linalg.norm(lhs - kernel_full(z, w, params))))
-    return worst
+    k_grid = {(z, w): kernel_full(z, w, params) for z in pts for w in pts}
+    elements = [g] if isinstance(g, GroupElement) else list(g)
+    residuals = []
+    for h in elements:
+        jz = {z: multiplier_J(h, z, params, rep) for z in pts}
+        worst = 0.0
+        for z in pts:
+            for w in pts:
+                lhs = jz[z] @ kernel_full(act(h, z), act(h, w), params) @ jz[w].conj().T
+                worst = max(worst, float(np.linalg.norm(lhs - k_grid[z, w])))
+        residuals.append(worst)
+    return residuals[0] if isinstance(g, GroupElement) else residuals
 
 
 def _hermitian_sqrt(mat: np.ndarray) -> np.ndarray:

@@ -7,17 +7,22 @@ sends the degree-n block to the degree-(n+1) block through
 
 realized here by a triangular solve on the leading invertible corner of
 G(n+1) (columns j > n act on structurally zero basis slots and stay
-zero).  Finite truncations keep degrees 0..N; fractional-linear maps of
-the truncated matrix are evaluated exactly as (aT + bI)(cT + dI)^(-1),
-which agrees with the infinite functional calculus on every retained
-block because the shift only propagates downward in degree.
+zero).  Finite truncations keep degrees 0..N; a fractional-linear map
+g(T) of the truncated shift agrees with the infinite functional calculus
+on every retained block because the shift only propagates downward in
+degree.  It needs no solve: g(T) is the finite Taylor sum
+b/d + sum_k coef_k T^k, and block (n+k, n) of T^k is the product
+W(n+k-1)...W(n).
 
-The unitary group action is recovered in one batched solve: every basis
-vector and its image under U_g are sampled on a circle (one basis_values
-call each), and all columns are expanded back in the basis at once by an
-equilibrated least-squares solve; equispaced samples make blocks of
-different degree exactly orthogonal, so the solve is benign and its
-residual measures the mass leaked past degree N.
+The unitary group action is recovered degree by degree: every basis
+vector's image under U_g is sampled on a circle of 2(N+1) equispaced
+points (one basis_values call), and a discrete Fourier transform over
+the samples separates the degrees exactly, since component l of a
+degree-n basis vector carries the single frequency n - l.  The
+least-squares problem of the expansion is therefore block-diagonal by
+degree: each degree is one square lower-triangular (m+1)x(m+1) solve,
+all of them batched, and the mass at frequencies p with p + l > N is
+exactly the part of U_g leaked past degree N.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .errors import SingularGError, SingularResolventError, TruncationLossWarnin
 from .mobius import GroupElement, act
 from .representation import ModelParams, TriangularRep, multiplier_J
 
-# Radius of the sampling circle for the least-squares expansion.  Coefficient
+# Radius of the sampling circle for the expansion of U_g.  Coefficient
 # recovery at degree d amplifies evaluation noise by radius**(-d); at 0.9 the
 # noise floor over 60 degrees stays near 1e-13, which smaller radii do not.
 DEFAULT_SAMPLE_RADIUS = 0.9
@@ -92,13 +97,21 @@ def truncate(params: ModelParams, n_trunc: int) -> TruncatedOperator:
     return TruncatedOperator(params=params, n_trunc=n_trunc, matrix=mat)
 
 
-def _as_matrix(t) -> np.ndarray:
-    return t.matrix if isinstance(t, TruncatedOperator) else np.asarray(t, dtype=complex)
-
-
 def mobius_calculus(g: GroupElement, t) -> np.ndarray:
-    """Rational functional calculus g(T) = (aT + bI)(cT + dI)^(-1)."""
-    mat = _as_matrix(t)
+    """Rational functional calculus g(T) = (aT + bI)(cT + dI)^(-1).
+
+    For a TruncatedOperator the result is the finite Taylor sum
+
+        g(T) = b/d + (ad - bc) sum_{k>=1} (-c)^(k-1) d^(-k-1) T^k,
+
+    assembled block by block from products of the shift blocks; d = 0 (or
+    coefficients past the float range) raises SingularResolventError.  A
+    plain matrix goes through one dense solve instead, guarded by the
+    condition number of cT + dI; it is the oracle of the block form.
+    """
+    if isinstance(t, TruncatedOperator):
+        return _block_calculus(g, t)
+    mat = np.asarray(t, dtype=complex)
     eye = np.eye(mat.shape[0], dtype=complex)
     resolvent = g.c * mat + g.d * eye
     cond = np.linalg.cond(resolvent)
@@ -106,6 +119,29 @@ def mobius_calculus(g: GroupElement, t) -> np.ndarray:
         raise SingularResolventError(f"c*T + d*I has condition number {cond}")
     # (aT + b) and (cT + d)^(-1) are both functions of T, hence commute.
     return np.linalg.solve(resolvent, g.a * mat + g.b * eye)
+
+
+def _block_calculus(g: GroupElement, t: TruncatedOperator) -> np.ndarray:
+    if g.d == 0:
+        raise SingularResolventError("d = 0: c*T + d*I is nilpotent, hence singular")
+    n_trunc, size = t.n_trunc, t.params.m + 1
+    with np.errstate(all="ignore"):  # overflow surfaces as a non-finite result below
+        d = np.complex128(g.d)
+        ratios = np.full(n_trunc, -g.c / d)
+        ratios[0] = 1.0
+        coefs = (g.a * g.d - g.b * g.c) / d**2 * np.cumprod(ratios)  # coefs[k-1] multiplies T^k
+        constant = g.b / d
+    blocks = t.matrix.reshape(n_trunc + 1, size, n_trunc + 1, size)
+    w_blks = blocks[np.arange(1, n_trunc + 1), :, np.arange(n_trunc), :]  # w_blks[n] = W(n)
+    out = np.zeros_like(blocks)
+    out[np.arange(n_trunc + 1), :, np.arange(n_trunc + 1), :] = constant * np.eye(size)
+    prod = w_blks  # prod[n] = W(n+k-1)...W(n), block (n+k, n) of T^k
+    for k in range(1, n_trunc + 1):
+        out[np.arange(k, n_trunc + 1), :, np.arange(n_trunc + 1 - k), :] = coefs[k - 1] * prod
+        prod = w_blks[k:] @ prod[:-1]
+    if not np.all(np.isfinite(out)):
+        raise SingularResolventError(f"the Taylor coefficients of g overflow at |d| = {abs(g.d)}")
+    return out.reshape(t.matrix.shape)
 
 
 def active_slots(m: int, max_degree: int) -> np.ndarray:
@@ -136,10 +172,14 @@ def representation_matrix(
     """Numerically expand U_g over the orthonormal basis, degrees 0..N.
 
     Columns are recovered from 2(N+1) equispaced samples on the circle of
-    the given radius by least squares against basis evaluations, with
-    column equilibration; the reported conditioning is that of the
-    equilibrated system and truncation_loss is the worst relative solve
-    residual (mass outside degrees <= N).
+    the given radius: the Fourier transform over the samples splits the
+    least-squares problem into one square triangular solve per degree, all
+    batched.  The reported conditioning is max/min singular value over the
+    column-normalised degree blocks, which is the condition number of the
+    column-equilibrated least-squares matrix of all degrees, and
+    truncation_loss is the worst relative least-squares residual of a
+    column, the share of its sampled mass at frequencies past degree N
+    (Parseval).
     """
     m = params.m
     slots = active_slots(m, n_trunc)
@@ -148,18 +188,23 @@ def representation_matrix(
     ginv = g.inverse()
     ys = np.array([act(ginv, z) for z in zs])
     jmats = np.array([multiplier_J(ginv, z, params, rep) for z in zs])
+    images = np.einsum("skl,slK->skK", jmats, basis_values(ys, slots, params))
+    # Component l of a degree-n basis vector is a multiple of z^(n-l): frequency p = n - l.
+    spectrum = np.fft.fft(images, axis=0) / n_samples  # [p, l, column]
 
-    n_rows = n_samples * (m + 1)
-    a_mat = basis_values(zs, slots, params).reshape(n_rows, len(slots))
-    v_mat = np.einsum("skl,slK->skK", jmats, basis_values(ys, slots, params)).reshape(n_rows, len(slots))
+    ell = np.arange(m + 1)[None, :]
+    freq = np.arange(n_trunc + 1)[:, None] - ell  # [n, l]; negative where l > n
+    blocks = _degree_blocks(n_trunc, sample_radius, params)
+    rhs = np.where((freq >= 0)[..., None], spectrum[np.maximum(freq, 0), ell], 0.0)
+    coeffs = np.linalg.solve(blocks, rhs)  # [n, j, column]; zero on the slots j > n
 
-    col_norms = np.linalg.norm(a_mat, axis=0)
-    a_mat /= col_norms[None, :]
-    coeffs_eq, _, _, svals = np.linalg.lstsq(a_mat, v_mat, rcond=None)
-    conditioning = float(svals[0] / svals[-1])
-    resid = np.linalg.norm(a_mat @ coeffs_eq - v_mat, axis=0)
-    v_norms = np.linalg.norm(v_mat, axis=0)
-    rel_loss = resid / np.where(v_norms > 0, v_norms, 1.0)
+    col_norms = np.linalg.norm(blocks, axis=1)
+    svals = np.linalg.svd(blocks / col_norms[:, None, :], compute_uv=False)
+    conditioning = float(np.max(svals) / np.min(svals))
+    power = np.abs(spectrum) ** 2
+    leaked = power[np.arange(n_samples)[:, None] + ell > n_trunc].sum(axis=0)  # frequency p at slot l: degree p + l
+    total = power.sum(axis=(0, 1))
+    rel_loss = np.sqrt(leaked / np.where(total > 0, total, 1.0))
     truncation_loss = float(np.max(rel_loss))
     # Columns at the truncation boundary always leak; only losses well inside
     # the guard band mean the truncation is too small for this group element.
@@ -174,13 +219,30 @@ def representation_matrix(
 
     size = (n_trunc + 1) * (m + 1)
     out = np.zeros((size, size), dtype=complex)
-    out[np.ix_(slots, slots)] = coeffs_eq / col_norms[:, None]
+    out[:, slots] = coeffs.reshape(size, len(slots))
     return RepresentationMatrixResult(
         matrix=out,
         conditioning=conditioning,
         truncation_loss=truncation_loss,
         sample_radius=sample_radius,
     )
+
+
+def _degree_blocks(n_trunc: int, radius: float, params: ModelParams) -> np.ndarray:
+    """M_n[l, j] = radius^(n-l) mu_j G(n)[l, j] for n <= N, the Fourier image of the basis per degree.
+
+    Slots with l or j above n carry the identity instead, so every block is
+    square and invertible and the padded unknowns solve to zero.  For the
+    conditioning this is harmless: a block with unit-norm columns has
+    singular values on both sides of 1.
+    """
+    m = params.m
+    g_table = np.array([g_matrix(n, params) for n in range(n_trunc + 1)])
+    freq = np.arange(n_trunc + 1)[:, None] - np.arange(m + 1)[None, :]
+    blocks = radius ** np.maximum(freq, 0)[:, :, None] * g_table * params.mu_array()
+    padded = np.arange(m + 1) > np.arange(n_trunc + 1)[:, None]  # [n, j]: slot j > n
+    blocks[padded[:, :, None] & np.eye(m + 1, dtype=bool)] = 1.0
+    return blocks
 
 
 def check_homogeneity(
@@ -205,10 +267,10 @@ def check_homogeneity(
         window = n_trunc - guard_band
     if not 0 <= window <= n_trunc:
         raise ValueError(f"window {window} outside 0..{n_trunc}")
-    t_mat = truncate(params, n_trunc).matrix
+    t_op = truncate(params, n_trunc)
     u_mat = representation_matrix(g, params, rep, n_trunc, sample_radius=sample_radius).matrix
-    lhs = u_mat.conj().T @ t_mat @ u_mat
-    rhs = mobius_calculus(g, t_mat)
+    lhs = u_mat.conj().T @ t_op.matrix @ u_mat
+    rhs = mobius_calculus(g, t_op)
     keep = active_slots(params.m, window)
     diff = lhs - rhs
     return float(np.linalg.norm(diff[np.ix_(keep, keep)]))

@@ -107,7 +107,8 @@ class TriangularRep:
             arr.flags.writeable = False
         rep = cls(m=m, eta=eta, rho_h=rho_h, rho_y=rho_y, rho0_h=rho0_h, d_m=d_m)
         comm = rho_h @ rho_y - rho_y @ rho_h
-        if np.max(np.abs(comm + rho_y)) > 1e-14:
+        # Relative to ||rho(h)||: its diagonal carries -eta, which may be huge.
+        if np.max(np.abs(comm + rho_y)) > 1e-14 * max(1.0, float(np.max(np.abs(rho_h)))):
             raise AssertionError("[rho(h), rho(y)] != -rho(y); construction is broken")
         return rep
 

@@ -205,9 +205,9 @@ def check_pd(cfg: RunConfig) -> Measurement:
 def check_qi(cfg: RunConfig) -> Measurement:
     p, grid = cfg.params(), cfg.grid()
     rep = TriangularRep.from_params(p)
+    labels, elements = zip(*_subgroup_elements())
     worst, worst_g = 0.0, ""
-    for label, g in _subgroup_elements():
-        r = check_quasi_invariance(g, grid, p, rep)
+    for label, r in zip(labels, check_quasi_invariance(elements, grid, p, rep)):
         if r > worst:
             worst, worst_g = r, label
     return _measured(worst, worst_element=worst_g)
@@ -480,23 +480,25 @@ def check_unitarity(cfg: RunConfig) -> Measurement:
     rep = TriangularRep.from_params(p)
     n_trunc, guard = 40, 10
     keep = active_slots(p.m, n_trunc - guard)
-    worst = 0.0
+    worst, conditioning = 0.0, 0.0
     for g in (GroupElement.rotation(0.3), exp_basis(X1, 0.1), exp_basis(Y, -0.1)):
-        u = representation_matrix(g, p, rep, n_trunc).matrix
+        res = representation_matrix(g, p, rep, n_trunc)
+        u = res.matrix
         gram = (u.conj().T @ u - np.eye(u.shape[0]))[np.ix_(keep, keep)]
         worst = max(worst, float(np.linalg.norm(gram)))
-    return _measured(worst, truncation=n_trunc, guard_band=guard)
+        conditioning = max(conditioning, res.conditioning)
+    return _measured(worst, truncation=n_trunc, guard_band=guard, conditioning=conditioning)
 
 
 def check_calculus_rotation(cfg: RunConfig) -> Measurement:
     import cmath
 
     p = cfg.params()
-    t_mat = truncate(p, min(cfg.truncation, 40)).matrix
+    t_op = truncate(p, min(cfg.truncation, 40))
     worst = 0.0
     for theta in (0.3, -0.7):
         g = GroupElement.rotation(theta)
-        dev = np.max(np.abs(mobius_calculus(g, t_mat) - cmath.exp(1j * theta) * t_mat))
+        dev = np.max(np.abs(mobius_calculus(g, t_op) - cmath.exp(1j * theta) * t_op.matrix))
         worst = max(worst, float(dev))
     return _measured(worst)
 

@@ -241,6 +241,13 @@ def test_g_matrix_read_only_cache():
         g[0, 0] = 5.0
 
 
+def test_g_matrix_cache_is_bounded():
+    from cdhom.basis import _g_matrix_cached
+
+    # 4096 entries keep two models at 402 degrees each warm; a long parameter sweep cannot grow it further.
+    assert _g_matrix_cached.cache_info().maxsize == 4096
+
+
 # ------------------------------------------------------- structural invariants
 
 

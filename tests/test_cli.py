@@ -161,7 +161,13 @@ def test_exit_code_config_errors():
 
 @pytest.mark.parametrize(
     "command, extra",
-    [("shift-weights", ["--nmax", "2"]), ("basis-emit", ["--nmax", "2"]), ("kernel-eval", ["--z", "0.1", "--w", "0.1"])],
+    [
+        ("shift-weights", ["--nmax", "2"]),
+        ("basis-emit", ["--nmax", "2"]),
+        ("kernel-eval", ["--z", "0.1", "--w", "0.1"]),
+        ("verify", ["--suite", "rep"]),
+        ("verify", ["--suite", "operator"]),
+    ],
 )
 def test_exit_code_overflowing_parameters(command, extra):
     res = run_cli(command, "--lambda", "1e300", "--m", "1", "--mu", "1,1", *extra)

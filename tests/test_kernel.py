@@ -326,6 +326,14 @@ def test_quasi_invariance_subgroup_sweep(elem, t):
     assert r <= 1e-8
 
 
+def test_quasi_invariance_sequence_matches_single_calls():
+    p, rep = make(1.6, 2, (1.0, 0.7, 1.3))
+    elements = [GroupElement.identity(), GroupElement.rotation(0.3), exp_basis(X1, 0.1), exp_basis(Y, -0.2)]
+    together = check_quasi_invariance(elements, default_grid(), p, rep)
+    assert together == [check_quasi_invariance(g, default_grid(), p, rep) for g in elements]
+    assert check_quasi_invariance(iter(elements[2:]), default_grid(), p, rep) == together[2:]
+
+
 # --------------------------------------------------------------- normalization
 
 

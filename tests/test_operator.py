@@ -16,9 +16,13 @@ from cdhom import (
     truncate,
 )
 from cdhom import goldens
-from cdhom.basis import basis_value_matrix
-from cdhom.mobius import X1, Y
-from cdhom.operator import active_slots, reproducing_coefficients
+from cdhom.basis import basis_value_matrix, basis_values
+from cdhom.mobius import X1, Y, act
+from cdhom.operator import DEFAULT_SAMPLE_RADIUS, active_slots, reproducing_coefficients
+from cdhom.representation import multiplier_J
+from cdhom.verify import RunConfig, check_homog_interior, check_unitarity
+
+REF_M6 = (3.7, 6, (1.0, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7))
 
 
 def make(lam, m, mu=None):
@@ -144,10 +148,33 @@ def test_calculus_small_time_taylor():
 
 def test_calculus_singular_resolvent():
     p, _ = make(1.0, 1)
-    t_mat = truncate(p, 5).matrix
+    t_op = truncate(p, 5)
     bad = GroupElement(0.0, 1j, 1j, 0.0)  # c T + d I = i T is nilpotent: singular
     with pytest.raises(SingularResolventError):
-        mobius_calculus(bad, t_mat)
+        mobius_calculus(bad, t_op.matrix)
+    with pytest.raises(SingularResolventError):
+        mobius_calculus(bad, t_op)
+
+
+CALCULUS_ELEMENTS = [
+    GroupElement.identity(),
+    GroupElement.rotation(-0.7),
+    exp_basis(X1, 0.3),
+    exp_basis(Y, -0.5),
+    exp_basis(X1, 0.2) @ exp_basis(Y, 0.4),
+]
+
+
+@pytest.mark.parametrize("lam, m", [(1.0, 1), (3.7, 6), (5.0, 8)])
+@pytest.mark.parametrize("n_trunc", [20, 40, 80])
+def test_block_calculus_matches_dense_solve(lam, m, n_trunc):
+    # The block Taylor sum on a TruncatedOperator against the dense solve on its matrix.
+    p = ModelParams(lam=lam, m=m, mu=tuple(1.0 + 0.1 * j for j in range(m + 1)))
+    t_op = truncate(p, n_trunc)
+    for g in CALCULUS_ELEMENTS:
+        dense = mobius_calculus(g, t_op.matrix)
+        blocks = mobius_calculus(g, t_op)
+        assert np.max(np.abs(blocks - dense)) <= 1e-14 * max(1.0, np.max(np.abs(dense))), g
 
 
 # --------------------------------------------------------- representation of U
@@ -174,6 +201,53 @@ def test_representation_rotation_diagonal_phases():
         row = mat[i].copy()
         row[i] = 0.0
         assert np.max(np.abs(row)) <= 1e-11
+
+
+@pytest.mark.parametrize("m, lam, mu", [(1, 1.0, (1.0, 0.8)), (2, 1.6, (1.0, 0.7, 1.3))])
+def test_representation_matches_least_squares(m, lam, mu):
+    # The per-degree Fourier solve against a dense least-squares fit of the same samples.
+    p, rep = make(lam, m, mu)
+    n_trunc = 12
+    slots = active_slots(m, n_trunc)
+    zs = DEFAULT_SAMPLE_RADIUS * np.exp(2j * np.pi * np.arange(2 * (n_trunc + 1)) / (2 * (n_trunc + 1)))
+    for g in (GroupElement.rotation(0.3), exp_basis(X1, 0.1), exp_basis(Y, -0.1)):
+        ginv = g.inverse()
+        jmats = np.array([multiplier_J(ginv, z, p, rep) for z in zs])
+        ys = np.array([act(ginv, z) for z in zs])
+        images = np.einsum("skl,slK->skK", jmats, basis_values(ys, slots, p)).reshape(-1, len(slots))
+        a_mat = basis_values(zs, slots, p).reshape(-1, len(slots))
+        ref = np.linalg.lstsq(a_mat, images, rcond=None)[0]
+        got = representation_matrix(g, p, rep, n_trunc).matrix[np.ix_(slots, slots)]
+        assert np.max(np.abs(got - ref)) <= 1e-11, g
+
+
+def test_representation_rotation_phases_reference_m6():
+    lam, m, mu = REF_M6
+    p, rep = make(lam, m, mu)
+    theta, n_trunc = 0.3, 80
+    mat = representation_matrix(GroupElement.rotation(theta), p, rep, n_trunc).matrix
+    slots = active_slots(m, n_trunc)
+    expect = np.exp(-1j * theta * (p.eta + slots // (m + 1)))
+    sub = mat[np.ix_(slots, slots)]
+    assert np.max(np.abs(sub - np.diag(expect))) <= 1e-8
+
+
+def test_operator_checks_pass_at_m8():
+    cfg = RunConfig(lam=5.0, m=8, mu=(1.0,) * 9)
+    residual, params, _ = check_unitarity(cfg)
+    assert residual <= 1e-6
+    assert params["conditioning"] > 1.0
+    assert check_homog_interior(cfg)[0] <= 1e-4
+
+
+def test_unitarity_record_carries_conditioning():
+    p, rep = make(1.0, 1, (1.0, 0.8))
+    _, params, _ = check_unitarity(RunConfig(lam=1.0, m=1, mu=(1.0, 0.8)))
+    conds = [
+        representation_matrix(g, p, rep, 40).conditioning
+        for g in (GroupElement.rotation(0.3), exp_basis(X1, 0.1), exp_basis(Y, -0.1))
+    ]
+    assert params["conditioning"] == max(conds)
 
 
 def test_representation_unitary_on_interior():
