@@ -14,7 +14,6 @@ from .basis import (
     op_E,
     op_F,
     op_H,
-    sigma_cumulative,
     u_closed,
 )
 from .errors import (
@@ -128,7 +127,6 @@ __all__ = [
     "pochhammer",
     "representation_matrix",
     "shift_block",
-    "sigma_cumulative",
     "truncate",
     "u_closed",
 ]

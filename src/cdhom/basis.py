@@ -17,15 +17,16 @@ the lower-triangular matrices G(n) that drive both the block shift and
 the kernel computations.  Scale factors mu never enter G(n): they are
 applied through the diagonal D(mu) where needed downstream.
 
-Basis values come from two separate routes.  `basis_values` reads them
-off G(n); its ladder twin `ladder_values` builds them from the closed
-form of u^j_{n-j} and its normalization, and feeds only the series
-oracle `kernel.kernel_series`, so the oracle shares no code with G(n).
+Every coefficient comes from one table, `_ladder_coefficients`, built
+from the ladder closed form and its normalization: `g_matrix`,
+`g_table`, `e_basis` and the batched evaluator `basis_values` all read
+it.  Row n of the table does not depend on how many rows were built, so
+every route sees the same G(n).  `u_closed` keeps the unnormalized
+closed form as the oracle of the `minus_F` recursion.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -74,18 +75,6 @@ def u_closed(j: int, n: int, params: ModelParams) -> VectorPolynomial:
     return VectorPolynomial(coeffs)
 
 
-def sigma_cumulative(j: int, n: int, params: ModelParams) -> float:
-    """Product of sigma_k^j = (2*lam_j + k - 1) * k for k = 1..n, equal to (2*lam_j)_n (1)_n.
-
-    A non-positive factor signals the degenerate regime 2*lam <= m; the
-    normalizing constructors (e_basis, g_matrix) reject it with
-    NormalizationError.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return pochhammer(2.0 * params.lambda_j(j), n) * pochhammer(1.0, n)
-
-
 def _require_normalizable(j: int, n: int, params: ModelParams):
     """Raise NormalizationError unless e^j_{n-j} has a normalization: n <= j or 2*lam_j > 0.
 
@@ -112,7 +101,9 @@ def _ladder_coefficients(n_max: int, params: ModelParams) -> np.ndarray:
         c(N) / c(N - 1)  = sqrt(N (2*lam_j + N - 1)) / (N - k)        for N > k.
 
     Entries with l < j or l > n are zero.  Columns j whose normalization
-    degenerates (see _require_normalizable) hold meaningless values.
+    degenerates (see _require_normalizable) hold meaningless values, and
+    entries past the float range hold inf or nan.  The products run
+    sequentially along n, so row n is the same whatever n_max is.
     """
     m = params.m
     n = np.arange(n_max + 1)[:, None, None]
@@ -120,7 +111,7 @@ def _ladder_coefficients(n_max: int, params: ModelParams) -> np.ndarray:
     j = np.arange(m + 1)[None, None, :]
     big_n, k = n - j, ell - j
     two_lj = 2.0 * params.lam - m + 2.0 * j
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lowest = np.cumprod(np.where(k > 0, (j + k) / k * np.sqrt(k / (two_lj + k - 1)), 1.0), axis=1)
         step = np.where(big_n > k, np.sqrt(big_n * (two_lj + big_n - 1)) / (big_n - k), 1.0)
         ladder = np.cumprod(np.where(big_n == k, lowest, step), axis=0)
@@ -146,49 +137,29 @@ def e_basis(j: int, n: int, params: ModelParams) -> VectorPolynomial:
     return VectorPolynomial(coeffs)
 
 
-def _poch_ratio(x: float, y: float, n: int) -> float:
-    """(x)_n / (y)_n evaluated factor by factor; stable for large n."""
-    out = 1.0
-    for i in range(n):
-        out *= (x + i) / (y + i)
-    return out
+def g_table(n_max: int, params: ModelParams) -> np.ndarray:
+    """G(0), ..., G(n_max) stacked: entry [n, l, j] is G(n)[l, j], read off one coefficient table.
 
-
-def _g_entry(n: int, ell: int, j: int, params: ModelParams) -> float:
-    """Coefficient G(n)_{l,j}: the z^(n-l) coefficient of e^j_{n-j} at slot l.
-
-    The radicand (2*lam_j + k)_{n-j-k} (n-j-k+1)_k / ((2*lam_j)_k (1)_{n-j-k})
-    is accumulated as ratio products so each factor stays of moderate size.
+    Raises NormalizationError in the degenerate regime 2*lam <= m (for
+    n_max >= 1) and OverflowError when a coefficient leaves the float range.
     """
-    if ell < j or n < ell:
-        return 0.0
-    m, k = params.m, ell - j
-    two_lj = 2.0 * params.lam - m + 2 * j
-    den = pochhammer(two_lj, k)
-    if den <= 0.0:
-        raise NormalizationError(
-            f"(2*lam - m + 2j)_{k} = {den} is not positive: "
-            f"normalization degenerates (2*lam = {2 * params.lam} vs m = {m})"
-        )
-    radicand = _poch_ratio(two_lj + k, 1.0, n - j - k) * pochhammer(float(n - j - k + 1), k) / den
-    if radicand < 0.0:
-        raise NormalizationError(f"negative radicand at (n, l, j) = ({n}, {ell}, {j})")
-    return math.sqrt(radicand) * pochhammer(j + 1.0, k) / pochhammer(1.0, k)
+    for j in range(params.m + 1):
+        _require_normalizable(j, n_max, params)
+    table = _ladder_coefficients(n_max, params)
+    if not np.all(np.isfinite(table)):
+        raise OverflowError(f"a coefficient of G(n), n <= {n_max}, overflows at lam = {params.lam}")
+    return table
 
 
 @lru_cache(maxsize=4096)
 def _g_matrix_cached(n: int, params: ModelParams) -> np.ndarray:
-    m = params.m
-    out = np.zeros((m + 1, m + 1))
-    for j in range(m + 1):
-        for ell in range(j, min(n, m) + 1):
-            out[ell, j] = _g_entry(n, ell, j, params)
+    out = g_table(n, params)[n].copy()  # a copy, so the cache does not keep the whole table alive
     out.flags.writeable = False
     return out
 
 
 def g_matrix(n: int, params: ModelParams) -> np.ndarray:
-    """The lower-triangular coefficient matrix G(n) = ((e^{l,j}_{n-j})).
+    """The lower-triangular coefficient matrix G(n) = ((e^{l,j}_{n-j})), row n of g_table.
 
     Entry (l, j) is zero when l < j or n < l; the diagonal is strictly
     positive for n >= m whenever 2*lam > m.  Results are memoized per
@@ -210,32 +181,12 @@ def basis_values(points, slots, params: ModelParams) -> np.ndarray:
     m = params.m
     zs = np.asarray(points, dtype=complex).reshape(-1)
     degrees, cols = np.divmod(np.asarray(slots, dtype=int), m + 1)
-    distinct, which = np.unique(degrees, return_inverse=True)
-    g_table = np.array([g_matrix(int(n), params) for n in distinct])
-    coeffs = g_table[which, :, cols].T * params.mu_array()[cols]  # [l, k] = mu_j * G(n)[l, j]
-    powers = zs[:, None] ** np.arange(distinct[-1] + 1)[None, :]
+    n_max = int(degrees.max())
+    coeffs = g_table(n_max, params)[degrees, :, cols].T * params.mu_array()[cols]  # [l, k] = mu_j * G(n)[l, j]
+    powers = zs[:, None] ** np.arange(n_max + 1)[None, :]
     # G(n)[l, j] vanishes for l > n, so the exponent clipped to 0 there multiplies a zero.
     exponents = np.maximum(degrees[None, :] - np.arange(m + 1)[:, None], 0)
     return powers[:, exponents] * coeffs[None, :, :]
-
-
-def ladder_values(points, n_max: int, params: ModelParams) -> np.ndarray:
-    """Values of mu_j e^j_{n-j} at many points and all degrees n <= n_max, from the ladder closed form.
-
-    The twin of basis_values for the series oracle: it never reads G(n).
-    Entry [s, n, l, j] is component l of mu_j e^j_{n-j} at points[s], namely
-    mu_j * c[n, l, j] * z^(n-l) with c from _ladder_coefficients; slots with
-    j > n are zero.  The result has shape (len(points), n_max+1, m+1, m+1).
-    """
-    m = params.m
-    for j in range(m + 1):
-        _require_normalizable(j, n_max, params)
-    coeffs = _ladder_coefficients(n_max, params) * params.mu_array()
-    zs = np.asarray(points, dtype=complex).reshape(-1)
-    powers = zs[:, None] ** np.arange(n_max + 1)[None, :]
-    # c[n, l, j] vanishes for l > n, so the exponent clipped to 0 there multiplies a zero.
-    exponents = np.maximum(np.arange(n_max + 1)[:, None] - np.arange(m + 1)[None, :], 0)
-    return powers[:, exponents, None] * coeffs[None]
 
 
 def basis_value_matrix(n: int, z: complex, params: ModelParams) -> np.ndarray:

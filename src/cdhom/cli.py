@@ -183,36 +183,26 @@ def fixture_payloads(seed: int) -> dict[str, dict]:
     """Golden fixture data from the hand-expanded m=1 and m=2 closed forms."""
     out: dict[str, dict] = {}
     for m, tag in ((1, "2"), (2, "3")):
-        lams = GOLDEN_LAMBDAS[m]
+        closed = {family: getattr(goldens, f"{family}_m{m}") for family in ("g_matrix", "shift_block", "kernel")}
+        mu_grids = [(mu1,) for mu1 in GOLDEN_MUS] if m == 1 else [
+            (mu1, mu2) for mu1 in GOLDEN_MUS for mu2 in GOLDEN_MUS
+        ]
         g_vals, w_vals, k_vals = [], [], []
         zs = seeded_points(seed + 1, GOLDEN_POINT_COUNT)
         ws = seeded_points(seed + 2, GOLDEN_POINT_COUNT)
-        for lam in lams:
+        for lam in GOLDEN_LAMBDAS[m]:
             for n in range(GOLDEN_N_MAX + 1):
-                g = goldens.g_matrix_m1(n, lam) if m == 1 else goldens.g_matrix_m2(n, lam)
+                g = closed["g_matrix"](n, lam)
                 g_vals.append({"n": n, "lambda": lam, "matrix": [[float(v) for v in row] for row in g]})
-            mu_grids = [(mu1,) for mu1 in GOLDEN_MUS] if m == 1 else [
-                (mu1, mu2) for mu1 in GOLDEN_MUS for mu2 in GOLDEN_MUS
-            ]
             for mus in mu_grids:
                 for n in range(GOLDEN_N_MAX + 1):
-                    w = (
-                        goldens.shift_block_m1(n, lam, *mus)
-                        if m == 1
-                        else goldens.shift_block_m2(n, lam, *mus)
-                    )
+                    w = closed["shift_block"](n, lam, *mus)
                     w_vals.append(
                         {"n": n, "lambda": lam, "mu": list(mus), "matrix": [[float(v) for v in row] for row in w]}
                     )
                 for i, (z, w_pt) in enumerate(zip(zs, ws)):
-                    k = (
-                        goldens.kernel_m1(z, w_pt, lam, *mus)
-                        if m == 1
-                        else goldens.kernel_m2(z, w_pt, lam, *mus)
-                    )
-                    k_vals.append(
-                        {"lambda": lam, "mu": list(mus), "point": i, "matrix": _complex_matrix(k)}
-                    )
+                    k = closed["kernel"](z, w_pt, lam, *mus)
+                    k_vals.append({"lambda": lam, "mu": list(mus), "point": i, "matrix": _complex_matrix(k)})
         points = [{"z": _c(z), "w": _c(w_pt)} for z, w_pt in zip(zs, ws)]
         out[f"g{tag}"] = {"family": "coefficient_matrix", "m": m, "values": g_vals}
         out[f"w{tag}"] = {"family": "shift_block", "m": m, "values": w_vals}

@@ -11,11 +11,12 @@ entry is evaluated through its finite Leibniz closed form
                    z^(b-i) conj(w)^(a-i) (1-s)^(-(beta+a+b-i)),
 
 with s = z*conj(w), not through a series.  The independent oracle
-kernel_series sums the orthonormal-basis outer products instead and goes
-through the ladder closed form (`basis.ladder_values`), so the two routes
-share no code path.  kernel_series takes scalar points or broadcastable
-point arrays: one ladder table serves every point, and all pairs are
-contracted at once, giving shape broadcast(z, w).shape + (m+1, m+1).
+kernel_series sums the orthonormal-basis outer products instead, with
+basis values from `basis.basis_values`: it shares the coefficients G(n)
+with the rest of the package but no code with the derivative formula.
+kernel_series takes scalar points or broadcastable point arrays: one
+coefficient table serves every point, and all pairs are contracted at
+once, giving shape broadcast(z, w).shape + (m+1, m+1).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import ladder_values
+from .basis import basis_values
 from .errors import DomainError, NormalizationError, SingularKernelColumnError
 from .mobius import GroupElement, act
 from .representation import ModelParams, TriangularRep, multiplier_J
@@ -134,21 +135,31 @@ def kernel_full(z: complex, w: complex, params: ModelParams) -> np.ndarray:
 
 
 def _series_factors(z, w, params: ModelParams, n_trunc: int):
-    """Broadcast shape of (z, w), ladder values at the flattened z and conjugated ones at w."""
+    """Broadcast shape of (z, w), basis values [s, n, l, j] at the flattened z and conjugated ones at w."""
     zs, ws = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
     _require_disc(*zs.flat, *ws.flat)
-    # The ladder coefficients are real, so e(w)^* is e evaluated at conj(w).
-    return zs.shape, ladder_values(zs, n_trunc, params), ladder_values(ws.conj(), n_trunc, params)
+    m = params.m
+    slots = np.arange((n_trunc + 1) * (m + 1))
+
+    def values(points):
+        # Broadcast grids repeat each point many times: evaluate the distinct ones, then index.
+        distinct, which = np.unique(points, return_inverse=True)
+        vals = basis_values(distinct, slots, params).reshape(-1, m + 1, n_trunc + 1, m + 1)
+        # Contiguous, so einsum sums in the same order whatever the point layout.
+        return np.ascontiguousarray(vals.transpose(0, 2, 1, 3))[which.reshape(-1)]
+
+    # G(n) is real, so e(w)^* is e evaluated at conj(w).
+    return zs.shape, values(zs), values(ws.conj())
 
 
 def kernel_series(z, w, params: ModelParams, n_trunc: int = DEFAULT_TRUNCATION) -> np.ndarray:
     """Truncated basis series sum_{n<=N} sum_j mu_j^2 e^j_{n-j}(z) e^j_{n-j}(w)^*.
 
     This is the independent oracle for kernel_full: it goes through the
-    ladder closed form and the normalizing constants, not through the
-    derivative formula.  z and w are points or broadcastable point arrays;
-    the result has shape broadcast(z, w).shape + (m+1, m+1), so a scalar
-    pair gives one (m+1) x (m+1) matrix.
+    basis coefficients G(n), not through the derivative formula.  z and w
+    are points or broadcastable point arrays; the result has shape
+    broadcast(z, w).shape + (m+1, m+1), so a scalar pair gives one
+    (m+1) x (m+1) matrix.
     """
     shape, vz, vw = _series_factors(z, w, params, n_trunc)
     out = np.einsum("snlj,snpj->slp", vz, vw)

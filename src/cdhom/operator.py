@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import basis_values, g_matrix
+from .basis import basis_values, g_matrix, g_table
 from .errors import SingularGError, SingularResolventError, TruncationLossWarning
 from .mobius import GroupElement, act
 from .representation import ModelParams, TriangularRep, multiplier_J
@@ -237,9 +237,8 @@ def _degree_blocks(n_trunc: int, radius: float, params: ModelParams) -> np.ndarr
     singular values on both sides of 1.
     """
     m = params.m
-    g_table = np.array([g_matrix(n, params) for n in range(n_trunc + 1)])
     freq = np.arange(n_trunc + 1)[:, None] - np.arange(m + 1)[None, :]
-    blocks = radius ** np.maximum(freq, 0)[:, :, None] * g_table * params.mu_array()
+    blocks = radius ** np.maximum(freq, 0)[:, :, None] * g_table(n_trunc, params) * params.mu_array()
     padded = np.arange(m + 1) > np.arange(n_trunc + 1)[:, None]  # [n, j]: slot j > n
     blocks[padded[:, :, None] & np.eye(m + 1, dtype=bool)] = 1.0
     return blocks

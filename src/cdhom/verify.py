@@ -177,12 +177,14 @@ def seeded_points(seed: int, count: int, r: float = 0.5) -> list[complex]:
 
 
 def check_hermitian_symmetry(cfg: RunConfig) -> Measurement:
+    """max |K(z, w) - K(w, z)^*| over grid pairs, relative to max(1, max |K|) over them."""
     p, grid = cfg.params(), cfg.grid()
-    worst = 0.0
+    worst, scale = 0.0, 1.0
     for z, w in itertools.product(grid.points, repeat=2):
         k = kernel_full(z, w, p)
         worst = max(worst, float(np.max(np.abs(k - kernel_full(w, z, p).conj().T))))
-    return _measured(worst, points=len(grid.points))
+        scale = max(scale, float(np.max(np.abs(k))))
+    return _measured(worst / scale, points=len(grid.points), scale=scale)
 
 
 def check_kernel_oracle(cfg: RunConfig) -> Measurement:
@@ -218,6 +220,7 @@ def check_normalization(cfg: RunConfig) -> Measurement:
 
 
 def check_monotone_truncation(cfg: RunConfig) -> Measurement:
+    """Largest rise of the series' deviation from K between cuts 10, 20, ..., relative to max(1, max |K|)."""
     p = cfg.params()
     pts = seeded_points(cfg.seed + 3, 3, cfg.r_max)
     cuts = list(range(10, cfg.truncation + 1, 10))
@@ -226,7 +229,8 @@ def check_monotone_truncation(cfg: RunConfig) -> Measurement:
     partial = kernel_series_partial_sums(np.array(pts), np.array(pts[::-1]), p, cuts[-1])[:, cuts]
     refs = np.array([kernel_full(z, w, p) for z, w in zip(pts, pts[::-1])])
     devs = np.max(np.abs(partial - refs[:, None]), axis=(2, 3))  # [pair, truncation]
-    return _measured(max(0.0, float(np.max(np.diff(devs, axis=1), initial=0.0))))
+    scale = max(1.0, float(np.max(np.abs(refs))))
+    return _measured(max(0.0, float(np.max(np.diff(devs, axis=1), initial=0.0))) / scale, scale=scale)
 
 
 # ----------------------------------------------------------------- shift suite

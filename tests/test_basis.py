@@ -11,7 +11,6 @@ from cdhom import (
     op_E,
     op_F,
     op_H,
-    sigma_cumulative,
     u_closed,
 )
 from cdhom.scalars import VectorPolynomial, poly_distance
@@ -146,26 +145,6 @@ def test_ladder_recursion_agreement(m, lam):
             current = minus_F(current, p, rep)
             ref = u_closed(j, n + 1, p)
             assert poly_distance(current, ref) <= 1e-10 * max(ref.max_abs(), 1.0)
-
-
-def test_sigma_cumulative_empty():
-    p, _ = make(1.7, 2)
-    for j in range(3):
-        assert sigma_cumulative(j, 0, p) == 1.0
-
-
-def sigma(j, k, p):
-    """The norm-ratio factor sigma_k^j = (2*lam_j + k - 1) * k, k >= 1."""
-    return (2.0 * p.lambda_j(j) + k - 1.0) * k
-
-
-def test_sigma_cumulative_product_oracle():
-    p0, _ = make(1.0, 0)  # lam_0 = 1
-    brute = sigma(0, 1, p0) * sigma(0, 2, p0)
-    assert brute == sigma_cumulative(0, 2, p0) == 12.0
-    p1, _ = make(1.0, 1)  # lam_0 = 1/2: sigma_k = k^2
-    brute = np.prod([sigma(0, k, p1) for k in (1, 2, 3)])
-    assert brute == sigma_cumulative(0, 3, p1) == 36.0
 
 
 def test_e_basis_lowest_k_types():

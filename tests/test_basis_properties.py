@@ -1,6 +1,7 @@
-"""Property tests of the batched basis evaluations `basis_values` and `ladder_values`."""
+"""Property tests of the batched basis evaluation `basis_values` and of the coefficient table behind it."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cdhom import ModelParams, e_basis, kernel_series, shift_block  # noqa: E402
-from cdhom.basis import basis_values, ladder_values  # noqa: E402
+from cdhom import ModelParams, e_basis, g_matrix, kernel_series, shift_block  # noqa: E402
+from cdhom.basis import basis_values, g_table  # noqa: E402
 
 TOL = 1e-12
 
@@ -38,26 +39,83 @@ def test_basis_values_properties(case):
     scale = max(1.0, float(np.max(np.abs(blocks[n:]))))
     # column action of the multiplication operator: z B_n(z) = B_{n+1}(z) W(n)
     assert np.max(np.abs(z * blocks[n] - blocks[n + 1] @ shift_block(n, p))) <= TOL * scale
-    # the independent ladder path: column j of B_n(z) is mu_j e^j_{n-j}(z)
+    # column j of B_n(z) is mu_j e^j_{n-j}(z), evaluated as a polynomial
     ladder = np.array([p.mu[j] * e_basis(j, n, p)(z) for j in range(m + 1)]).T
     assert np.max(np.abs(blocks[n] - ladder)) <= TOL * scale
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(cases(), st.floats(0.0, 0.6), st.floats(0.0, 2.0 * np.pi))
-def test_ladder_values_properties(case, w_radius, w_angle):
+def test_series_values_properties(case, w_radius, w_angle):
     p, z, n = case
     m = p.m
     w = cmath.rect(w_radius, w_angle)
-    vals = ladder_values([z, w], n, p)
-    assert vals.shape == (2, n + 1, m + 1, m + 1)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    for deg in range(n + 1):
-        # [s, deg, l, j] is component l of mu_j e^j_{deg-j} at the s-th point
-        ladder = np.array([p.mu[j] * e_basis(j, deg, p)(z) for j in range(m + 1)]).T
-        assert np.max(np.abs(vals[0, deg] - ladder)) <= TOL * scale
+    vals = basis_values([z, w], np.arange((n + 1) * (m + 1)), p)
+    assert vals.shape == (2, m + 1, (n + 1) * (m + 1))
+    by_degree = vals.reshape(2, m + 1, n + 1, m + 1)  # [s, l, deg, j]
+    for deg in range(min(n, m) + 1):
+        assert np.all(by_degree[:, :, deg, deg + 1:] == 0.0)  # slots with j > deg are exactly zero
     k_zw = kernel_series(z, w, p, n)
-    assert np.max(np.abs(k_zw - kernel_series(w, z, p, n).conj().T)) <= TOL * max(1.0, float(np.max(np.abs(k_zw))))
+    scale = max(1.0, float(np.max(np.abs(k_zw))))
+    # the series is the sum over all slots of b(z) b(w)^*
+    assert np.max(np.abs(k_zw - vals[0] @ vals[1].conj().T)) <= TOL * scale
+    assert np.max(np.abs(k_zw - kernel_series(w, z, p, n).conj().T)) <= TOL * scale
+
+
+def _g_reference(mp, n, lam, m):
+    """G(n) from the normalized ladder closed form, in mpmath arithmetic."""
+
+    def rf(x, count):  # explicit products: mp.rf loses its argument past about 1e300
+        return mp.fprod(x + i for i in range(count))
+
+    out = mp.zeros(m + 1, m + 1)
+    for j in range(min(n, m) + 1):
+        big_n, two_lj = n - j, 2 * mp.mpf(lam) - m + 2 * j
+        norm = mp.sqrt(rf(two_lj, big_n) * mp.factorial(big_n))
+        for k in range(min(big_n, m - j) + 1):
+            out[j + k, j] = mp.binomial(big_n, k) * rf(j + 1, k) * rf(two_lj + k, big_n - k) / norm
+    return out
+
+
+def _max_relative_error(mp, got, ref):
+    worst = 0.0
+    for ell in range(ref.rows):
+        for j in range(ref.cols):
+            if ref[ell, j] == 0:
+                assert got[ell, j] == 0.0, (ell, j)
+            else:
+                worst = max(worst, float(abs((got[ell, j] - ref[ell, j]) / ref[ell, j])))
+    return worst
+
+
+@pytest.mark.parametrize("lam,m", [(1.0, 1), (1.6, 2), (3.5, 5), (3.7, 6), (5.0, 8)])
+def test_g_matrix_matches_mpmath(lam, m):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    p = ModelParams(lam=lam, m=m, mu=(1.0,) * (m + 1))
+    for n in range(61):
+        assert _max_relative_error(mp, g_matrix(n, p), _g_reference(mp, n, lam, m)) <= 1e-13, n
+
+
+def test_g_matrix_at_huge_lambda():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    p = ModelParams(lam=1e300, m=1, mu=(1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # entries past the float range stay silent inside the table
+        for n in range(3):
+            assert _max_relative_error(mp, g_matrix(n, p), _g_reference(mp, n, 1e300, 1)) <= 1e-13, n
+        assert g_matrix(2, p)[0, 0] == pytest.approx(2.0**0.5 * 1e300, rel=1e-13)
+        with pytest.raises(OverflowError):
+            g_matrix(3, p)  # G(3)[0, 0] = sqrt((2 lam - 1)_3 / 3!) is about 1e450
+
+
+def test_g_table_rows_do_not_depend_on_its_length():
+    p = ModelParams(lam=3.7, m=6, mu=(1.0,) * 7)
+    table = g_table(120, p)
+    for n in (0, 5, 40, 119, 120):
+        assert np.array_equal(table[n], g_matrix(n, p))
+        assert np.array_equal(g_table(n, p), table[: n + 1])
 
 
 @pytest.mark.parametrize("lam,m", [(1.6, 2), (3.7, 6)])

@@ -163,16 +163,18 @@ def test_exit_code_config_errors():
     "command, extra",
     [
         ("shift-weights", ["--nmax", "2"]),
-        ("basis-emit", ["--nmax", "2"]),
+        ("basis-emit", ["--nmax", "3"]),  # G(2) is finite (G(2)[0, 0] = 1.414e300); G(3) overflows
         ("kernel-eval", ["--z", "0.1", "--w", "0.1"]),
         ("verify", ["--suite", "rep"]),
         ("verify", ["--suite", "operator"]),
+        ("verify", ["--suite", "shift"]),
     ],
 )
 def test_exit_code_overflowing_parameters(command, extra):
     res = run_cli(command, "--lambda", "1e300", "--m", "1", "--mu", "1,1", *extra)
     assert res.returncode == 3, res.stderr
     assert res.stderr.startswith("config error") and "Traceback" not in res.stderr
+    assert "RuntimeWarning" not in res.stderr
     assert res.stdout == ""
 
 

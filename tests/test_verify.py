@@ -1,8 +1,18 @@
-"""The check registry: one declaration per report name, in a pinned order."""
+"""The check registry: one declaration per report name, in a pinned order, and check scales."""
 
 from collections import Counter
 
-from cdhom.verify import CHECKS, DEFAULT_TOLERANCES
+import numpy as np
+
+from cdhom.kernel import kernel_full
+from cdhom.verify import (
+    CHECKS,
+    DEFAULT_TOLERANCES,
+    RunConfig,
+    check_hermitian_symmetry,
+    check_monotone_truncation,
+    seeded_points,
+)
 
 # Report order; byte-identical reports depend on it.
 REPORT_ORDER = [
@@ -24,3 +34,19 @@ def test_registry_names_match_tolerances_in_order():
 
 def test_registry_suite_counts():
     assert Counter(check.suite for check in CHECKS) == {"kernel": 6, "shift": 6, "rep": 7, "operator": 5}
+
+
+def test_kernel_symmetry_checks_are_relative_to_the_kernel_scale():
+    cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
+    p, pts = cfg.params(), cfg.grid().points
+
+    def scale(pairs):
+        return max(1.0, max(float(np.max(np.abs(kernel_full(z, w, p)))) for z, w in pairs))
+
+    residual, parameters, _ = check_hermitian_symmetry(cfg)
+    assert parameters["scale"] == scale([(z, w) for z in pts for w in pts]) > 1.0
+    assert residual <= 1e-15  # an ulp of |K| is about 2e-15 here, so the relative residual is below 2e-16
+    seeded = seeded_points(cfg.seed + 3, 3, cfg.r_max)
+    residual, parameters, _ = check_monotone_truncation(cfg)
+    assert parameters["scale"] == scale(zip(seeded, seeded[::-1])) > 1.0
+    assert residual <= cfg.tolerance("monotone_truncation")
