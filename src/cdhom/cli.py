@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 verification failure, 2 domain error, 3 config
 error (including parameters so large that a computed value overflows).
 Output is JSON (schema under cdhom/schemas/) or flat CSV, with complex
 numbers serialized as {"re": ..., "im": ...}; identical config and seed
-produce byte-identical output.
+produce byte-identical output.  The shift-weights and basis-emit tables
+are written from one record template, byte-identical to
+json.dumps(payload, indent=2, sort_keys=True) of the same records.
 """
 
 from __future__ import annotations
@@ -142,24 +144,45 @@ def cmd_kernel_eval(args) -> int:
     return EXIT_OK
 
 
+# One table record exactly as json.dumps(..., indent=2, sort_keys=True) lays it out.
+_RECORD_JSON = '    {{\n      "col": {},\n      "n": {},\n      "row": {},\n      "value": {!r}\n    }}'
+_RECORDS_SLOT = "@records@"
+
+
+def _table_json(config: dict, key: str, table: np.ndarray) -> str:
+    """The table as json.dumps(payload, indent=2, sort_keys=True) writes it, byte for byte.
+
+    json formats floats with float.__repr__ and ints with int.__repr__, so
+    the records are filled into one fixed template; the rest of the
+    payload still goes through json, with a placeholder string where the
+    records belong.
+    """
+    records = ",\n".join(
+        _RECORD_JSON.format(col, n, row, value)
+        for (n, row, col), value in zip(np.ndindex(table.shape), table.ravel().tolist())
+    )
+    text = json.dumps({"config": config, key: _RECORDS_SLOT}, indent=2, sort_keys=True)
+    return text.replace(json.dumps(_RECORDS_SLOT), f"[\n{records}\n  ]" if records else "[]")
+
+
 def _table_command(block, key: str):
     """A subcommand that tabulates the real (m+1)x(m+1) matrices block(n, params), n <= nmax."""
 
     def command(args) -> int:
         cfg = _config_from(args)
         p = cfg.params()
-        records = []
-        for n in range(args.nmax + 1):
-            mat = block(n, p)
-            _require_finite(mat, f"the {key} at n = {n}")
-            for row in range(p.m + 1):
-                for col in range(p.m + 1):
-                    records.append({"n": n, "row": row, "col": col, "value": float(mat[row, col])})
+        blocks = [block(n, p) for n in range(args.nmax + 1)]
+        table = np.array(blocks, dtype=float).reshape(-1, p.m + 1, p.m + 1)  # (0, m+1, m+1) when nmax < 0
+        finite = np.isfinite(table).all(axis=(1, 2))  # one check for the whole table
+        if not finite.all():
+            n = int(np.argmin(finite))
+            _require_finite(table[n], f"the {key} at n = {n}")
         if cfg.fmt == "json":
-            payload = {"config": {"lambda": cfg.lam, "m": cfg.m, "mu": list(cfg.mu)}, key: records}
-            _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+            config = {"lambda": cfg.lam, "m": cfg.m, "mu": list(cfg.mu)}
+            _emit(_table_json(config, key, table), args.out)
         else:
-            lines = ["n,row,col,value"] + [f"{r['n']},{r['row']},{r['col']},{r['value']!r}" for r in records]
+            cells = zip(np.ndindex(table.shape), table.ravel().tolist())
+            lines = ["n,row,col,value"] + [f"{n},{row},{col},{value!r}" for (n, row, col), value in cells]
             _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
 

@@ -9,7 +9,9 @@ basis h, x, y with
 
     h = diag(1/2, -1/2),   x = [[0, 1], [0, 0]],   y = [[0, 0], [1, 0]],
 
-related by h = -i*X0, x = X1 + i*Y, y = X1 - i*Y.  Matrix exponentials
+related by h = -i*X0, x = X1 + i*Y, y = X1 - i*Y.  The action, its
+derivative and the denominator c*z + d take a scalar point or an array
+of points and return a value of the same shape.  Matrix exponentials
 of real spans are evaluated in closed form (every traceless 2x2 matrix M
 satisfies M^2 = -det(M) I, so exp(tM) is a two-term expression).
 """
@@ -78,19 +80,40 @@ class GroupElement:
         )
 
 
-def act(g: GroupElement, z: complex) -> complex:
-    """Fractional-linear action (az + b)/(cz + d)."""
-    den = g.c * z + g.d
-    if abs(den) < _POLE_EPS:
-        raise PoleError(f"c*z + d = {den} at z = {z}")
-    return (g.a * z + g.b) / den
+def anywhere(mask) -> bool:
+    """A condition at one scalar point (a bool) or at any point of an array."""
+    return mask if isinstance(mask, bool) else bool(mask.any())
 
 
-def derivative(g: GroupElement, z: complex) -> complex:
-    """g'(z) = (cz + d)^(-2), using det = 1."""
+def _points(z):
+    """A scalar point as given, anything else as a complex array."""
+    return z if isinstance(z, (int, float, complex, np.number)) else np.asarray(z, dtype=complex)
+
+
+def denominator(g: GroupElement, z):
+    """c*z + d, raising PoleError where it (nearly) vanishes.
+
+    A scalar z gives a complex number and an array of points an array of
+    its shape; one pole among the points is enough for the error.
+    """
+    z = _points(z)
     den = g.c * z + g.d
-    if abs(den) < _POLE_EPS:
-        raise PoleError(f"c*z + d = {den} at z = {z}")
+    near = abs(den) < _POLE_EPS
+    if anywhere(near):
+        at = z[near][0] if np.ndim(near) else z
+        raise PoleError(f"c*z + d = {g.c * at + g.d} at z = {at}")
+    return den
+
+
+def act(g: GroupElement, z):
+    """Fractional-linear action (az + b)/(cz + d), pointwise over an array z."""
+    z = _points(z)
+    return (g.a * z + g.b) / denominator(g, z)
+
+
+def derivative(g: GroupElement, z):
+    """g'(z) = (cz + d)^(-2), using det = 1; pointwise over an array z."""
+    den = denominator(g, z)
     return 1.0 / (den * den)
 
 

@@ -22,7 +22,10 @@ degree-n basis vector carries the single frequency n - l.  The
 least-squares problem of the expansion is therefore block-diagonal by
 degree: each degree is one square lower-triangular (m+1)x(m+1) solve,
 all of them batched, and the mass at frequencies p with p + l > N is
-exactly the part of U_g leaked past degree N.
+exactly the part of U_g leaked past degree N.  The samples come from
+one point-array call each of act and multiplier_J.  The homogeneity
+check applies T to U one degree block at a time, never as a dense
+product.
 """
 
 from __future__ import annotations
@@ -83,6 +86,19 @@ class TruncatedOperator:
     n_trunc: int
     matrix: np.ndarray = field(repr=False)
 
+    def shift_blocks(self) -> np.ndarray:
+        """The stack W(0..N-1), read back from the subdiagonal blocks of the matrix."""
+        n_trunc, size = self.n_trunc, self.params.m + 1
+        blocks = self.matrix.reshape(n_trunc + 1, size, n_trunc + 1, size)
+        return blocks[np.arange(1, n_trunc + 1), :, np.arange(n_trunc), :]
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """T @ u for a ((N+1)(m+1), k) array u, one degree at a time: block row n+1 is W(n) u_n."""
+        rows = u.reshape(self.n_trunc + 1, self.params.m + 1, -1)
+        out = np.zeros(rows.shape, dtype=np.result_type(self.matrix, u))
+        out[1:] = self.shift_blocks() @ rows[:-1]
+        return out.reshape(u.shape)
+
 
 def truncate(params: ModelParams, n_trunc: int) -> TruncatedOperator:
     """Assemble the truncated block-shift matrix of degrees 0..N."""
@@ -125,15 +141,14 @@ def _block_calculus(g: GroupElement, t: TruncatedOperator) -> np.ndarray:
     if g.d == 0:
         raise SingularResolventError("d = 0: c*T + d*I is nilpotent, hence singular")
     n_trunc, size = t.n_trunc, t.params.m + 1
+    w_blks = t.shift_blocks()  # w_blks[n] = W(n)
     with np.errstate(all="ignore"):  # overflow surfaces as a non-finite result below
         d = np.complex128(g.d)
         ratios = np.full(n_trunc, -g.c / d)
         ratios[0] = 1.0
         coefs = (g.a * g.d - g.b * g.c) / d**2 * np.cumprod(ratios)  # coefs[k-1] multiplies T^k
         constant = g.b / d
-    blocks = t.matrix.reshape(n_trunc + 1, size, n_trunc + 1, size)
-    w_blks = blocks[np.arange(1, n_trunc + 1), :, np.arange(n_trunc), :]  # w_blks[n] = W(n)
-    out = np.zeros_like(blocks)
+    out = np.zeros((n_trunc + 1, size, n_trunc + 1, size), dtype=complex)
     out[np.arange(n_trunc + 1), :, np.arange(n_trunc + 1), :] = constant * np.eye(size)
     prod = w_blks  # prod[n] = W(n+k-1)...W(n), block (n+k, n) of T^k
     for k in range(1, n_trunc + 1):
@@ -186,9 +201,7 @@ def representation_matrix(
     n_samples = 2 * (n_trunc + 1)
     zs = sample_radius * np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
     ginv = g.inverse()
-    ys = np.array([act(ginv, z) for z in zs])
-    jmats = np.array([multiplier_J(ginv, z, params, rep) for z in zs])
-    images = np.einsum("skl,slK->skK", jmats, basis_values(ys, slots, params))
+    images = multiplier_J(ginv, zs, params, rep) @ basis_values(act(ginv, zs), slots, params)  # [sample, l, column]
     # Component l of a degree-n basis vector is a multiple of z^(n-l): frequency p = n - l.
     spectrum = np.fft.fft(images, axis=0) / n_samples  # [p, l, column]
 
@@ -267,12 +280,11 @@ def check_homogeneity(
     if not 0 <= window <= n_trunc:
         raise ValueError(f"window {window} outside 0..{n_trunc}")
     t_op = truncate(params, n_trunc)
-    u_mat = representation_matrix(g, params, rep, n_trunc, sample_radius=sample_radius).matrix
-    lhs = u_mat.conj().T @ t_op.matrix @ u_mat
-    rhs = mobius_calculus(g, t_op)
     keep = active_slots(params.m, window)
-    diff = lhs - rhs
-    return float(np.linalg.norm(diff[np.ix_(keep, keep)]))
+    u_keep = representation_matrix(g, params, rep, n_trunc, sample_radius=sample_radius).matrix[:, keep]
+    lhs = u_keep.conj().T @ t_op.apply(u_keep)
+    rhs = mobius_calculus(g, t_op)[np.ix_(keep, keep)]
+    return float(np.linalg.norm(lhs - rhs))
 
 
 def reproducing_coefficients(w: complex, xi: np.ndarray, params: ModelParams, n_trunc: int) -> np.ndarray:

@@ -15,6 +15,10 @@ attached to g = [[a, b], [c, d]] is
 
 with all real powers on the principal branch.  The group acts on
 C^(m+1)-valued functions by (U_g f)(z) = J_{g^{-1}}(z) f(g^{-1}.z).
+
+The multipliers and the cocycle residual take a scalar point, giving one
+(m+1)x(m+1) matrix (or one float), or an array of points, giving
+z.shape + (m+1, m+1) (or z.shape) from one batched numpy evaluation.
 """
 
 from __future__ import annotations
@@ -25,11 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BranchWarning, PoleError
-from .mobius import GroupElement, act, derivative
+from .errors import BranchWarning
+from .mobius import GroupElement, act, anywhere, denominator, derivative
 from .scalars import VectorPolynomial, cpow_principal
-
-_POLE_EPS = 1e-14
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ class ModelParams:
             raise ValueError(f"m must be a nonnegative integer, got {self.m}")
         if not all(math.isfinite(v) for v in (self.lam, *self.mu)):
             raise ValueError(f"lam and mu must be finite, got lam={self.lam}, mu={self.mu}")
+        if not math.isfinite(2.0 * self.lam):  # the weights 2*lam_j enter every kernel power
+            raise ValueError(f"2*lam overflows the float range (lam = {self.lam})")
         if len(self.mu) != self.m + 1:
             raise ValueError(f"mu must have m+1 = {self.m + 1} entries, got {len(self.mu)}")
         if any(v <= 0 for v in self.mu):
@@ -106,53 +110,69 @@ class TriangularRep:
         for arr in (rho0_h, rho_h, rho_y, d_m):
             arr.flags.writeable = False
         rep = cls(m=m, eta=eta, rho_h=rho_h, rho_y=rho_y, rho0_h=rho0_h, d_m=d_m)
-        comm = rho_h @ rho_y - rho_y @ rho_h
+        with np.errstate(all="ignore"):  # a huge eta overflows here and surfaces just below
+            comm = rho_h @ rho_y - rho_y @ rho_h
+        if not np.all(np.isfinite(comm)):
+            raise OverflowError(f"[rho(h), rho(y)] is not finite at eta = {eta}")
         # Relative to ||rho(h)||: its diagonal carries -eta, which may be huge.
         if np.max(np.abs(comm + rho_y)) > 1e-14 * max(1.0, float(np.max(np.abs(rho_h)))):
             raise AssertionError("[rho(h), rho(y)] != -rho(y); construction is broken")
         return rep
 
 
-def _nilpotent_exp(s: np.ndarray, scale: complex) -> np.ndarray:
-    """exp(scale * s) for nilpotent s, as the exact finite sum."""
+def _nilpotent_exp(s: np.ndarray, scale) -> np.ndarray:
+    """exp(scale * s) for nilpotent s, as the exact finite sum; an array scale gives scale.shape + s.shape."""
     n = s.shape[0]
-    out = np.eye(n, dtype=complex)
+    out = np.zeros(np.shape(scale) + s.shape, dtype=complex)
     term = np.eye(n, dtype=complex)
+    out += term
     for k in range(1, n):
-        term = (scale / k) * (term @ s)
+        term = np.asarray(scale / k)[..., None, None] * (term @ s)
         if not term.any():
             break
         out += term
     return out
 
 
-def multiplier_J0(g: GroupElement, z: complex, rep: TriangularRep) -> np.ndarray:
+def multiplier_J0(g: GroupElement, z, rep: TriangularRep) -> np.ndarray:
     """The triangular-part multiplier J0_g(z) on C^(m+1).
 
     The first factor exp(-c/(cz+d) * S_m) is an exact finite sum; the
-    second is diag((cz+d)^(-2j)).  A BranchWarning is emitted when
-    Re(cz+d) <= 0, where principal-branch consistency is no longer
-    guaranteed.
+    second is diag((cz+d)^(-2j)).  A scalar z gives one (m+1)x(m+1)
+    matrix, an array of points z.shape + (m+1, m+1).  PoleError is raised
+    if any point is a pole, and one BranchWarning is emitted if
+    Re(cz+d) <= 0 at any point, where principal-branch consistency is no
+    longer guaranteed.
     """
-    den = g.c * z + g.d
-    if abs(den) < _POLE_EPS:
-        raise PoleError(f"c*z + d = {den} at z = {z}")
-    if den.real <= 0.0:
+    den = denominator(g, z)
+    if anywhere(den.real <= 0.0):
         warnings.warn(
-            f"Re(c*z + d) = {den.real} <= 0: principal branch left its safe half-plane",
+            f"Re(c*z + d) = {np.min(den.real)} <= 0: principal branch left its safe half-plane",
             BranchWarning,
             stacklevel=2,
         )
     nil = _nilpotent_exp(rep.rho_y, -g.c / den)
-    powers = den ** (-2.0 * np.arange(rep.m + 1))
-    return nil * powers[None, :]
+    powers = np.asarray(den)[..., None] ** (-2.0 * np.arange(rep.m + 1))
+    return nil * powers[..., None, :]
 
 
-def multiplier_J(
-    g: GroupElement, z: complex, params: ModelParams, rep: TriangularRep
-) -> np.ndarray:
-    """Full multiplier (g'(z))^eta * J0_g(z)."""
-    return cpow_principal(derivative(g, z), params.eta) * multiplier_J0(g, z, rep)
+def multiplier_J(g: GroupElement, z, params: ModelParams, rep: TriangularRep) -> np.ndarray:
+    """Full multiplier (g'(z))^eta * J0_g(z), of shape z.shape + (m+1, m+1).
+
+    The principal power goes through cmath at a scalar point and numpy
+    over an array.  A multiplier that is not finite means the parameters
+    leave the float range and raises OverflowError.
+    """
+    j0 = multiplier_J0(g, z, rep)
+    base = derivative(g, z)
+    if isinstance(base, complex):  # one point, numpy complex scalars included
+        out = cpow_principal(base, params.eta) * j0
+    else:
+        with np.errstate(all="ignore"):  # overflow surfaces as a non-finite multiplier below
+            out = np.exp(params.eta * np.log(base))[..., None, None] * j0
+    if not np.isfinite(out).all():
+        raise OverflowError(f"the multiplier J_g(z) is not finite at eta = {params.eta}")
+    return out
 
 
 def act_U(g: GroupElement, f, params: ModelParams, rep: TriangularRep):
@@ -174,11 +194,12 @@ def act_U(g: GroupElement, f, params: ModelParams, rep: TriangularRep):
 def check_cocycle(
     g: GroupElement,
     h: GroupElement,
-    z: complex,
+    z,
     params: ModelParams,
     rep: TriangularRep,
-) -> float:
-    """Frobenius residual of J_{gh}(z) = J_h(z) J_g(h.z)."""
+):
+    """Frobenius residual of J_{gh}(z) = J_h(z) J_g(h.z); a float, or an array of z's shape."""
     lhs = multiplier_J(g @ h, z, params, rep)
     rhs = multiplier_J(h, z, params, rep) @ multiplier_J(g, act(h, z), params, rep)
-    return float(np.linalg.norm(lhs - rhs))
+    residual = np.linalg.norm(lhs - rhs, axis=(-2, -1))
+    return float(residual) if np.ndim(residual) == 0 else residual

@@ -333,11 +333,8 @@ def check_cocycle_sweep(cfg: RunConfig) -> Measurement:
     rep = TriangularRep.from_params(p)
     elements = [exp_basis(e, t) for e in (X_UPPER, Y_LOWER, X0, X1, Y) for t in (0.2, -0.13)]
     zs = [complex(zr, zi) for zr in (-0.5, -0.25, 0.0, 0.25, 0.5) for zi in (-0.3, -0.1, 0.0, 0.2, 0.35)]
-    zs = [z for z in zs if abs(z) <= 0.5][:25]
-    worst = 0.0
-    for g, h in itertools.product(elements, repeat=2):
-        for z in zs:
-            worst = max(worst, check_cocycle(g, h, z, p, rep))
+    zs = np.array([z for z in zs if abs(z) <= 0.5][:25])
+    worst = max(float(np.max(check_cocycle(g, h, zs, p, rep))) for g, h in itertools.product(elements, repeat=2))
     return _measured(worst, pairs=len(elements) ** 2, points=len(zs))
 
 
@@ -345,13 +342,11 @@ def check_rotation_multiplier(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     worst = 0.0
-    eye = np.eye(p.m + 1)
     for theta in (0.15, -0.3):
         k = GroupElement.rotation(theta)
-        j0 = multiplier_J(k, 0.0, p, rep)
-        for z in cfg.grid().points:
-            dev = np.max(np.abs(multiplier_J(k, z, p, rep) @ np.linalg.inv(j0) - eye))
-            worst = max(worst, float(dev))
+        j0_inv = np.linalg.inv(multiplier_J(k, 0.0, p, rep))
+        dev = multiplier_J(k, cfg.grid().points, p, rep) @ j0_inv - np.eye(p.m + 1)
+        worst = max(worst, float(np.max(np.abs(dev))))
     return _measured(worst)
 
 
@@ -360,12 +355,10 @@ def check_holomorphy(cfg: RunConfig) -> Measurement:
     rep = TriangularRep.from_params(p)
     g = exp_basis(X1, 0.17)
     h = 1e-6
-    worst = 0.0
-    for z in seeded_points(cfg.seed + 7, 4, cfg.r_max):
-        dx = (multiplier_J0(g, z + h, rep) - multiplier_J0(g, z - h, rep)) / (2 * h)
-        dy = (multiplier_J0(g, z + 1j * h, rep) - multiplier_J0(g, z - 1j * h, rep)) / (2j * h)
-        worst = max(worst, float(np.max(np.abs(dx - dy))))
-    return _measured(worst)
+    zs = np.array(seeded_points(cfg.seed + 7, 4, cfg.r_max))
+    dx = (multiplier_J0(g, zs + h, rep) - multiplier_J0(g, zs - h, rep)) / (2 * h)
+    dy = (multiplier_J0(g, zs + 1j * h, rep) - multiplier_J0(g, zs - 1j * h, rep)) / (2j * h)
+    return _measured(float(np.max(np.abs(dx - dy))))
 
 
 def _test_polynomials(p: ModelParams, seed: int, degree: int = 15, count: int = 3) -> list[VectorPolynomial]:

@@ -159,19 +159,27 @@ def test_exit_code_config_errors():
         assert "config error" in res.stderr
 
 
-@pytest.mark.parametrize(
-    "command, extra",
-    [
+def _overflow_cases():
+    huge = ["--lambda", "1e300", "--m", "1", "--mu", "1,1"]
+    cases = [
         ("shift-weights", ["--nmax", "2"]),
         ("basis-emit", ["--nmax", "3"]),  # G(2) is finite (G(2)[0, 0] = 1.414e300); G(3) overflows
         ("kernel-eval", ["--z", "0.1", "--w", "0.1"]),
         ("verify", ["--suite", "rep"]),
-        ("verify", ["--suite", "operator"]),
+        ("verify", ["--suite", "operator"]),  # through the point-array multiplier
         ("verify", ["--suite", "shift"]),
-    ],
-)
+    ]
+    for i, (command, extra) in enumerate(cases):
+        yield pytest.param(command, huge + extra, id=f"{command}-extra{i}")
+    # 2*lam overflows to inf, so the kernel's principal powers get an infinite exponent.
+    for m in range(4):
+        model = ["--lambda", "1.7e308", "--m", str(m), "--mu", ",".join(["1"] * (m + 1))]
+        yield pytest.param("verify", model + ["--suite", "kernel"], id=f"verify-kernel-2lam-inf-m{m}")
+
+
+@pytest.mark.parametrize("command, extra", _overflow_cases())
 def test_exit_code_overflowing_parameters(command, extra):
-    res = run_cli(command, "--lambda", "1e300", "--m", "1", "--mu", "1,1", *extra)
+    res = run_cli(command, *extra)
     assert res.returncode == 3, res.stderr
     assert res.stderr.startswith("config error") and "Traceback" not in res.stderr
     assert "RuntimeWarning" not in res.stderr
@@ -197,3 +205,27 @@ def test_fixtures_regeneration_is_stable(tmp_path):
         fresh = (tmp_path / f"{name}.json").read_bytes()
         committed = (GOLDEN_DIR / f"{name}.json").read_bytes()
         assert fresh == committed, f"{name}.json drifted from the committed fixture"
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 6])
+@pytest.mark.parametrize("command, key", [("shift-weights", "weights"), ("basis-emit", "coefficients")])
+def test_table_writer_matches_json_dumps(tmp_path, command, key, m):
+    # The template writer against the json encoder over the per-record dicts it replaced.
+    from cdhom import ModelParams, g_matrix, shift_block
+    from cdhom.cli import main
+
+    lam, mu = m / 2.0 + 0.85, [1.0 + 0.1 * j for j in range(m + 1)]
+    block = shift_block if command == "shift-weights" else g_matrix
+    p = ModelParams(lam=lam, m=m, mu=tuple(mu))
+    for nmax in (0, 1, 3, 40):
+        out = tmp_path / f"{command}-{m}-{nmax}.json"
+        argv = [command, "--lambda", repr(lam), "--m", str(m), "--mu", ",".join(map(repr, mu)), "--nmax", str(nmax)]
+        assert main(argv + ["--out", str(out)]) == 0
+        records = [
+            {"n": n, "row": row, "col": col, "value": float(block(n, p)[row, col])}
+            for n in range(nmax + 1)
+            for row in range(m + 1)
+            for col in range(m + 1)
+        ]
+        payload = {"config": {"lambda": lam, "m": m, "mu": mu}, key: records}
+        assert out.read_bytes() == json.dumps(payload, indent=2, sort_keys=True).encode(), (nmax, m)

@@ -88,6 +88,23 @@ def test_truncate_block_structure():
     assert np.max(np.abs(power)) == 0.0
 
 
+@pytest.mark.parametrize("m, lam", [(1, 1.0), (6, 3.7)])
+@pytest.mark.parametrize("n_trunc", [20, 80])
+def test_truncated_apply_matches_dense_product(m, lam, n_trunc):
+    # The block form of T U in check_homogeneity against the dense product.
+    p, rep = make(lam, m)
+    t_op = truncate(p, n_trunc)
+    keep = active_slots(m, n_trunc - 5)
+    for u in (representation_matrix(exp_basis(X1, 0.05), p, rep, n_trunc).matrix[:, keep],
+              np.random.default_rng(m + n_trunc).standard_normal((t_op.matrix.shape[0], 7))):
+        ref = t_op.matrix @ u
+        got = t_op.apply(u)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    w_blks = t_op.shift_blocks()
+    assert all(np.array_equal(w_blks[n], shift_block(n, p)) for n in range(n_trunc))
+
+
 def test_truncate_column_action_identity():
     # z G(mu, n, z) = G(mu, n+1, z) W(n) at sample points
     p, _ = make(1.3, 2, (1.0, 0.9, 1.2))

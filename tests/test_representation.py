@@ -33,7 +33,7 @@ def test_params_positivity_enforced():
         ModelParams(lam=1.0, m=1, mu=(1.0, -2.0))
     with pytest.raises(ValueError):
         ModelParams(lam=1.0, m=1, mu=(1.0,))
-    for lam, mu in ((1.0, (1.0, float("inf"))), (1.0, (1.0, float("nan"))), (float("inf"), (1.0, 1.0))):
+    for lam, mu in ((1.0, (1.0, float("inf"))), (1.0, (1.0, float("nan"))), (float("inf"), (1.0, 1.0)), (1.7e308, (1.0, 1.0))):
         with pytest.raises(ValueError):
             ModelParams(lam=lam, m=1, mu=mu, allow_degenerate=True)
 
@@ -195,3 +195,46 @@ def test_multiplier_holomorphy():
         dx = (multiplier_J0(g, z + h, rep) - multiplier_J0(g, z - h, rep)) / (2 * h)
         dy = (multiplier_J0(g, z + 1j * h, rep) - multiplier_J0(g, z - 1j * h, rep)) / (2j * h)
         assert np.max(np.abs(dx - dy)) <= 1e-6
+
+
+def test_array_forms_raise_at_one_pole():
+    # c*z + d = 1j*z vanishes at z = 0 only; one pole among the points is enough.
+    from cdhom import PoleError, derivative
+    from cdhom.mobius import act
+
+    p, rep = make(1.0, 1)
+    g = GroupElement(0.0, 1j, 1j, 0.0)
+    zs = np.array([0.3 - 0.1j, 0.0, -0.2j])  # Re(c*z + d) > 0 away from the pole
+    for fn in (
+        lambda z: act(g, z),
+        lambda z: derivative(g, z),
+        lambda z: multiplier_J0(g, z, rep),
+        lambda z: multiplier_J(g, z, p, rep),
+        lambda z: check_cocycle(g, GroupElement.identity(), z, p, rep),
+    ):
+        with pytest.raises(PoleError):
+            fn(zs)
+        fn(zs[[0, 2]])
+
+
+def test_array_forms_warn_when_one_point_leaves_the_branch_half_plane():
+    import warnings
+
+    p, rep = make(1.0, 1)
+    g = GroupElement(1.0, -0.9, 1.0, 0.1)  # c*z + d = z + 0.1: Re <= 0 for Re z <= -0.1 only
+    for fn in (lambda z: multiplier_J0(g, z, rep), lambda z: multiplier_J(g, z, p, rep)):
+        with pytest.warns(BranchWarning):
+            fn(np.array([0.3, -0.5, 0.2j]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BranchWarning)
+            fn(np.array([0.3, 0.2j]))
+
+
+def test_multiplier_past_float_range_raises_overflow():
+    # eta = 1e300 - 0.5 and |g'(z)| > 1 (|c*z + d| < 1 at z = -0.4): (g'(z))^eta leaves the float range.
+    p, rep = make(1e300, 1)
+    g = exp_basis(X1, 0.3)
+    with pytest.raises(OverflowError):
+        multiplier_J(g, np.array([0.1, -0.4]), p, rep)
+    with pytest.raises(OverflowError):
+        multiplier_J(g, -0.4, p, rep)
