@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     NormalizationError,
     PoleError,
-    SingularGError,
     SingularKernelColumnError,
     SingularResolventError,
     TruncationLossWarning,
@@ -84,7 +83,6 @@ __all__ = [
     "NormalizationError",
     "PoleError",
     "SampleGrid",
-    "SingularGError",
     "SingularKernelColumnError",
     "SingularResolventError",
     "TriangularRep",

@@ -13,8 +13,8 @@ ladder u^j_n = (-F)^n eps_j whose closed form is, with k = l - j,
 
 (zero for l < j).  Dividing u^j_{n-j} by sqrt((2*lam_j)_{n-j} (1)_{n-j})
 gives the orthonormal vectors e^j_{n-j}; their coefficients assemble into
-the lower-triangular matrices G(n) that drive both the block shift and
-the kernel computations.  Scale factors mu never enter G(n): they are
+the lower-triangular matrices G(n) that drive the kernel computations
+and certify the block shift.  Scale factors mu never enter G(n): they are
 applied through the diagonal D(mu) where needed downstream.
 
 Every coefficient comes from one table, `_ladder_coefficients`, built

@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import goldens
-from .basis import g_matrix
+from .basis import g_table
 from .errors import ConfigError, DomainError, NormalizationError, PoleError
 from .kernel import kernel_full
-from .operator import shift_block
+from .operator import shift_table
 from .verify import SUITES, RunConfig, run_suite, seeded_points
 
 EXIT_OK = 0
@@ -116,17 +116,12 @@ def _complex_matrix(mat: np.ndarray) -> list:
     return [[_c(v) for v in row] for row in mat]
 
 
-def _require_finite(values: np.ndarray, what: str):
-    """Refuse to emit a non-finite value: it means the parameters overflow double precision."""
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"a value of {what} is not finite: the parameters are out of the representable range")
-
-
 def cmd_kernel_eval(args) -> int:
     cfg = _config_from(args)
     z, w = _parse_complex(args.z), _parse_complex(args.w)
     mat = kernel_full(z, w, cfg.params())
-    _require_finite(mat, "K(z, w)")
+    if not np.all(np.isfinite(mat)):  # the parameters overflow double precision
+        raise ConfigError("a value of K(z, w) is not finite: the parameters are out of the representable range")
     if cfg.fmt == "json":
         payload = {
             "config": {"lambda": cfg.lam, "m": cfg.m, "mu": list(cfg.mu)},
@@ -165,23 +160,18 @@ def _table_json(config: dict, key: str, table: np.ndarray) -> str:
     return text.replace(json.dumps(_RECORDS_SLOT), f"[\n{records}\n  ]" if records else "[]")
 
 
-def _table_command(block, key: str):
-    """A subcommand that tabulates the real (m+1)x(m+1) matrices block(n, params), n <= nmax."""
+def _table_command(table, key: str):
+    """A subcommand that tabulates the real (m+1)x(m+1) matrices table(nmax, params)[n], n <= nmax."""
 
     def command(args) -> int:
         cfg = _config_from(args)
         p = cfg.params()
-        blocks = [block(n, p) for n in range(args.nmax + 1)]
-        table = np.array(blocks, dtype=float).reshape(-1, p.m + 1, p.m + 1)  # (0, m+1, m+1) when nmax < 0
-        finite = np.isfinite(table).all(axis=(1, 2))  # one check for the whole table
-        if not finite.all():
-            n = int(np.argmin(finite))
-            _require_finite(table[n], f"the {key} at n = {n}")
+        values = table(args.nmax, p)  # finite or OverflowError; (0, m+1, m+1) when nmax < 0
         if cfg.fmt == "json":
             config = {"lambda": cfg.lam, "m": cfg.m, "mu": list(cfg.mu)}
-            _emit(_table_json(config, key, table), args.out)
+            _emit(_table_json(config, key, values), args.out)
         else:
-            cells = zip(np.ndindex(table.shape), table.ravel().tolist())
+            cells = zip(np.ndindex(values.shape), values.ravel().tolist())
             lines = ["n,row,col,value"] + [f"{n},{row},{col},{value!r}" for (n, row, col), value in cells]
             _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
@@ -189,10 +179,10 @@ def _table_command(block, key: str):
     return command
 
 
-# The lambdas look the block functions up at call time, so wrappers installed on
+# The lambdas look the table functions up at call time, so wrappers installed on
 # this module's names (as the benchmark's tracer does) see every call.
-cmd_shift_weights = _table_command(lambda n, p: shift_block(n, p), "weights")
-cmd_basis_emit = _table_command(lambda n, p: g_matrix(n, p), "coefficients")
+cmd_shift_weights = _table_command(lambda n_max, p: shift_table(n_max, p), "weights")
+cmd_basis_emit = _table_command(lambda n_max, p: g_table(n_max, p), "coefficients")
 
 
 def cmd_verify(args) -> int:

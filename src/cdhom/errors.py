@@ -26,10 +26,6 @@ class NormalizationError(ArithmeticError):
     """
 
 
-class SingularGError(ArithmeticError):
-    """A coefficient matrix G(n) that must be inverted is singular."""
-
-
 class SingularResolventError(ArithmeticError):
     """The resolvent factor c*T + d*I of a fractional-linear map is singular."""
 

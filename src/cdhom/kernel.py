@@ -227,10 +227,11 @@ def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: Triang
     residuals = []
     for h in elements:
         jz = {z: multiplier_J(h, z, params, rep) for z in pts}
+        hz = {z: act(h, z) for z in pts}
         worst = 0.0
         for z in pts:
             for w in pts:
-                lhs = jz[z] @ kernel_full(act(h, z), act(h, w), params) @ jz[w].conj().T
+                lhs = jz[z] @ kernel_full(hz[z], hz[w], params) @ jz[w].conj().T
                 worst = max(worst, float(np.linalg.norm(lhs - k_grid[z, w])))
         residuals.append(worst)
     return residuals[0] if isinstance(g, GroupElement) else residuals

@@ -3,13 +3,15 @@
 In the orthonormal basis {mu_j e^j_{n-j}} the multiplication operator
 sends the degree-n block to the degree-(n+1) block through
 
-    W(n) = D(mu)^(-1) G(n+1)^(-1) G(n) D(mu),
+    W(n) = D(mu)^(-1) G(n+1)^(-1) G(n) D(mu).
 
-realized here by a triangular solve on the leading invertible corner of
-G(n+1) (columns j > n act on structurally zero basis slots and stay
-zero).  Finite truncations keep degrees 0..N; a fractional-linear map
-g(T) of the truncated shift agrees with the infinite functional calculus
-on every retained block because the shift only propagates downward in
+shift_table builds every W(n) by the paper's independent construction,
+from [E, T] = -I, in one table and with no linear solve; the
+column_action check holds it to the identity above.
+
+Finite truncations keep degrees 0..N; a fractional-linear map g(T) of
+the truncated shift agrees with the infinite functional calculus on
+every retained block because the shift only propagates downward in
 degree.  It needs no solve: g(T) is the finite Taylor sum
 b/d + sum_k coef_k T^k, and block (n+k, n) of T^k is the product
 W(n+k-1)...W(n).
@@ -30,13 +32,14 @@ product.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import basis_values, g_matrix, g_table
-from .errors import SingularGError, SingularResolventError, TruncationLossWarning
+from .basis import _require_normalizable, basis_values, g_table
+from .errors import SingularResolventError, TruncationLossWarning
 from .mobius import GroupElement, act
 from .representation import ModelParams, TriangularRep, multiplier_J
 
@@ -45,72 +48,81 @@ from .representation import ModelParams, TriangularRep, multiplier_J
 # noise floor over 60 degrees stays near 1e-13, which smaller radii do not.
 DEFAULT_SAMPLE_RADIUS = 0.9
 DEFAULT_GUARD_BAND = 5
-_DIAG_EPS = 1e-300
+
+
+def shift_table(n_max: int, params: ModelParams) -> np.ndarray:
+    """W(0), ..., W(n_max) stacked, entry [n, j, k] = W(n)[j, k], from [E, T] = -I.
+
+    E_n = -diag_j(e_n[j]) with e_n[j] = sqrt(N (2*lam_j + N - 1)), N = n - j, and
+    E_(n+1) W(n) = W(n-1) E_n - I fixes every row j <= n: W(n)[j, j] = (N + 1) / e_(n+1)[j],
+    and below it the birth value W(j-1)[j, k] times prod_{n'=j..n} e_n'[k] / e_(n'+1)[j].
+    The birth rows, the only place mu enters, solve row b of G(b) D(mu) W(b-1) = G(b-1) D(mu),
+    whose right side is zero; with a = 2*lam_0 and d = b - k,
+
+        W(b-1)[b, k] = -(b!/k!) sqrt((d-1)! / (a+2k)_(d-1)) / (a+b+k-1)_d * mu_k / mu_b.
+
+    Products run sequentially along n, so row n does not depend on n_max.  Raises
+    NormalizationError when 2*lam <= m and OverflowError when a weight that is not
+    structurally zero leaves the normal float range.
+    """
+    m, a, mu = params.m, 2.0 * params.lam - params.m, params.mu
+    _require_normalizable(0, n_max + 1, params)  # 2*lam_j grows with j, so column 0 decides
+    births = np.zeros((m + 1, m + 1))
+    for b in range(1, min(m, n_max + 1) + 1):
+        for c in range(b):
+            ratios = (math.sqrt((i + 1) / (a + 2 * c + i)) / (a + b + c + i) for i in range(b - c - 1))
+            births[b, c] = -math.perm(b, b - c) / (a + b + c - 1) * math.prod(ratios) * mu[c] / mu[b]
+    n, j, k = np.ogrid[: n_max + 1, : m + 1, : m + 1]
+    deg, col = np.arange(n_max + 2)[:, None], np.arange(m + 1)
+    e = np.sqrt(np.maximum(deg - col, 0)) * np.sqrt(np.maximum(a + deg + col - 1, 0.0))  # e[n, j]; 0 if n <= j
+    steps = np.divide(e[:-1, None, :], e[1:, :, None], out=np.ones((n_max + 1, m + 1, m + 1)), where=(n >= j) & (j > k))
+    diagonal = np.where(j == k, np.sqrt(np.maximum(n - j + 1, 0) / (a + n + j)), 0.0)
+    table = np.where(n >= j - 1, births * np.cumprod(steps, axis=0), 0.0) + diagonal
+    support = (k <= j) & (j <= n + 1) & (k <= n)  # the weights that are not structurally zero
+    if not np.all(np.isfinite(table)) or np.any(np.abs(table[support]) < np.finfo(float).tiny):
+        raise OverflowError(f"a shift weight W(n), n <= {n_max}, leaves the float range at lam = {params.lam}")
+    return table
 
 
 def shift_block(n: int, params: ModelParams) -> np.ndarray:
-    """The (m+1)x(m+1) block W(n) mapping degree n to degree n+1.
-
-    Columns j > n multiply structurally zero basis vectors and are
-    returned as zero columns; for n >= m - 1 this coincides with the full
-    matrix product since G(n+1) is then invertible.
-    """
+    """The block W(n) from degree n to degree n+1, row n of shift_table; columns j > n are zero."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    m = params.m
-    r = min(n + 1, m)
-    g_next = g_matrix(n + 1, params)[: r + 1, : r + 1]
-    if np.any(np.abs(np.diag(g_next)) < _DIAG_EPS):
-        raise SingularGError(f"G({n + 1}) has a vanishing diagonal entry")
-    g_cur = g_matrix(n, params)[: r + 1, :]
-    try:
-        x = np.linalg.solve(g_next, g_cur)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGError(f"G({n + 1}) could not be inverted") from exc
-    out = np.zeros((m + 1, m + 1))
-    out[: r + 1, :] = x
-    mu = params.mu_array()
-    return out * (mu[None, :] / mu[:, None])
+    return shift_table(n, params)[n].copy()  # a copy, so callers do not keep the whole table alive
 
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Matrix of the multiplication operator on degrees 0..N.
+    """Matrix of the multiplication operator on degrees 0..N, with its shift blocks.
 
     Index i = n*(m+1) + j labels the basis slot (n, j); slots with j > n
     are structurally zero vectors and carry zero rows and columns.  The
-    only nonzero blocks sit at (n+1, n) and equal W(n).
+    only nonzero blocks sit at (n+1, n) and equal blocks[n] = W(n).
     """
 
     params: ModelParams
     n_trunc: int
+    blocks: np.ndarray = field(repr=False)
     matrix: np.ndarray = field(repr=False)
-
-    def shift_blocks(self) -> np.ndarray:
-        """The stack W(0..N-1), read back from the subdiagonal blocks of the matrix."""
-        n_trunc, size = self.n_trunc, self.params.m + 1
-        blocks = self.matrix.reshape(n_trunc + 1, size, n_trunc + 1, size)
-        return blocks[np.arange(1, n_trunc + 1), :, np.arange(n_trunc), :]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """T @ u for a ((N+1)(m+1), k) array u, one degree at a time: block row n+1 is W(n) u_n."""
         rows = u.reshape(self.n_trunc + 1, self.params.m + 1, -1)
         out = np.zeros(rows.shape, dtype=np.result_type(self.matrix, u))
-        out[1:] = self.shift_blocks() @ rows[:-1]
+        out[1:] = self.blocks @ rows[:-1]
         return out.reshape(u.shape)
 
 
 def truncate(params: ModelParams, n_trunc: int) -> TruncatedOperator:
-    """Assemble the truncated block-shift matrix of degrees 0..N."""
+    """The truncated block-shift matrix of degrees 0..N, filled from shift_table(N - 1)."""
     if n_trunc < 1:
         raise ValueError(f"need n_trunc >= 1, got {n_trunc}")
-    m = params.m
-    size = (n_trunc + 1) * (m + 1)
-    mat = np.zeros((size, size), dtype=complex)
-    for n in range(n_trunc):
-        mat[(n + 1) * (m + 1): (n + 2) * (m + 1), n * (m + 1): (n + 1) * (m + 1)] = shift_block(n, params)
+    size, blocks = params.m + 1, shift_table(n_trunc - 1, params)
+    mat = np.zeros(((n_trunc + 1) * size,) * 2, dtype=complex)
+    mat.reshape(n_trunc + 1, size, n_trunc + 1, size)[np.arange(1, n_trunc + 1), :, np.arange(n_trunc), :] = blocks
+    blocks.flags.writeable = False
     mat.flags.writeable = False
-    return TruncatedOperator(params=params, n_trunc=n_trunc, matrix=mat)
+    return TruncatedOperator(params=params, n_trunc=n_trunc, blocks=blocks, matrix=mat)
 
 
 def mobius_calculus(g: GroupElement, t) -> np.ndarray:
@@ -141,7 +153,7 @@ def _block_calculus(g: GroupElement, t: TruncatedOperator) -> np.ndarray:
     if g.d == 0:
         raise SingularResolventError("d = 0: c*T + d*I is nilpotent, hence singular")
     n_trunc, size = t.n_trunc, t.params.m + 1
-    w_blks = t.shift_blocks()  # w_blks[n] = W(n)
+    w_blks = t.blocks  # w_blks[n] = W(n)
     with np.errstate(all="ignore"):  # overflow surfaces as a non-finite result below
         d = np.complex128(g.d)
         ratios = np.full(n_trunc, -g.c / d)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, goldens
-from .basis import basis_values, g_matrix, minus_F, op_E, op_F, op_H, u_closed
+from .basis import g_matrix, g_table, minus_F, op_E, op_F, op_H, u_closed
 from .errors import ConfigError, NormalizationError
 from .kernel import (
     SampleGrid,
@@ -40,6 +40,7 @@ from .operator import (
     representation_matrix,
     reproducing_coefficients,
     shift_block,
+    shift_table,
     truncate,
 )
 from .representation import ModelParams, TriangularRep, act_U, check_cocycle, multiplier_J, multiplier_J0
@@ -304,21 +305,22 @@ def check_adjoint(cfg: RunConfig) -> Measurement:
 
 
 def check_column_action(cfg: RunConfig) -> Measurement:
-    """z B_n(z) = B_{n+1}(z) W(n) for n <= 10, with B_n(z) the degree-n block of basis values."""
+    """G(n+1) D(mu) W(n) = G(n) D(mu) for n < truncation, relative to max(1, max |G(n) D(mu)|) per degree.
+
+    The shift from [E, T] = -I against the G(n) route; records the worst degree and its scale.
+    """
     p = cfg.params()
-    w_blks = np.array([shift_block(n, p) for n in range(11)])
-    worst = 0.0
-    for z in seeded_points(cfg.seed + 6, 2, cfg.r_max):
-        vals = basis_values([z], np.arange(12 * (p.m + 1)), p)[0]
-        blocks = vals.reshape(p.m + 1, 12, p.m + 1).transpose(1, 0, 2)  # blocks[n] = B_n(z)
-        worst = max(worst, float(np.max(np.abs(z * blocks[:-1] - blocks[1:] @ w_blks))))
-    return _measured(worst)
+    scaled = g_table(cfg.truncation, p) * p.mu_array()  # G(n) D(mu)
+    resid = np.max(np.abs(scaled[1:] @ shift_table(cfg.truncation - 1, p) - scaled[:-1]), axis=(1, 2))
+    scales = np.maximum(1.0, np.max(np.abs(scaled[:-1]), axis=(1, 2)))
+    degree = int(np.argmax(resid / scales))
+    return _measured(float(resid[degree] / scales[degree]), degree=degree, scale=float(scales[degree]))
 
 
 def check_shift_norm_bound(cfg: RunConfig) -> Measurement:
-    p = cfg.params()
-    block_sup = max(float(np.linalg.norm(shift_block(n, p), 2)) for n in range(cfg.truncation))
-    t_norm = float(np.linalg.norm(truncate(p, cfg.truncation).matrix, 2))
+    t_op = truncate(cfg.params(), cfg.truncation)
+    block_sup = float(np.max(np.linalg.norm(t_op.blocks, 2, axis=(1, 2))))
+    t_norm = float(np.linalg.norm(t_op.matrix, 2))
     return _measured(max(0.0, t_norm - block_sup), block_sup=block_sup, truncated_norm=t_norm)
 
 

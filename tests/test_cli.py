@@ -162,15 +162,16 @@ def test_exit_code_config_errors():
 def _overflow_cases():
     huge = ["--lambda", "1e300", "--m", "1", "--mu", "1,1"]
     cases = [
-        ("shift-weights", ["--nmax", "2"]),
-        ("basis-emit", ["--nmax", "3"]),  # G(2) is finite (G(2)[0, 0] = 1.414e300); G(3) overflows
-        ("kernel-eval", ["--z", "0.1", "--w", "0.1"]),
-        ("verify", ["--suite", "rep"]),
-        ("verify", ["--suite", "operator"]),  # through the point-array multiplier
-        ("verify", ["--suite", "shift"]),
+        # W(1)[2, 0] is about (2*lam)^(-5/2), below the float range (at m = 1 the table is finite).
+        ("shift-weights", ["--lambda", "1e300", "--m", "2", "--mu", "1,1,1", "--nmax", "2"]),
+        ("basis-emit", huge + ["--nmax", "3"]),  # G(2) is finite (G(2)[0, 0] = 1.414e300); G(3) overflows
+        ("kernel-eval", huge + ["--z", "0.1", "--w", "0.1"]),
+        ("verify", huge + ["--suite", "rep"]),
+        ("verify", huge + ["--suite", "operator"]),  # through the point-array multiplier
+        ("verify", huge + ["--suite", "shift"]),
     ]
-    for i, (command, extra) in enumerate(cases):
-        yield pytest.param(command, huge + extra, id=f"{command}-extra{i}")
+    for i, (command, argv) in enumerate(cases):
+        yield pytest.param(command, argv, id=f"{command}-extra{i}")
     # 2*lam overflows to inf, so the kernel's principal powers get an infinite exponent.
     for m in range(4):
         model = ["--lambda", "1.7e308", "--m", str(m), "--mu", ",".join(["1"] * (m + 1))]
@@ -184,6 +185,41 @@ def test_exit_code_overflowing_parameters(command, extra):
     assert res.stderr.startswith("config error") and "Traceback" not in res.stderr
     assert "RuntimeWarning" not in res.stderr
     assert res.stdout == ""
+
+
+def test_shift_weights_at_huge_lambda_match_mpmath():
+    # G(3) overflows at lam = 1e300, but no weight W(n), n <= 2, leaves the float range.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 400  # G(n+1)^-1 G(n) cancels about 300 digits here
+    res = run_cli("shift-weights", "--lambda", "1e300", "--m", "1", "--mu", "1,0.5", "--nmax", "2")
+    assert res.returncode == 0, res.stderr
+    got = {(r["n"], r["row"], r["col"]): r["value"] for r in json.loads(res.stdout)["weights"]}
+    assert len(got) == 12
+    two_l = [2 * mp.mpf("1e300") - 1, 2 * mp.mpf("1e300") + 1]  # 2*lam_j
+
+    def g(n):  # G(n)[l, j] from the ladder closed form, with rising factorials as explicit products
+        def rf(x, count):
+            return mp.fprod(x + i for i in range(count))
+
+        out = mp.zeros(2, 2)
+        for j in range(min(n, 1) + 1):
+            norm = mp.sqrt(rf(two_l[j], n - j) * mp.factorial(n - j))
+            for k in range(min(n - j, 1 - j) + 1):
+                out[j + k, j] = mp.binomial(n - j, k) * rf(j + 1, k) * rf(two_l[j] + k, n - j - k) / norm
+        return out
+
+    mu = (1, mp.mpf("0.5"))
+    for n in range(3):
+        g_cur, g_next = g(n), g(n + 1)
+        for col in range(2):  # X = G(n+1)^-1 G(n) by forward substitution, W = D(mu)^-1 X D(mu)
+            x0 = g_cur[0, col] / g_next[0, 0]
+            x1 = (g_cur[1, col] - g_next[1, 0] * x0) / g_next[1, 1]
+            for row, x in enumerate((x0, x1)):
+                ref, value = x * mu[col] / mu[row], got[n, row, col]
+                if ref == 0:
+                    assert value == 0.0, (n, row, col)
+                else:
+                    assert abs((value - ref) / ref) <= 1e-14, (n, row, col)
 
 
 def test_verify_kernel_suite_at_high_truncation(tmp_path):

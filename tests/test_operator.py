@@ -16,9 +16,10 @@ from cdhom import (
     truncate,
 )
 from cdhom import goldens
+from cdhom.errors import NormalizationError
 from cdhom.basis import basis_value_matrix, basis_values
 from cdhom.mobius import X1, Y, act
-from cdhom.operator import DEFAULT_SAMPLE_RADIUS, active_slots, reproducing_coefficients
+from cdhom.operator import DEFAULT_SAMPLE_RADIUS, active_slots, reproducing_coefficients, shift_table
 from cdhom.representation import multiplier_J
 from cdhom.verify import RunConfig, check_homog_interior, check_unitarity
 
@@ -71,6 +72,79 @@ def test_shift_block_diagonal_tends_to_one():
     assert np.max(np.abs(diag - 1.0)) <= 1e-3
 
 
+def _w_reference(mp, lam, m, mu, n_max):
+    """W(n) = D(mu)^-1 G(n+1)^-1 G(n) D(mu) for n <= n_max, by forward substitution in mpmath."""
+
+    def g_ref(n):
+        out = mp.zeros(m + 1, m + 1)
+        for j in range(min(n, m) + 1):
+            big_n, two_lj = n - j, 2 * mp.mpf(lam) - m + 2 * j
+            norm = mp.sqrt(mp.rf(two_lj, big_n) * mp.factorial(big_n))
+            for k in range(min(big_n, m - j) + 1):
+                out[j + k, j] = mp.binomial(big_n, k) * mp.rf(j + 1, k) * mp.rf(two_lj + k, big_n - k) / norm
+        return out
+
+    mus = [mp.mpf(v) for v in mu]
+    g_next, blocks = g_ref(0), []
+    for n in range(n_max + 1):
+        g_cur, g_next = g_next, g_ref(n + 1)
+        x = mp.zeros(m + 1, m + 1)
+        for col in range(m + 1):
+            for row in range(min(n + 1, m) + 1):
+                acc = g_cur[row, col] - mp.fsum(g_next[row, q] * x[q, col] for q in range(row))
+                x[row, col] = acc / g_next[row, row]
+        blocks.append([[x[r, c] * mus[c] / mus[r] for c in range(m + 1)] for r in range(m + 1)])
+    return blocks
+
+
+@pytest.mark.parametrize("lam, m", [(1.0, 1), (1.6, 2), (3.5, 5), (3.7, 6), (5.0, 8), (8.0, 12)])
+def test_shift_block_matches_mpmath(lam, m):
+    # The [E, T] = -I construction against G(n+1)^-1 G(n) in 40 digits; the float
+    # G(n+1) solve it replaced erred by 1.0e-11 at m = 12.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    mu = tuple(np.random.default_rng(m).uniform(0.6, 1.4, m + 1))
+    p = ModelParams(lam=lam, m=m, mu=mu)
+    for n, ref in enumerate(_w_reference(mp, lam, m, mu, 60)):
+        got = shift_block(n, p)
+        ref_f = np.array([[float(v) for v in row] for row in ref])
+        assert np.array_equal(got == 0.0, ref_f == 0.0), n  # the exact zero pattern
+        assert np.max(np.abs(got - ref_f)) <= 2e-12 * np.max(np.abs(ref_f)), n
+
+
+@pytest.mark.parametrize("lam, m", [(1.0, 1), (1.6, 2), (3.7, 6), (8.0, 12)])
+def test_shift_table_rows_do_not_depend_on_its_length(lam, m):
+    p = ModelParams(lam=lam, m=m, mu=tuple(1.0 + 0.05 * j for j in range(m + 1)))
+    table, t_op = shift_table(450, p), truncate(p, 41)
+    for n in (0, m - 1, m, 40, 400):
+        for n_max in (n, n + 1, n + 7):
+            assert np.array_equal(shift_table(n_max, p)[n], table[n]), (n, n_max)
+        assert np.array_equal(shift_block(n, p), table[n])
+        if n <= 40:
+            assert np.array_equal(t_op.blocks[n], table[n])
+
+
+def test_shift_block_typed_errors_in_the_degenerate_regime():
+    # Exactly the inputs with 2*lam <= m raise NormalizationError, as with the
+    # G(n+1) solve; everything else is finite.
+    for lam in np.arange(-3.0, 2.001, 0.25):
+        for m in range(5):
+            p = ModelParams(lam=float(lam), m=m, mu=tuple(1.0 + 0.1 * j for j in range(m + 1)), allow_degenerate=True)
+            for n in range(12):
+                if 2 * lam <= m:
+                    with pytest.raises(NormalizationError):
+                        shift_block(n, p)
+                else:
+                    assert np.all(np.isfinite(shift_block(n, p))), (lam, m, n)
+
+
+def test_shift_table_refuses_weights_outside_the_normal_range():
+    # W(0)[1, 0] = -1/(2*lam - 1) is subnormal at lam = 8e307; W(1)[2, 0] ~ (2*lam)^(-5/2) underflows at 1e300.
+    for lam, m in ((8e307, 1), (1e300, 2)):
+        with pytest.raises(OverflowError):
+            shift_table(2, ModelParams(lam=lam, m=m, mu=(1.0,) * (m + 1)))
+
+
 # ------------------------------------------------------------------ truncation
 
 
@@ -101,8 +175,7 @@ def test_truncated_apply_matches_dense_product(m, lam, n_trunc):
         got = t_op.apply(u)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-    w_blks = t_op.shift_blocks()
-    assert all(np.array_equal(w_blks[n], shift_block(n, p)) for n in range(n_trunc))
+    assert all(np.array_equal(t_op.blocks[n], shift_block(n, p)) for n in range(n_trunc))
 
 
 def test_truncate_column_action_identity():
