@@ -27,8 +27,6 @@ closed form as the oracle of the `minus_F` recursion.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import NormalizationError
@@ -151,24 +149,18 @@ def g_table(n_max: int, params: ModelParams) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=4096)
-def _g_matrix_cached(n: int, params: ModelParams) -> np.ndarray:
-    out = g_table(n, params)[n].copy()  # a copy, so the cache does not keep the whole table alive
-    out.flags.writeable = False
-    return out
-
-
 def g_matrix(n: int, params: ModelParams) -> np.ndarray:
     """The lower-triangular coefficient matrix G(n) = ((e^{l,j}_{n-j})), row n of g_table.
 
     Entry (l, j) is zero when l < j or n < l; the diagonal is strictly
-    positive for n >= m whenever 2*lam > m.  Results are memoized per
-    parameter set and returned as read-only arrays, safe for concurrent
-    readers.
+    positive for n >= m whenever 2*lam > m.  The result is a read-only
+    copy of the row, so a caller that keeps it does not keep the table alive.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _g_matrix_cached(n, params)
+    out = g_table(n, params)[n].copy()
+    out.flags.writeable = False
+    return out
 
 
 def basis_values(points, slots, params: ModelParams) -> np.ndarray:

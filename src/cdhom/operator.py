@@ -16,18 +16,15 @@ degree.  It needs no solve: g(T) is the finite Taylor sum
 b/d + sum_k coef_k T^k, and block (n+k, n) of T^k is the product
 W(n+k-1)...W(n).
 
-The unitary group action is recovered degree by degree: every basis
-vector's image under U_g is sampled on a circle of 2(N+1) equispaced
-points (one basis_values call), and a discrete Fourier transform over
-the samples separates the degrees exactly, since component l of a
-degree-n basis vector carries the single frequency n - l.  The
-least-squares problem of the expansion is therefore block-diagonal by
-degree: each degree is one square lower-triangular (m+1)x(m+1) solve,
-all of them batched, and the mass at frequencies p with p + l > N is
-exactly the part of U_g leaked past degree N.  The samples come from
-one point-array call each of act and multiplier_J.  The homogeneity
-check applies T to U one degree block at a time, never as a dense
-product.
+The unitary group action needs no sampling and no solve either.  The
+associated representation is multiplicity free, the sum of the discrete
+series D+_(lam_j), lam_j = lam - m/2 + j, and e^j_(n-j) is the orthonormal
+basis of the j-th summand.  So U_g on degrees 0..N is block-diagonal in j,
+and each block is the compression of the closed-form matrix of
+D+_(lam_j)(g): a binomial series in its first column, then one product
+with a Toeplitz matrix shared by every j per further column.  The
+homogeneity check applies T to U one degree block at a time, never as a
+dense product.
 """
 
 from __future__ import annotations
@@ -38,15 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import _require_normalizable, basis_values, g_table
+from .basis import _require_normalizable, basis_values
 from .errors import SingularResolventError, TruncationLossWarning
-from .mobius import GroupElement, act
+from .mobius import GroupElement
 from .representation import ModelParams, TriangularRep, multiplier_J
 
-# Radius of the sampling circle for the expansion of U_g.  Coefficient
-# recovery at degree d amplifies evaluation noise by radius**(-d); at 0.9 the
-# noise floor over 60 degrees stays near 1e-13, which smaller radii do not.
-DEFAULT_SAMPLE_RADIUS = 0.9
 DEFAULT_GUARD_BAND = 5
 
 
@@ -181,59 +174,58 @@ def active_slots(m: int, max_degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RepresentationMatrixResult:
-    """Matrix of U_g on degrees 0..N plus solve diagnostics."""
+    """Matrix of U_g on degrees 0..N and the largest share of a column's norm leaked past degree N."""
 
     matrix: np.ndarray = field(repr=False)
-    conditioning: float
     truncation_loss: float
-    sample_radius: float
 
 
 def representation_matrix(
-    g: GroupElement,
-    params: ModelParams,
-    rep: TriangularRep,
-    n_trunc: int,
-    sample_radius: float = DEFAULT_SAMPLE_RADIUS,
+    g: GroupElement, params: ModelParams, rep: TriangularRep, n_trunc: int
 ) -> RepresentationMatrixResult:
-    """Numerically expand U_g over the orthonormal basis, degrees 0..N.
+    """U_g on degrees 0..N, the exact compression of the sum of the D+_(lam_j)(g), lam_j = lam - m/2 + j.
 
-    Columns are recovered from 2(N+1) equispaced samples on the circle of
-    the given radius: the Fourier transform over the samples splits the
-    least-squares problem into one square triangular solve per degree, all
-    batched.  The reported conditioning is max/min singular value over the
-    column-normalised degree blocks, which is the condition number of the
-    column-equilibrated least-squares matrix of all degrees, and
-    truncation_loss is the worst relative least-squares residual of a
-    column, the share of its sampled mass at frequencies past degree N
-    (Parseval).
+    The representation is multiplicity free, so U_g maps the slot (j + N', j) into the
+    slots (j + M, j) of the same j only, through the discrete-series matrix of D+_(lam_j):
+    with g = [[a, b], [c, d]] and r_K = (2*lam_j)_K / K!, entry [(j+M, j), (j+N', j)] is
+
+        sqrt(r_N' / r_M) [z^M] a0_j (1 - (c/a) z)^(-2*lam_j) phi(z)^N',   phi = (dz - b)/(a - cz),
+
+    where a0_j = (a^-2)^eta a^(-2j) is entry j of J_(g^-1)(0), so multiplier_J keeps the
+    branch convention.  Column 0 is a binomial series, and each further column is one product
+    with the lower-triangular Toeplitz matrix of phi, shared by every j.  Each block compresses
+    a unitary matrix, so truncation_loss is the exact leak sqrt(1 - |column|^2), worst over the
+    columns; the subtraction resolves leaks above about 1e-8.  Raises NormalizationError when
+    2*lam <= m and OverflowError when a normalization or an entry leaves the float range.
     """
-    m = params.m
+    m, size = params.m, params.m + 1
+    _require_normalizable(0, n_trunc, params)  # 2*lam_j grows with j, so block 0 decides
+    a0 = np.diagonal(multiplier_J(g.inverse(), 0.0, params, rep))
+    deg, two_l = np.arange(n_trunc + 1), 2.0 * params.lam - m + 2.0 * np.arange(size)  # two_l[j] = 2*lam_j
+    growth = np.ones((n_trunc + 1, size))
+    growth[1:] = (two_l + deg[:-1, None]) / deg[1:, None]  # r_K / r_(K-1)
+    with np.errstate(all="ignore"):  # overflow surfaces as a non-finite value below
+        norms = np.cumprod(np.sqrt(growth), axis=0)  # sqrt(r_K), never r_K itself
+        ratio = g.c / g.a
+        phi = np.concatenate(([-g.b / g.a], (g.d - g.b * ratio) / g.a * ratio ** deg[:-1]))
+        toeplitz = np.where(deg[:, None] >= deg, phi[np.abs(deg[:, None] - deg)], 0.0)
+        series = np.empty((n_trunc + 1, n_trunc + 1, size), dtype=complex)  # [M, N', j], without sqrt(r_N'/r_M)
+        series[:, 0] = a0 * np.cumprod(np.where(deg[:, None] > 0, growth * ratio, 1.0), axis=0)  # a0_j r_M (c/a)^M
+        for col in range(n_trunc):
+            series[:, col + 1] = toeplitz @ series[:, col]
+        blocks = series * (norms[None, :, :] / norms[:, None, :])
+    out = np.zeros((n_trunc + 1, size, n_trunc + 1, size), dtype=complex)
+    for j in range(min(m, n_trunc) + 1):
+        out[j:, j, j:, j] = blocks[: n_trunc + 1 - j, : n_trunc + 1 - j, j]
+    out = out.reshape((n_trunc + 1) * size, -1)
+    if not (np.all(np.isfinite(norms)) and np.all(np.isfinite(out))):
+        raise OverflowError(f"U_g on degrees <= {n_trunc} leaves the float range at lam = {params.lam}")
+
     slots = active_slots(m, n_trunc)
-    n_samples = 2 * (n_trunc + 1)
-    zs = sample_radius * np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
-    ginv = g.inverse()
-    images = multiplier_J(ginv, zs, params, rep) @ basis_values(act(ginv, zs), slots, params)  # [sample, l, column]
-    # Component l of a degree-n basis vector is a multiple of z^(n-l): frequency p = n - l.
-    spectrum = np.fft.fft(images, axis=0) / n_samples  # [p, l, column]
-
-    ell = np.arange(m + 1)[None, :]
-    freq = np.arange(n_trunc + 1)[:, None] - ell  # [n, l]; negative where l > n
-    blocks = _degree_blocks(n_trunc, sample_radius, params)
-    rhs = np.where((freq >= 0)[..., None], spectrum[np.maximum(freq, 0), ell], 0.0)
-    coeffs = np.linalg.solve(blocks, rhs)  # [n, j, column]; zero on the slots j > n
-
-    col_norms = np.linalg.norm(blocks, axis=1)
-    svals = np.linalg.svd(blocks / col_norms[:, None, :], compute_uv=False)
-    conditioning = float(np.max(svals) / np.min(svals))
-    power = np.abs(spectrum) ** 2
-    leaked = power[np.arange(n_samples)[:, None] + ell > n_trunc].sum(axis=0)  # frequency p at slot l: degree p + l
-    total = power.sum(axis=(0, 1))
-    rel_loss = np.sqrt(leaked / np.where(total > 0, total, 1.0))
-    truncation_loss = float(np.max(rel_loss))
+    rel_loss = np.sqrt(np.maximum(0.0, 1.0 - np.sum(np.abs(out[:, slots]) ** 2, axis=0)))
     # Columns at the truncation boundary always leak; only losses well inside
     # the guard band mean the truncation is too small for this group element.
-    interior = slots // (m + 1) <= n_trunc - DEFAULT_GUARD_BAND
+    interior = slots // size <= n_trunc - DEFAULT_GUARD_BAND
     if interior.any() and float(np.max(rel_loss[interior])) > 0.1:
         warnings.warn(
             f"interior columns of U_g lost {np.max(rel_loss[interior]):.2f} of their mass "
@@ -241,32 +233,7 @@ def representation_matrix(
             TruncationLossWarning,
             stacklevel=2,
         )
-
-    size = (n_trunc + 1) * (m + 1)
-    out = np.zeros((size, size), dtype=complex)
-    out[:, slots] = coeffs.reshape(size, len(slots))
-    return RepresentationMatrixResult(
-        matrix=out,
-        conditioning=conditioning,
-        truncation_loss=truncation_loss,
-        sample_radius=sample_radius,
-    )
-
-
-def _degree_blocks(n_trunc: int, radius: float, params: ModelParams) -> np.ndarray:
-    """M_n[l, j] = radius^(n-l) mu_j G(n)[l, j] for n <= N, the Fourier image of the basis per degree.
-
-    Slots with l or j above n carry the identity instead, so every block is
-    square and invertible and the padded unknowns solve to zero.  For the
-    conditioning this is harmless: a block with unit-norm columns has
-    singular values on both sides of 1.
-    """
-    m = params.m
-    freq = np.arange(n_trunc + 1)[:, None] - np.arange(m + 1)[None, :]
-    blocks = radius ** np.maximum(freq, 0)[:, :, None] * g_table(n_trunc, params) * params.mu_array()
-    padded = np.arange(m + 1) > np.arange(n_trunc + 1)[:, None]  # [n, j]: slot j > n
-    blocks[padded[:, :, None] & np.eye(m + 1, dtype=bool)] = 1.0
-    return blocks
+    return RepresentationMatrixResult(matrix=out, truncation_loss=float(np.max(rel_loss)))
 
 
 def check_homogeneity(
@@ -276,7 +243,6 @@ def check_homogeneity(
     n_trunc: int,
     guard_band: int = DEFAULT_GUARD_BAND,
     window: int | None = None,
-    sample_radius: float = DEFAULT_SAMPLE_RADIUS,
 ) -> float:
     """Interior-block residual of U_g^* T U_g = g(T) at truncation N.
 
@@ -293,7 +259,7 @@ def check_homogeneity(
         raise ValueError(f"window {window} outside 0..{n_trunc}")
     t_op = truncate(params, n_trunc)
     keep = active_slots(params.m, window)
-    u_keep = representation_matrix(g, params, rep, n_trunc, sample_radius=sample_radius).matrix[:, keep]
+    u_keep = representation_matrix(g, params, rep, n_trunc).matrix[:, keep]
     lhs = u_keep.conj().T @ t_op.apply(u_keep)
     rhs = mobius_calculus(g, t_op)[np.ix_(keep, keep)]
     return float(np.linalg.norm(lhs - rhs))

@@ -166,7 +166,10 @@ def multiplier_J(g: GroupElement, z, params: ModelParams, rep: TriangularRep) ->
     j0 = multiplier_J0(g, z, rep)
     base = derivative(g, z)
     if isinstance(base, complex):  # one point, numpy complex scalars included
-        out = cpow_principal(base, params.eta) * j0
+        try:
+            out = cpow_principal(base, params.eta) * j0
+        except OverflowError:  # cmath raises where numpy returns inf; report it as numpy's case below
+            out = np.full(j0.shape, np.inf)
     else:
         with np.errstate(all="ignore"):  # overflow surfaces as a non-finite multiplier below
             out = np.exp(params.eta * np.log(base))[..., None, None] * j0

@@ -443,22 +443,22 @@ def check_infinitesimal(cfg: RunConfig) -> Measurement:
 # -------------------------------------------------------------- operator suite
 
 
-def check_homog_rotation(cfg: RunConfig) -> Measurement:
+def _worst_homogeneity(cfg: RunConfig, elements) -> tuple[float, str]:
+    """The largest check_homogeneity residual at N = 40 over (label, element) pairs, with its label."""
     p = cfg.params()
     rep = TriangularRep.from_params(p)
-    worst = 0.0
-    for theta in (0.3, -0.45):
-        worst = max(worst, check_homogeneity(GroupElement.rotation(theta), p, rep, 40))
-    return _measured(worst, truncation=40)
+    return max((check_homogeneity(g, p, rep, 40), label) for label, g in elements)
+
+
+def check_homog_rotation(cfg: RunConfig) -> Measurement:
+    worst, worst_g = _worst_homogeneity(cfg, [(f"rotation({t})", GroupElement.rotation(t)) for t in (0.3, -0.45)])
+    return _measured(worst, truncation=40, worst_element=worst_g)
 
 
 def check_homog_interior(cfg: RunConfig) -> Measurement:
-    p = cfg.params()
-    rep = TriangularRep.from_params(p)
-    worst = 0.0
-    for g in (exp_basis(X1, 0.05), exp_basis(Y, 0.05)):
-        worst = max(worst, check_homogeneity(g, p, rep, 40))
-    return _measured(worst, truncation=40, guard_band=5)
+    elements = [(f"exp(0.05*{name})", exp_basis(elem, 0.05)) for name, elem in (("X1", X1), ("Y", Y))]
+    worst, worst_g = _worst_homogeneity(cfg, elements)
+    return _measured(worst, truncation=40, guard_band=5, worst_element=worst_g)
 
 
 def check_homog_monotone(cfg: RunConfig) -> Measurement:
@@ -479,14 +479,14 @@ def check_unitarity(cfg: RunConfig) -> Measurement:
     rep = TriangularRep.from_params(p)
     n_trunc, guard = 40, 10
     keep = active_slots(p.m, n_trunc - guard)
-    worst, conditioning = 0.0, 0.0
+    worst, loss = 0.0, 0.0
     for g in (GroupElement.rotation(0.3), exp_basis(X1, 0.1), exp_basis(Y, -0.1)):
         res = representation_matrix(g, p, rep, n_trunc)
         u = res.matrix
         gram = (u.conj().T @ u - np.eye(u.shape[0]))[np.ix_(keep, keep)]
         worst = max(worst, float(np.linalg.norm(gram)))
-        conditioning = max(conditioning, res.conditioning)
-    return _measured(worst, truncation=n_trunc, guard_band=guard, conditioning=conditioning)
+        loss = max(loss, res.truncation_loss)
+    return _measured(worst, truncation=n_trunc, guard_band=guard, truncation_loss=loss)
 
 
 def check_calculus_rotation(cfg: RunConfig) -> Measurement:

@@ -13,6 +13,7 @@ from cdhom import (
     op_H,
     u_closed,
 )
+from cdhom.basis import g_table
 from cdhom.scalars import VectorPolynomial, poly_distance
 
 
@@ -220,11 +221,12 @@ def test_g_matrix_read_only_cache():
         g[0, 0] = 5.0
 
 
-def test_g_matrix_cache_is_bounded():
-    from cdhom.basis import _g_matrix_cached
-
-    # 4096 entries keep two models at 402 degrees each warm; a long parameter sweep cannot grow it further.
-    assert _g_matrix_cached.cache_info().maxsize == 4096
+def test_g_matrix_owns_its_row():
+    # A view would keep the whole g_table(n) alive for as long as the caller keeps G(n).
+    p, _ = make(1.6, 2)
+    g = g_matrix(40, p)
+    assert g.base is None and g.shape == (3, 3)
+    assert np.array_equal(g, g_table(40, p)[40])
 
 
 # ------------------------------------------------------- structural invariants

@@ -136,6 +136,26 @@ def test_verify_degenerate_negative(tmp_path, suite, check):
     assert "degenerate" in record["note"]
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        ["--lambda", "3.7", "--m", "6", "--mu", "1,0.8,1.2,0.9,1.1,1.3,0.7"],
+        ["--lambda", "5", "--m", "8", "--mu", "1,0.8,1.2,0.9,1.1,1.3,0.7,1.05,0.95"],
+        ["--lambda", "8", "--m", "12", "--mu", ",".join(["1"] * 13)],
+    ],
+    ids=["m6", "m8", "m12"],
+)
+def test_verify_operator_suite_passes_at_large_m(tmp_path, model):
+    # The exact discrete-series U_g keeps homogeneity_rotation near 1e-13 at every m;
+    # recovering U_g from samples read 3.9e-10 at m = 6 and 2.9e-7 at m = 12.
+    out = tmp_path / "report.json"
+    res = run_cli("verify", *model, "--suite", "operator", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["homogeneity_rotation"]["residual"] <= 1e-12
+    assert checks["homogeneity_rotation"]["parameters"]["worst_element"].startswith("rotation(")
+
+
 def test_verify_tolerance_override_forces_failure():
     res = run_cli("verify", *BASE_M1, "--suite", "shift", "--tol", "golden_w=1e-30")
     assert res.returncode == 1

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from cdhom import goldens
 from cdhom.errors import NormalizationError
 from cdhom.basis import basis_value_matrix, basis_values
 from cdhom.mobius import X1, Y, act
-from cdhom.operator import DEFAULT_SAMPLE_RADIUS, active_slots, reproducing_coefficients, shift_table
+from cdhom.operator import active_slots, reproducing_coefficients, shift_table
 from cdhom.representation import multiplier_J
 from cdhom.verify import RunConfig, check_homog_interior, check_unitarity
 
@@ -276,7 +277,7 @@ def test_representation_identity():
     keep = active_slots(1, 12)
     sub = res.matrix[np.ix_(keep, keep)]
     assert np.max(np.abs(sub - np.eye(len(keep)))) <= 1e-12
-    assert res.conditioning < 1e4
+    assert res.truncation_loss == 0.0
 
 
 def test_representation_rotation_diagonal_phases():
@@ -295,11 +296,12 @@ def test_representation_rotation_diagonal_phases():
 
 @pytest.mark.parametrize("m, lam, mu", [(1, 1.0, (1.0, 0.8)), (2, 1.6, (1.0, 0.7, 1.3))])
 def test_representation_matches_least_squares(m, lam, mu):
-    # The per-degree Fourier solve against a dense least-squares fit of the same samples.
+    # The discrete-series blocks against the multiplier route: a dense least-squares fit
+    # of U_g's action, sampled through multiplier_J at 2(N+1) points on the circle |z| = 0.9.
     p, rep = make(lam, m, mu)
     n_trunc = 12
     slots = active_slots(m, n_trunc)
-    zs = DEFAULT_SAMPLE_RADIUS * np.exp(2j * np.pi * np.arange(2 * (n_trunc + 1)) / (2 * (n_trunc + 1)))
+    zs = 0.9 * np.exp(2j * np.pi * np.arange(2 * (n_trunc + 1)) / (2 * (n_trunc + 1)))
     for g in (GroupElement.rotation(0.3), exp_basis(X1, 0.1), exp_basis(Y, -0.1)):
         ginv = g.inverse()
         jmats = np.array([multiplier_J(ginv, z, p, rep) for z in zs])
@@ -322,22 +324,86 @@ def test_representation_rotation_phases_reference_m6():
     assert np.max(np.abs(sub - np.diag(expect))) <= 1e-8
 
 
+def _u_reference(mp, g, lam, m, n_trunc):
+    """U_g on degrees 0..N from the finite sum of each discrete-series entry, in mpmath.
+
+    Entry [(j+M, j), (j+N', j)] is a0_j sqrt(r_N' / r_M) times
+    sum_i C(N', i) d^i (-b)^(N'-i) (2 lam_j + N')_(M-i) / (M-i)! c^(M-i) a^(-N'-M+i),
+    the z^M coefficient of a^(2 lam_j) (dz - b)^N' (a - cz)^(-2 lam_j - N'), with
+    a0_j = (a^-2)^eta a^(-2j) on the principal branch and r_K = (2 lam_j)_K / K!.
+    """
+    a, b, c, d = (mp.mpc(v) for v in (g.a, g.b, g.c, g.d))
+    eta, size = mp.mpf(lam) - mp.mpf(m) / 2, m + 1
+    out = np.zeros(((n_trunc + 1) * size,) * 2, dtype=complex)
+    for j in range(min(m, n_trunc) + 1):
+        two_l, top = 2 * (eta + j), n_trunc + 1 - j
+        norm = [mp.sqrt(mp.rf(two_l, k) / mp.factorial(k)) for k in range(top)]
+        a0 = mp.power(a**-2, eta) * a ** (-2 * j)
+        for col in range(top):
+            binomial = [math.comb(col, i) * d**i * (-b) ** (col - i) for i in range(col + 1)]
+            power = [mp.mpf(1)]  # power[k] = (2 lam_j + N')_k / k! (c/a)^k
+            for k in range(1, top):
+                power.append(power[-1] * (two_l + col + k - 1) / k * c / a)
+            scale = a0 * a**-col * norm[col]
+            for row in range(top):
+                coef = mp.fdot(binomial[: min(col, row) + 1], power[row::-1])
+                out[(j + row) * size + j, (j + col) * size + j] = complex(scale * coef / norm[row])
+    return out
+
+
+@pytest.mark.parametrize("lam, m", [(1.0, 1), (1.6, 2), (3.7, 6), (5.0, 8), (8.0, 12)])
+def test_representation_matches_mpmath(lam, m):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    p, rep = make(lam, m, tuple(np.random.default_rng(m).uniform(0.6, 1.4, m + 1)))
+    n_trunc = 20
+    for g in (
+        GroupElement.rotation(0.3),
+        exp_basis(X1, 0.05),
+        exp_basis(Y, -0.1),
+        GroupElement.rotation(0.3) @ exp_basis(X1, 0.05) @ exp_basis(Y, -0.1),
+    ):
+        ref = _u_reference(mp, g, lam, m, n_trunc)
+        assert np.max(np.abs(representation_matrix(g, p, rep, n_trunc).matrix - ref)) <= 1e-13, g
+
+
+@pytest.mark.filterwarnings("ignore::cdhom.TruncationLossWarning")  # the wide truncation's own edge leaks
+def test_truncation_loss_is_the_exact_leak():
+    # The leak of each column past degree 40 is the norm of its part beyond degree 40,
+    # read off a truncation at 120; the subtraction 1 - |column|^2 resolves about 1e-8.
+    p, rep = make(3.7, 6)
+    g = exp_basis(X1, 0.1)
+    keep = active_slots(6, 40)
+    tail = np.setdiff1d(active_slots(6, 120), keep)
+    wide = representation_matrix(g, p, rep, 120).matrix
+    leak = np.linalg.norm(wide[np.ix_(tail, keep)], axis=0)
+    assert representation_matrix(g, p, rep, 40).truncation_loss == pytest.approx(np.max(leak), abs=1e-7)
+
+
+def test_representation_typed_errors():
+    # 2*lam <= m has no normalization; at lam = 1e300 sqrt((2 lam)_K / K!) leaves the float range.
+    degenerate = ModelParams(lam=0.5, m=1, mu=(1.0, 1.0), allow_degenerate=True)
+    with pytest.raises(NormalizationError):
+        representation_matrix(GroupElement.rotation(0.3), degenerate, TriangularRep.from_params(degenerate), 10)
+    p, rep = make(1e300, 1)
+    for g in (GroupElement.rotation(0.3), exp_basis(X1, 0.05)):
+        with pytest.raises(OverflowError):
+            representation_matrix(g, p, rep, 10)
+
+
 def test_operator_checks_pass_at_m8():
     cfg = RunConfig(lam=5.0, m=8, mu=(1.0,) * 9)
     residual, params, _ = check_unitarity(cfg)
     assert residual <= 1e-6
-    assert params["conditioning"] > 1.0
-    assert check_homog_interior(cfg)[0] <= 1e-4
-
-
-def test_unitarity_record_carries_conditioning():
-    p, rep = make(1.0, 1, (1.0, 0.8))
-    _, params, _ = check_unitarity(RunConfig(lam=1.0, m=1, mu=(1.0, 0.8)))
-    conds = [
-        representation_matrix(g, p, rep, 40).conditioning
+    p, rep = make(5.0, 8)
+    losses = [
+        representation_matrix(g, p, rep, 40).truncation_loss
         for g in (GroupElement.rotation(0.3), exp_basis(X1, 0.1), exp_basis(Y, -0.1))
     ]
-    assert params["conditioning"] == max(conds)
+    assert 0.0 < params["truncation_loss"] == max(losses) < 1.0
+    residual, params, _ = check_homog_interior(cfg)
+    assert residual <= 1e-4
+    assert params["worst_element"] in ("exp(0.05*X1)", "exp(0.05*Y)")
 
 
 def test_representation_unitary_on_interior():

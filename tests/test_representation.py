@@ -234,7 +234,7 @@ def test_multiplier_past_float_range_raises_overflow():
     # eta = 1e300 - 0.5 and |g'(z)| > 1 (|c*z + d| < 1 at z = -0.4): (g'(z))^eta leaves the float range.
     p, rep = make(1e300, 1)
     g = exp_basis(X1, 0.3)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="not finite"):
         multiplier_J(g, np.array([0.1, -0.4]), p, rep)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="not finite"):  # cmath's own 'math range error' would name nothing
         multiplier_J(g, -0.4, p, rep)
