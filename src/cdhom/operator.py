@@ -22,9 +22,13 @@ series D+_(lam_j), lam_j = lam - m/2 + j, and e^j_(n-j) is the orthonormal
 basis of the j-th summand.  So U_g on degrees 0..N is block-diagonal in j,
 and each block is the compression of the closed-form matrix of
 D+_(lam_j)(g): a binomial series in its first column, then one product
-with a Toeplitz matrix shared by every j per further column.  The
-homogeneity check applies T to U one degree block at a time, never as a
-dense product.
+with a Toeplitz matrix shared by every j per further column.
+
+Both operators are kept in this layout: T as its shift blocks W(n), U_g as
+its component blocks U_j.  The dense ((N+1)(m+1))^2 matrices over the slots
+i = n*(m+1) + j are assembled only on the first read of .matrix.  The
+homogeneity check never reads them: it compares U_i^* T U_j' with g(T)
+one component pair at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,36 +91,52 @@ def shift_block(n: int, params: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Matrix of the multiplication operator on degrees 0..N, with its shift blocks.
+    """The multiplication operator on degrees 0..N, as its shift blocks.
 
-    Index i = n*(m+1) + j labels the basis slot (n, j); slots with j > n
-    are structurally zero vectors and carry zero rows and columns.  The
-    only nonzero blocks sit at (n+1, n) and equal blocks[n] = W(n).
+    The only nonzero blocks of T sit at (n+1, n) and equal blocks[n] = W(n), n < N.
     """
 
     params: ModelParams
     n_trunc: int
     blocks: np.ndarray = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense read-only matrix of T, assembled from blocks on first read.
+
+        Index i = n*(m+1) + j labels the basis slot (n, j); slots with j > n
+        are structurally zero vectors and carry zero rows and columns.
+        """
+        size = self.params.m + 1
+        mat = np.zeros(((self.n_trunc + 1) * size,) * 2, dtype=complex)
+        mat.reshape(self.n_trunc + 1, size, self.n_trunc + 1, size)[
+            np.arange(1, self.n_trunc + 1), :, np.arange(self.n_trunc), :
+        ] = self.blocks
+        mat.flags.writeable = False
+        return mat
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """T @ u for a ((N+1)(m+1), k) array u, one degree at a time: block row n+1 is W(n) u_n."""
         rows = u.reshape(self.n_trunc + 1, self.params.m + 1, -1)
-        out = np.zeros(rows.shape, dtype=np.result_type(self.matrix, u))
+        out = np.zeros(rows.shape, dtype=np.result_type(complex, u))
         out[1:] = self.blocks @ rows[:-1]
         return out.reshape(u.shape)
 
+    def apply_adjoint(self, c: np.ndarray) -> np.ndarray:
+        """T^* @ c for a ((N+1)(m+1),) or ((N+1)(m+1), k) array c: block row n is W(n)^* c_(n+1)."""
+        rows = c.reshape(self.n_trunc + 1, self.params.m + 1, -1)
+        out = np.zeros(rows.shape, dtype=np.result_type(complex, c))
+        out[:-1] = self.blocks.transpose(0, 2, 1).conj() @ rows[1:]
+        return out.reshape(c.shape)
+
 
 def truncate(params: ModelParams, n_trunc: int) -> TruncatedOperator:
-    """The truncated block-shift matrix of degrees 0..N, filled from shift_table(N - 1)."""
+    """The truncated block shift on degrees 0..N, its blocks read from shift_table(N - 1)."""
     if n_trunc < 1:
         raise ValueError(f"need n_trunc >= 1, got {n_trunc}")
-    size, blocks = params.m + 1, shift_table(n_trunc - 1, params)
-    mat = np.zeros(((n_trunc + 1) * size,) * 2, dtype=complex)
-    mat.reshape(n_trunc + 1, size, n_trunc + 1, size)[np.arange(1, n_trunc + 1), :, np.arange(n_trunc), :] = blocks
+    blocks = shift_table(n_trunc - 1, params)
     blocks.flags.writeable = False
-    mat.flags.writeable = False
-    return TruncatedOperator(params=params, n_trunc=n_trunc, blocks=blocks, matrix=mat)
+    return TruncatedOperator(params=params, n_trunc=n_trunc, blocks=blocks)
 
 
 def mobius_calculus(g: GroupElement, t) -> np.ndarray:
@@ -131,7 +152,7 @@ def mobius_calculus(g: GroupElement, t) -> np.ndarray:
     condition number of cT + dI; it is the oracle of the block form.
     """
     if isinstance(t, TruncatedOperator):
-        return _block_calculus(g, t)
+        return _block_calculus(g, t).reshape(((t.n_trunc + 1) * (t.params.m + 1),) * 2)
     mat = np.asarray(t, dtype=complex)
     eye = np.eye(mat.shape[0], dtype=complex)
     resolvent = g.c * mat + g.d * eye
@@ -143,6 +164,7 @@ def mobius_calculus(g: GroupElement, t) -> np.ndarray:
 
 
 def _block_calculus(g: GroupElement, t: TruncatedOperator) -> np.ndarray:
+    """g(T) as the array out[n, :, n', :] of its degree blocks (n, n')."""
     if g.d == 0:
         raise SingularResolventError("d = 0: c*T + d*I is nilpotent, hence singular")
     n_trunc, size = t.n_trunc, t.params.m + 1
@@ -161,7 +183,7 @@ def _block_calculus(g: GroupElement, t: TruncatedOperator) -> np.ndarray:
         prod = w_blks[k:] @ prod[:-1]
     if not np.all(np.isfinite(out)):
         raise SingularResolventError(f"the Taylor coefficients of g overflow at |d| = {abs(g.d)}")
-    return out.reshape(t.matrix.shape)
+    return out
 
 
 def active_slots(m: int, max_degree: int) -> np.ndarray:
@@ -174,10 +196,25 @@ def active_slots(m: int, max_degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RepresentationMatrixResult:
-    """Matrix of U_g on degrees 0..N and the largest share of a column's norm leaked past degree N."""
+    """U_g on degrees 0..N as its component blocks, and the largest share of a column's norm leaked past degree N.
 
-    matrix: np.ndarray = field(repr=False)
+    blocks[M, N', j] is the entry of U_g from slot (j + N', j) to slot (j + M, j); the block of
+    component j is U_j = blocks[:N+1-j, :N+1-j, j], and blocks is zero outside these.
+    """
+
+    blocks: np.ndarray = field(repr=False)
     truncation_loss: float
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense read-only matrix of U_g over the slots i = n*(m+1) + j, assembled from blocks on first read."""
+        n_trunc, size = self.blocks.shape[0] - 1, self.blocks.shape[2]
+        out = np.zeros((n_trunc + 1, size, n_trunc + 1, size), dtype=complex)
+        for j in range(min(size - 1, n_trunc) + 1):
+            out[j:, j, j:, j] = self.blocks[: n_trunc + 1 - j, : n_trunc + 1 - j, j]
+        out = out.reshape((n_trunc + 1) * size, -1)
+        out.flags.writeable = False
+        return out
 
 
 def representation_matrix(
@@ -214,18 +251,16 @@ def representation_matrix(
         for col in range(n_trunc):
             series[:, col + 1] = toeplitz @ series[:, col]
         blocks = series * (norms[None, :, :] / norms[:, None, :])
-    out = np.zeros((n_trunc + 1, size, n_trunc + 1, size), dtype=complex)
-    for j in range(min(m, n_trunc) + 1):
-        out[j:, j, j:, j] = blocks[: n_trunc + 1 - j, : n_trunc + 1 - j, j]
-    out = out.reshape((n_trunc + 1) * size, -1)
-    if not (np.all(np.isfinite(norms)) and np.all(np.isfinite(out))):
+    degree = deg[:, None] + np.arange(size)  # degree[K, j] = j + K, the degree of row or column K of U_j
+    blocks = np.where((degree[:, None, :] <= n_trunc) & (degree[None, :, :] <= n_trunc), blocks, 0.0)
+    if not (np.all(np.isfinite(norms)) and np.all(np.isfinite(blocks))):
         raise OverflowError(f"U_g on degrees <= {n_trunc} leaves the float range at lam = {params.lam}")
+    blocks.flags.writeable = False
 
-    slots = active_slots(m, n_trunc)
-    rel_loss = np.sqrt(np.maximum(0.0, 1.0 - np.sum(np.abs(out[:, slots]) ** 2, axis=0)))
+    rel_loss = np.sqrt(np.maximum(0.0, 1.0 - np.sum(np.abs(blocks) ** 2, axis=0)))  # [N', j]
     # Columns at the truncation boundary always leak; only losses well inside
     # the guard band mean the truncation is too small for this group element.
-    interior = slots // size <= n_trunc - DEFAULT_GUARD_BAND
+    interior = degree <= n_trunc - DEFAULT_GUARD_BAND
     if interior.any() and float(np.max(rel_loss[interior])) > 0.1:
         warnings.warn(
             f"interior columns of U_g lost {np.max(rel_loss[interior]):.2f} of their mass "
@@ -233,7 +268,7 @@ def representation_matrix(
             TruncationLossWarning,
             stacklevel=2,
         )
-    return RepresentationMatrixResult(matrix=out, truncation_loss=float(np.max(rel_loss)))
+    return RepresentationMatrixResult(blocks=blocks, truncation_loss=float(np.max(rel_loss[degree <= n_trunc])))
 
 
 def check_homogeneity(
@@ -252,17 +287,33 @@ def check_homogeneity(
     Structurally zero slots (j > n) span nothing and are excluded: the
     literal matrix function g(T) puts b/d on their diagonal while the
     conjugated side correctly leaves them empty.
+
+    The residual is the Frobenius norm over the kept slots, summed one
+    component pair (i, j') at a time.  Component i of T U_j' is zero for
+    i < j', since every W(n) is lower triangular; for i >= j' its row M is
+    W(i+M-1)[i, j'] times row M + i - j' - 1 of U_j'.
     """
     if window is None:
         window = n_trunc - guard_band
     if not 0 <= window <= n_trunc:
         raise ValueError(f"window {window} outside 0..{n_trunc}")
     t_op = truncate(params, n_trunc)
-    keep = active_slots(params.m, window)
-    u_keep = representation_matrix(g, params, rep, n_trunc).matrix[:, keep]
-    lhs = u_keep.conj().T @ t_op.apply(u_keep)
-    rhs = mobius_calculus(g, t_op)[np.ix_(keep, keep)]
-    return float(np.linalg.norm(lhs - rhs))
+    u_blocks = representation_matrix(g, params, rep, n_trunc).blocks
+    g_of_t = _block_calculus(g, t_op)
+    kept = range(min(params.m, window) + 1)  # the components with a slot of degree <= window
+    total = 0.0
+    for i in kept:
+        u_i = u_blocks[: n_trunc + 1 - i, : window + 1 - i, i]  # all rows, kept columns
+        for jp in kept:
+            rhs = g_of_t[i : window + 1, i, jp : window + 1, jp]
+            if i < jp:
+                total += float(np.linalg.norm(rhs)) ** 2
+                continue
+            lo = 1 if i == jp else 0  # row 0 of component i would come from below degree i
+            weights = t_op.blocks[i + lo - 1 :, i, jp]  # W(i+M-1)[i, j'] for the rows M >= lo
+            t_u = weights[:, None] * u_blocks[lo + i - jp - 1 : n_trunc - jp, : window + 1 - jp, jp]
+            total += float(np.linalg.norm(u_i[lo:].conj().T @ t_u - rhs)) ** 2
+    return math.sqrt(total)
 
 
 def reproducing_coefficients(w: complex, xi: np.ndarray, params: ModelParams, n_trunc: int) -> np.ndarray:

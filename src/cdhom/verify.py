@@ -293,13 +293,13 @@ check_golden_k = _golden_check(
 
 def check_adjoint(cfg: RunConfig) -> Measurement:
     p = cfg.params()
-    t_mat = truncate(p, cfg.truncation).matrix
+    t_op = truncate(p, cfg.truncation)
     rng = np.random.default_rng(cfg.seed + 4)
     worst = 0.0
     for w in seeded_points(cfg.seed + 5, 4, 0.3):
         xi = rng.standard_normal(p.m + 1) + 1j * rng.standard_normal(p.m + 1)
         c = reproducing_coefficients(w, xi, p, cfg.truncation)
-        resid = t_mat.conj().T @ c - np.conjugate(w) * c
+        resid = t_op.apply_adjoint(c) - np.conjugate(w) * c
         worst = max(worst, float(np.linalg.norm(resid) / np.linalg.norm(c)))
     return _measured(worst, truncation=cfg.truncation)
 

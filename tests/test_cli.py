@@ -1,8 +1,16 @@
-"""Black-box CLI tests: exit codes, determinism, formats, schema, fixtures."""
+"""Black-box CLI tests: exit codes, determinism, formats, schema, fixtures.
 
+Most tests call cli.main in this process (call_cli); the few that need a
+fresh interpreter (the python -m cdhom entry point, determinism across
+processes, exit codes of the process itself) start one (run_cli).
+"""
+
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -17,9 +25,34 @@ BASE_M1 = ["--lambda", "1", "--m", "1", "--mu", "1,1"]
 
 
 def run_cli(*args, **kw):
+    """python -m cdhom with these arguments, in a new process."""
     return subprocess.run(
         [sys.executable, "-m", "cdhom", *args], capture_output=True, text=True, **kw
     )
+
+
+def call_cli(*args):
+    """cli.main(args) in this process, returned as run_cli returns a process.
+
+    stdout and stderr are captured, and SystemExit (raised by argparse) gives the exit
+    code.  Every warning is written to the captured stderr, not only its first occurrence
+    as in a new process, so the stderr assertions see all of them.
+    """
+    from cdhom.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        err.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return subprocess.CompletedProcess(["cdhom", *args], code, out.getvalue(), err.getvalue())
 
 
 def test_kernel_eval_origin_m1():
@@ -33,7 +66,7 @@ def test_kernel_eval_origin_m1():
 
 
 def test_kernel_eval_scalar_case():
-    res = run_cli("kernel-eval", "--lambda", "1", "--m", "0", "--mu", "1", "--z", "0", "--w", "0")
+    res = call_cli("kernel-eval", "--lambda", "1", "--m", "0", "--mu", "1", "--z", "0", "--w", "0")
     assert res.returncode == 0
     assert json.loads(res.stdout)["matrix"] == [[{"re": 1.0, "im": 0.0}]]
 
@@ -41,7 +74,7 @@ def test_kernel_eval_scalar_case():
 def test_kernel_eval_matches_series_oracle():
     from cdhom import ModelParams, kernel_series
 
-    res = run_cli(
+    res = call_cli(
         "kernel-eval", "--lambda", "1.6", "--m", "2", "--mu", "1,0.7,1.3",
         "--z", "0.2", "--w", "0.1j",
     )
@@ -53,7 +86,7 @@ def test_kernel_eval_matches_series_oracle():
 
 
 def test_kernel_eval_csv_format():
-    res = run_cli("kernel-eval", *BASE_M1, "--z", "0", "--w", "0", "--format", "csv")
+    res = call_cli("kernel-eval", *BASE_M1, "--z", "0", "--w", "0", "--format", "csv")
     assert res.returncode == 0
     lines = res.stdout.strip().splitlines()
     assert lines[0] == "row,col,re,im"
@@ -61,7 +94,7 @@ def test_kernel_eval_csv_format():
 
 
 def test_shift_weights_m1_value():
-    res = run_cli("shift-weights", *BASE_M1, "--nmax", "1", "--format", "csv")
+    res = call_cli("shift-weights", *BASE_M1, "--nmax", "1", "--format", "csv")
     assert res.returncode == 0
     rows = {}
     for line in res.stdout.strip().splitlines()[1:]:
@@ -72,13 +105,13 @@ def test_shift_weights_m1_value():
 
 
 def test_shift_weights_single_block():
-    res = run_cli("shift-weights", *BASE_M1, "--nmax", "0", "--format", "csv")
+    res = call_cli("shift-weights", *BASE_M1, "--nmax", "0", "--format", "csv")
     lines = res.stdout.strip().splitlines()
     assert len(lines) == 1 + 4
 
 
 def test_basis_emit_m1():
-    res = run_cli("basis-emit", *BASE_M1, "--nmax", "2", "--format", "json")
+    res = call_cli("basis-emit", *BASE_M1, "--nmax", "2", "--format", "json")
     assert res.returncode == 0
     records = json.loads(res.stdout)["coefficients"]
     lookup = {(r["n"], r["row"], r["col"]): r["value"] for r in records}
@@ -88,7 +121,7 @@ def test_basis_emit_m1():
 
 def test_verify_default_passes_and_validates(tmp_path):
     out = tmp_path / "report.json"
-    res = run_cli("verify", *BASE_M1, "--suite", "kernel", "--out", str(out))
+    res = call_cli("verify", *BASE_M1, "--suite", "kernel", "--out", str(out))
     assert res.returncode == 0
     report = json.loads(out.read_text())
     jsonschema.validate(report, SCHEMA)
@@ -98,7 +131,7 @@ def test_verify_default_passes_and_validates(tmp_path):
 
 def test_verify_full_report_schema(tmp_path):
     out = tmp_path / "report.json"
-    res = run_cli(
+    res = call_cli(
         "verify", "--lambda", "1.6", "--m", "2", "--mu", "1,0.7,1.3",
         "--suite", "shift", "--out", str(out),
     )
@@ -122,7 +155,7 @@ def test_verify_degenerate_negative(tmp_path, suite, check):
     from cdhom.verify import DEFAULT_TOLERANCES
 
     out = tmp_path / "report.json"
-    res = run_cli(
+    res = call_cli(
         "verify", "--lambda", "0.5", "--m", "1", "--mu", "1,1",
         "--allow-degenerate", "--suite", suite, "--out", str(out),
     )
@@ -149,7 +182,7 @@ def test_verify_operator_suite_passes_at_large_m(tmp_path, model):
     # The exact discrete-series U_g keeps homogeneity_rotation near 1e-13 at every m;
     # recovering U_g from samples read 3.9e-10 at m = 6 and 2.9e-7 at m = 12.
     out = tmp_path / "report.json"
-    res = run_cli("verify", *model, "--suite", "operator", "--out", str(out))
+    res = call_cli("verify", *model, "--suite", "operator", "--out", str(out))
     assert res.returncode == 0, res.stderr
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert checks["homogeneity_rotation"]["residual"] <= 1e-12
@@ -169,12 +202,12 @@ def test_exit_code_domain_error():
 
 
 def test_exit_code_config_errors():
-    assert run_cli("kernel-eval", "--lambda", "1", "--m", "1", "--mu", "bad", "--z", "0", "--w", "0").returncode == 3
-    assert run_cli("verify", "--lambda", "0.5", "--m", "1", "--mu", "1,1").returncode == 3
-    assert run_cli("nonsense").returncode == 3
-    assert run_cli("verify", *BASE_M1, "--tol", "nosuchcheck=1").returncode == 3
+    assert call_cli("kernel-eval", "--lambda", "1", "--m", "1", "--mu", "bad", "--z", "0", "--w", "0").returncode == 3
+    assert call_cli("verify", "--lambda", "0.5", "--m", "1", "--mu", "1,1").returncode == 3
+    assert call_cli("nonsense").returncode == 3
+    assert call_cli("verify", *BASE_M1, "--tol", "nosuchcheck=1").returncode == 3
     for lam, mu in (("1", "1,inf"), ("1", "1,nan"), ("inf", "1,1")):
-        res = run_cli("kernel-eval", "--lambda", lam, "--m", "1", "--mu", mu, "--z", "0", "--w", "0")
+        res = call_cli("kernel-eval", "--lambda", lam, "--m", "1", "--mu", mu, "--z", "0", "--w", "0")
         assert res.returncode == 3, (lam, mu)
         assert "config error" in res.stderr
 
@@ -200,7 +233,7 @@ def _overflow_cases():
 
 @pytest.mark.parametrize("command, extra", _overflow_cases())
 def test_exit_code_overflowing_parameters(command, extra):
-    res = run_cli(command, *extra)
+    res = call_cli(command, *extra)
     assert res.returncode == 3, res.stderr
     assert res.stderr.startswith("config error") and "Traceback" not in res.stderr
     assert "RuntimeWarning" not in res.stderr
@@ -211,7 +244,7 @@ def test_shift_weights_at_huge_lambda_match_mpmath():
     # G(3) overflows at lam = 1e300, but no weight W(n), n <= 2, leaves the float range.
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 400  # G(n+1)^-1 G(n) cancels about 300 digits here
-    res = run_cli("shift-weights", "--lambda", "1e300", "--m", "1", "--mu", "1,0.5", "--nmax", "2")
+    res = call_cli("shift-weights", "--lambda", "1e300", "--m", "1", "--mu", "1,0.5", "--nmax", "2")
     assert res.returncode == 0, res.stderr
     got = {(r["n"], r["row"], r["col"]): r["value"] for r in json.loads(res.stdout)["weights"]}
     assert len(got) == 12
@@ -244,7 +277,7 @@ def test_shift_weights_at_huge_lambda_match_mpmath():
 
 def test_verify_kernel_suite_at_high_truncation(tmp_path):
     out = tmp_path / "report.json"
-    res = run_cli(
+    res = call_cli(
         "verify", "--lambda", "1.6", "--m", "2", "--mu", "1,0.7,1.3",
         "--truncation", "200", "--suite", "kernel", "--out", str(out),
     )
@@ -255,7 +288,7 @@ def test_verify_kernel_suite_at_high_truncation(tmp_path):
 
 
 def test_fixtures_regeneration_is_stable(tmp_path):
-    res = run_cli("fixtures", "--out", str(tmp_path))
+    res = call_cli("fixtures", "--out", str(tmp_path))
     assert res.returncode == 0
     for name in ("g2", "w2", "k2", "g3", "w3", "k3"):
         fresh = (tmp_path / f"{name}.json").read_bytes()

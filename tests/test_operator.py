@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,14 +167,22 @@ def test_truncate_block_structure():
 @pytest.mark.parametrize("m, lam", [(1, 1.0), (6, 3.7)])
 @pytest.mark.parametrize("n_trunc", [20, 80])
 def test_truncated_apply_matches_dense_product(m, lam, n_trunc):
-    # The block form of T U in check_homogeneity against the dense product.
+    # The block forms of T u and T^* c against the dense products.
     p, rep = make(lam, m)
     t_op = truncate(p, n_trunc)
     keep = active_slots(m, n_trunc - 5)
+    rng = np.random.default_rng(m + n_trunc)
+    dim = t_op.matrix.shape[0]
     for u in (representation_matrix(exp_basis(X1, 0.05), p, rep, n_trunc).matrix[:, keep],
-              np.random.default_rng(m + n_trunc).standard_normal((t_op.matrix.shape[0], 7))):
+              rng.standard_normal((dim, 7))):
         ref = t_op.matrix @ u
         got = t_op.apply(u)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    coefs = reproducing_coefficients(0.2 - 0.1j, rng.standard_normal(m + 1), p, n_trunc)
+    for c in (coefs, rng.standard_normal(dim) + 1j * rng.standard_normal(dim), rng.standard_normal((dim, 3))):
+        ref = t_op.matrix.conj().T @ c
+        got = t_op.apply_adjoint(c)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     assert all(np.array_equal(t_op.blocks[n], shift_block(n, p)) for n in range(n_trunc))
@@ -380,6 +389,57 @@ def test_truncation_loss_is_the_exact_leak():
     assert representation_matrix(g, p, rep, 40).truncation_loss == pytest.approx(np.max(leak), abs=1e-7)
 
 
+@pytest.mark.parametrize("m, lam, g, n_trunc", [
+    (1, 1.0, exp_basis(X1, 1.2), 8),  # warns: interior columns leak most of their mass
+    (1, 1.0, exp_basis(X1, 0.1), 20),
+    (2, 1.6, exp_basis(Y, -0.3), 12),
+    (6, 3.7, exp_basis(X1, 0.1), 40),
+    (6, 3.7, GroupElement.rotation(0.3), 4),  # m > N: components 5 and 6 have no slot
+])
+def test_truncation_loss_matches_dense_columns(m, lam, g, n_trunc):
+    # truncation_loss and the warning rule from the component blocks against the dense columns.
+    from cdhom import TruncationLossWarning
+
+    p, rep = make(lam, m)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = representation_matrix(g, p, rep, n_trunc)
+    slots = active_slots(m, n_trunc)
+    leak2 = np.maximum(0.0, 1.0 - np.sum(np.abs(res.matrix[:, slots]) ** 2, axis=0))  # squared leak per column
+    interior = np.sqrt(leak2[slots // (m + 1) <= n_trunc - 5])
+    assert abs(res.truncation_loss**2 - np.max(leak2)) <= 1e-14
+    messages = [str(w.message) for w in caught if w.category is TruncationLossWarning]
+    if interior.size and np.max(interior) > 0.1:
+        assert messages == [f"interior columns of U_g lost {np.max(interior):.2f} of their mass "
+                            f"past degree {n_trunc}; increase the truncation for this group element"]
+    else:
+        assert messages == []
+
+
+def test_dense_matrices_are_read_only_and_keep_the_slot_layout():
+    import dataclasses
+
+    p, rep = make(*REF_M6)
+    n_trunc, size = 9, 7
+    t_op = truncate(p, n_trunc)
+    res = representation_matrix(exp_basis(X1, 0.2) @ GroupElement.rotation(0.4), p, rep, n_trunc)
+    for obj in (t_op, res):
+        assert obj.matrix is obj.matrix  # assembled once
+        assert not obj.matrix.flags.writeable and not obj.blocks.flags.writeable
+        with pytest.raises(ValueError):
+            obj.matrix[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.matrix = np.zeros(1)
+    # U_g: entry [(j+M, j), (j+N', j)] is blocks[M, N', j]; everything else is zero, in blocks too.
+    dense = res.matrix.reshape(n_trunc + 1, size, n_trunc + 1, size).copy()
+    for j in range(size):
+        top = n_trunc + 1 - j
+        assert np.array_equal(dense[j:, j, j:, j], res.blocks[:top, :top, j])
+        assert not np.any(res.blocks[top:, :, j]) and not np.any(res.blocks[:, top:, j])
+        dense[j:, j, j:, j] = 0.0
+    assert not np.any(dense)
+
+
 def test_representation_typed_errors():
     # 2*lam <= m has no normalization; at lam = 1e300 sqrt((2 lam)_K / K!) leaves the float range.
     degenerate = ModelParams(lam=0.5, m=1, mu=(1.0, 1.0), allow_degenerate=True)
@@ -472,6 +532,46 @@ def test_homogeneity_interior_block():
 def test_homogeneity_other_directions_and_m():
     p, rep = make(1.6, 2, (1.0, 0.7, 1.3))
     assert check_homogeneity(exp_basis(Y, 0.05), p, rep, 40) <= 1e-4
+
+
+def _dense_homogeneity(g, p, rep, n_trunc, window):
+    """U^* T U - g(T) on the slots of degree <= window, from the dense matrices: the oracle of the block form."""
+    t_op = truncate(p, n_trunc)
+    keep = active_slots(p.m, window)
+    u_keep = representation_matrix(g, p, rep, n_trunc).matrix[:, keep]
+    g_keep = mobius_calculus(g, t_op)[np.ix_(keep, keep)]
+    return u_keep.conj().T @ (t_op.matrix @ u_keep) - g_keep, g_keep
+
+
+@pytest.mark.parametrize("m, lam", [(0, 0.8), (1, 1.0), (2, 1.6), (6, 3.7)])
+@pytest.mark.parametrize("n_trunc", [10, 40, 80])
+def test_homogeneity_matches_dense_oracle(m, lam, n_trunc):
+    # The component-pair residual against the dense U^* T U - g(T); the window m // 2 < m
+    # leaves the components above it without a kept slot.
+    p, rep = make(lam, m, tuple(1.0 + 0.1 * j for j in range(m + 1)))
+    windows = [n_trunc - 5] + ([m // 2] if m >= 2 else [])
+    for g in (GroupElement.rotation(0.3), exp_basis(X1, 0.05), exp_basis(Y, -0.05)):
+        for window in windows:
+            diff, g_keep = _dense_homogeneity(g, p, rep, n_trunc, window)
+            got = check_homogeneity(g, p, rep, n_trunc, window=window)
+            assert abs(got - np.linalg.norm(diff)) <= 1e-12 * max(1.0, np.linalg.norm(g_keep)), (g, window)
+
+
+def test_homogeneity_assembles_no_dense_matrix(monkeypatch):
+    from cdhom.operator import RepresentationMatrixResult, TruncatedOperator
+
+    def refuse(self):
+        raise AssertionError("a dense matrix was assembled")
+
+    p, rep = make(*REF_M6)
+    expected = check_homogeneity(exp_basis(X1, 0.05), p, rep, 40)
+    monkeypatch.setattr(TruncatedOperator, "matrix", property(refuse))
+    monkeypatch.setattr(RepresentationMatrixResult, "matrix", property(refuse))
+    assert check_homogeneity(exp_basis(X1, 0.05), p, rep, 40) == expected
+    t_op = truncate(p, 12)
+    t_op.apply(np.ones((13 * 7, 2)))
+    t_op.apply_adjoint(np.ones(13 * 7))
+    mobius_calculus(exp_basis(Y, 0.1), t_op)
 
 
 def test_homogeneity_monotone_fixed_window():
