@@ -6,13 +6,14 @@ error (including parameters so large that a computed value overflows).
 Output is JSON (schema under cdhom/schemas/) or flat CSV, with complex
 numbers serialized as {"re": ..., "im": ...}; identical config and seed
 produce byte-identical output.  The shift-weights and basis-emit tables
-are written from one record template, byte-identical to
+are written in one bulk pass over their entries, byte-identical to
 json.dumps(payload, indent=2, sort_keys=True) of the same records.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -139,25 +140,52 @@ def cmd_kernel_eval(args) -> int:
     return EXIT_OK
 
 
-# One table record exactly as json.dumps(..., indent=2, sort_keys=True) lays it out.
-_RECORD_JSON = '    {{\n      "col": {},\n      "n": {},\n      "row": {},\n      "value": {!r}\n    }}'
+# A table entry [n, row, col] is written as head(row, col) + str(n) + mid(row, col) + repr(value).
+_JSON_HEAD = '    {{\n      "col": {col},\n      "n": '
+_JSON_MID = ',\n      "row": {row},\n      "value": '
+_JSON_SEPARATOR = "\n    },\n"  # closes one record before the next opens
 _RECORDS_SLOT = "@records@"
+
+
+def _table_records(table: np.ndarray, head: str, mid: str, separator: str = "") -> str:
+    """Every entry [n, row, col] of table, in C order, as head + str(n) + mid + repr(value), joined by separator.
+
+    head and mid are filled with row and col once per cell of a block, str(n)
+    is made once per degree and the values go through repr (float.__repr__,
+    as json writes them); the fragments are interleaved in one list and
+    joined once.
+    """
+    count, rows, cols = table.shape
+    cells = list(itertools.product(range(rows), range(cols)))
+    parts = [""] * (4 * table.size)
+    parts[0::4] = [separator + head.format(row=row, col=col) for row, col in cells] * count
+    parts[1::4] = itertools.chain.from_iterable(itertools.repeat(str(n), len(cells)) for n in range(count))
+    parts[2::4] = [mid.format(row=row, col=col) for row, col in cells] * count
+    parts[3::4] = map(repr, table.ravel().tolist())
+    if parts:
+        parts[0] = parts[0].removeprefix(separator)
+    return "".join(parts)
 
 
 def _table_json(config: dict, key: str, table: np.ndarray) -> str:
     """The table as json.dumps(payload, indent=2, sort_keys=True) writes it, byte for byte.
 
-    json formats floats with float.__repr__ and ints with int.__repr__, so
-    the records are filled into one fixed template; the rest of the
-    payload still goes through json, with a placeholder string where the
-    records belong.
+    json formats floats with float.__repr__ and ints with int.__repr__, and
+    sorts the record keys col, n, row, value, so the records are written in
+    bulk by _table_records; the rest of the payload still goes through
+    json, with a placeholder string where the records belong.
     """
-    records = ",\n".join(
-        _RECORD_JSON.format(col, n, row, value)
-        for (n, row, col), value in zip(np.ndindex(table.shape), table.ravel().tolist())
-    )
     text = json.dumps({"config": config, key: _RECORDS_SLOT}, indent=2, sort_keys=True)
-    return text.replace(json.dumps(_RECORDS_SLOT), f"[\n{records}\n  ]" if records else "[]")
+    before, _, after = text.partition(json.dumps(_RECORDS_SLOT))
+    if not table.size:
+        return f"{before}[]{after}"
+    records = _table_records(table, _JSON_HEAD, _JSON_MID, _JSON_SEPARATOR)
+    return "".join((before, "[\n", records, "\n    }\n  ]", after))
+
+
+def _table_csv(table: np.ndarray) -> str:
+    """The table as CSV lines n,row,col,value under a header, values written with float.__repr__."""
+    return "n,row,col,value" + _table_records(table, "\n", ",{row},{col},") + "\n"  # each record opens a line
 
 
 def _table_command(table, key: str):
@@ -171,9 +199,7 @@ def _table_command(table, key: str):
             config = {"lambda": cfg.lam, "m": cfg.m, "mu": list(cfg.mu)}
             _emit(_table_json(config, key, values), args.out)
         else:
-            cells = zip(np.ndindex(values.shape), values.ravel().tolist())
-            lines = ["n,row,col,value"] + [f"{n},{row},{col},{value!r}" for (n, row, col), value in cells]
-            _emit("\n".join(lines) + "\n", args.out)
+            _emit(_table_csv(values), args.out)
         return EXIT_OK
 
     return command

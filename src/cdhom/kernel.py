@@ -246,10 +246,15 @@ def _hermitian_sqrt(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormalizationReport:
-    """Constancy check of the normalized kernel along the second slot at 0."""
+    """Constancy check of the normalized kernel along the second slot at 0.
+
+    cond_k_z0 is the largest condition number of K(z, 0) over the grid, the
+    matrix that phi(z) inverts.
+    """
 
     residual: float
     phi0: np.ndarray = field(repr=False)
+    cond_k_z0: float
 
 
 def normalize_kernel(params: ModelParams, grid: SampleGrid | None = None) -> NormalizationReport:
@@ -258,7 +263,7 @@ def normalize_kernel(params: ModelParams, grid: SampleGrid | None = None) -> Nor
     The transformed kernel Ktilde(z, w) = phi(z) K(z, w) phi(w)^* has
     Ktilde(z, 0) constant in z; the report carries the max deviation of
     phi(z) K(z, 0) phi(0)^* from its value at z = 0 over the grid, along
-    with phi(0) = K(0,0)^(-1/2).
+    with phi(0) = K(0,0)^(-1/2) and the worst cond K(z, 0) over the grid.
     """
     if grid is None:
         grid = default_grid()
@@ -266,9 +271,12 @@ def normalize_kernel(params: ModelParams, grid: SampleGrid | None = None) -> Nor
     root = _hermitian_sqrt(k00)
     phi0 = root @ np.linalg.inv(k00)
 
+    conds = []
+
     def phi(z: complex) -> np.ndarray:
         kz0 = kernel_full(z, 0.0, params)
-        if np.linalg.cond(kz0) > 1e13:
+        conds.append(float(np.linalg.cond(kz0)))
+        if conds[-1] > 1e13:
             raise SingularKernelColumnError(f"K(z, 0) numerically singular at z = {z}")
         return root @ np.linalg.inv(kz0)
 
@@ -277,4 +285,4 @@ def normalize_kernel(params: ModelParams, grid: SampleGrid | None = None) -> Nor
     for z in grid.points:
         val = phi(z) @ kernel_full(z, 0.0, params) @ phi0.conj().T
         residual = max(residual, float(np.linalg.norm(val - constant)))
-    return NormalizationReport(residual=residual, phi0=phi0)
+    return NormalizationReport(residual=residual, phi0=phi0, cond_k_z0=max(conds, default=1.0))

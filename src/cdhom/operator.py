@@ -163,23 +163,26 @@ def mobius_calculus(g: GroupElement, t) -> np.ndarray:
     return np.linalg.solve(resolvent, g.a * mat + g.b * eye)
 
 
-def _block_calculus(g: GroupElement, t: TruncatedOperator) -> np.ndarray:
-    """g(T) as the array out[n, :, n', :] of its degree blocks (n, n')."""
+def _block_calculus(g: GroupElement, t: TruncatedOperator, max_degree: int | None = None) -> np.ndarray:
+    """g(T) as the array out[n, :, n', :] of its degree blocks (n, n'), n, n' <= max_degree (default N).
+
+    Block (n, n') reads only W(n')..W(n-1), so stopping at max_degree changes no kept block.
+    """
     if g.d == 0:
         raise SingularResolventError("d = 0: c*T + d*I is nilpotent, hence singular")
-    n_trunc, size = t.n_trunc, t.params.m + 1
-    w_blks = t.blocks  # w_blks[n] = W(n)
+    top, size = t.n_trunc if max_degree is None else max_degree, t.params.m + 1
+    w_blks = t.blocks[:top]  # w_blks[n] = W(n)
     with np.errstate(all="ignore"):  # overflow surfaces as a non-finite result below
         d = np.complex128(g.d)
-        ratios = np.full(n_trunc, -g.c / d)
-        ratios[0] = 1.0
+        ratios = np.full(top, -g.c / d)
+        ratios[:1] = 1.0
         coefs = (g.a * g.d - g.b * g.c) / d**2 * np.cumprod(ratios)  # coefs[k-1] multiplies T^k
         constant = g.b / d
-    out = np.zeros((n_trunc + 1, size, n_trunc + 1, size), dtype=complex)
-    out[np.arange(n_trunc + 1), :, np.arange(n_trunc + 1), :] = constant * np.eye(size)
+    out = np.zeros((top + 1, size, top + 1, size), dtype=complex)
+    out[np.arange(top + 1), :, np.arange(top + 1), :] = constant * np.eye(size)
     prod = w_blks  # prod[n] = W(n+k-1)...W(n), block (n+k, n) of T^k
-    for k in range(1, n_trunc + 1):
-        out[np.arange(k, n_trunc + 1), :, np.arange(n_trunc + 1 - k), :] = coefs[k - 1] * prod
+    for k in range(1, top + 1):
+        out[np.arange(k, top + 1), :, np.arange(top + 1 - k), :] = coefs[k - 1] * prod
         prod = w_blks[k:] @ prod[:-1]
     if not np.all(np.isfinite(out)):
         raise SingularResolventError(f"the Taylor coefficients of g overflow at |d| = {abs(g.d)}")
@@ -299,7 +302,7 @@ def check_homogeneity(
         raise ValueError(f"window {window} outside 0..{n_trunc}")
     t_op = truncate(params, n_trunc)
     u_blocks = representation_matrix(g, params, rep, n_trunc).blocks
-    g_of_t = _block_calculus(g, t_op)
+    g_of_t = _block_calculus(g, t_op, window)  # only the blocks of degree <= window are compared
     kept = range(min(params.m, window) + 1)  # the components with a slot of degree <= window
     total = 0.0
     for i in kept:

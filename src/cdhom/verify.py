@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import platform
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ from .kernel import (
 )
 from .mobius import X0, X1, Y, GroupElement, exp_basis
 from .operator import (
-    active_slots,
     check_homogeneity,
     mobius_calculus,
     representation_matrix,
@@ -111,8 +111,6 @@ class VerificationReport:
     passed: bool
 
     def to_json(self) -> str:
-        import math
-
         payload = {
             "config": self.config,
             "environment": self.environment,
@@ -189,11 +187,13 @@ def check_hermitian_symmetry(cfg: RunConfig) -> Measurement:
 
 
 def check_kernel_oracle(cfg: RunConfig) -> Measurement:
+    """max |series - K| over grid pairs, relative to max(1, max |K|) over them."""
     p, pts = cfg.params(), cfg.grid().points
     grid = np.array(pts)
     series = kernel_series(grid[:, None], grid[None, :], p, cfg.truncation)
     full = np.array([[kernel_full(z, w, p) for w in pts] for z in pts])
-    return _measured(float(np.max(np.abs(series - full))), truncation=cfg.truncation)
+    scale = max(1.0, float(np.max(np.abs(full))))
+    return _measured(float(np.max(np.abs(series - full))) / scale, truncation=cfg.truncation, scale=scale)
 
 
 def check_pd(cfg: RunConfig) -> Measurement:
@@ -217,7 +217,8 @@ def check_qi(cfg: RunConfig) -> Measurement:
 
 
 def check_normalization(cfg: RunConfig) -> Measurement:
-    return _measured(normalize_kernel(cfg.params(), cfg.grid()).residual)
+    report = normalize_kernel(cfg.params(), cfg.grid())
+    return _measured(report.residual, cond_k_z0=report.cond_k_z0)
 
 
 def check_monotone_truncation(cfg: RunConfig) -> Measurement:
@@ -475,16 +476,23 @@ def check_homog_monotone(cfg: RunConfig) -> Measurement:
 
 
 def check_unitarity(cfg: RunConfig) -> Measurement:
+    """Frobenius norm of U^*U - I on the slots of degree <= N - guard, one component U_j at a time.
+
+    U_g is block diagonal in j, so U^*U is too: its block j is U_j^*U_j, and the slots of
+    component j with degree <= N - guard are the columns K <= N - guard - j of U_j.
+    """
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     n_trunc, guard = 40, 10
-    keep = active_slots(p.m, n_trunc - guard)
+    window = n_trunc - guard
     worst, loss = 0.0, 0.0
     for g in (GroupElement.rotation(0.3), exp_basis(X1, 0.1), exp_basis(Y, -0.1)):
         res = representation_matrix(g, p, rep, n_trunc)
-        u = res.matrix
-        gram = (u.conj().T @ u - np.eye(u.shape[0]))[np.ix_(keep, keep)]
-        worst = max(worst, float(np.linalg.norm(gram)))
+        total = 0.0
+        for j in range(min(p.m, window) + 1):
+            u_j = res.blocks[: n_trunc + 1 - j, : window + 1 - j, j]
+            total += float(np.linalg.norm(u_j.conj().T @ u_j - np.eye(window + 1 - j))) ** 2
+        worst = max(worst, math.sqrt(total))
         loss = max(loss, res.truncation_loss)
     return _measured(worst, truncation=n_trunc, guard_band=guard, truncation_loss=loss)
 

@@ -127,6 +127,14 @@ def test_verify_default_passes_and_validates(tmp_path):
     jsonschema.validate(report, SCHEMA)
     assert report["passed"] is True
     assert all(c["passed"] for c in report["checks"])
+    # cond_k_z0 is an optional number >= 1 on the normalization record.
+    (record,) = [c for c in report["checks"] if c["name"] == "normalization"]
+    assert record["parameters"]["cond_k_z0"] >= 1.0
+    record["parameters"]["cond_k_z0"] = 0.5
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, SCHEMA)
+    del record["parameters"]["cond_k_z0"]
+    jsonschema.validate(report, SCHEMA)
 
 
 def test_verify_full_report_schema(tmp_path):
@@ -299,14 +307,14 @@ def test_fixtures_regeneration_is_stable(tmp_path):
 @pytest.mark.parametrize("m", [0, 1, 2, 6])
 @pytest.mark.parametrize("command, key", [("shift-weights", "weights"), ("basis-emit", "coefficients")])
 def test_table_writer_matches_json_dumps(tmp_path, command, key, m):
-    # The template writer against the json encoder over the per-record dicts it replaced.
+    # The bulk writer against the json encoder over the per-record dicts it replaced; nmax = -1 is the empty table.
     from cdhom import ModelParams, g_matrix, shift_block
     from cdhom.cli import main
 
     lam, mu = m / 2.0 + 0.85, [1.0 + 0.1 * j for j in range(m + 1)]
     block = shift_block if command == "shift-weights" else g_matrix
     p = ModelParams(lam=lam, m=m, mu=tuple(mu))
-    for nmax in (0, 1, 3, 40):
+    for nmax in (-1, 0, 1, 3, 40):
         out = tmp_path / f"{command}-{m}-{nmax}.json"
         argv = [command, "--lambda", repr(lam), "--m", str(m), "--mu", ",".join(map(repr, mu)), "--nmax", str(nmax)]
         assert main(argv + ["--out", str(out)]) == 0
@@ -318,3 +326,45 @@ def test_table_writer_matches_json_dumps(tmp_path, command, key, m):
         ]
         payload = {"config": {"lambda": lam, "m": m, "mu": mu}, key: records}
         assert out.read_bytes() == json.dumps(payload, indent=2, sort_keys=True).encode(), (nmax, m)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 6])
+@pytest.mark.parametrize("command", ["shift-weights", "basis-emit"])
+def test_table_csv_matches_per_record_layout(tmp_path, command, m):
+    # The bulk writer against one f"{n},{row},{col},{value!r}" line per entry under the header.
+    from cdhom import ModelParams, g_matrix, shift_block
+    from cdhom.cli import main
+
+    lam, mu = m / 2.0 + 0.85, [1.0 + 0.1 * j for j in range(m + 1)]
+    block = shift_block if command == "shift-weights" else g_matrix
+    p = ModelParams(lam=lam, m=m, mu=tuple(mu))
+    for nmax in (-1, 0, 1, 3, 40):
+        out = tmp_path / f"{command}-{m}-{nmax}.csv"
+        argv = [command, "--lambda", repr(lam), "--m", str(m), "--mu", ",".join(map(repr, mu)), "--nmax", str(nmax)]
+        assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
+        lines = ["n,row,col,value"] + [
+            f"{n},{row},{col},{float(block(n, p)[row, col])!r}"
+            for n in range(nmax + 1)
+            for row in range(m + 1)
+            for col in range(m + 1)
+        ]
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode(), (nmax, m)
+
+
+def test_table_writer_edge_floats_match_json_dumps():
+    # Signed zero, the smallest subnormal, and the floats whose repr switches to exponent form or rounds.
+    from cdhom.cli import _table_csv, _table_json
+
+    table = np.array([
+        [[-0.0, 5e-324, 1e16], [1e22, 0.1, -1e-7]],
+        [[1e15, 123456789.125, -2.5e-308], [0.0, 1.0, -1e16]],
+    ])
+    config = {"lambda": 1.0, "m": 1, "mu": [1.0, 1.0]}
+    records = [
+        {"n": n, "row": row, "col": col, "value": float(table[n, row, col])} for n, row, col in np.ndindex(table.shape)
+    ]
+    payload = {"config": config, "weights": records}
+    assert _table_json(config, "weights", table) == json.dumps(payload, indent=2, sort_keys=True)
+    lines = ["n,row,col,value"] + [f"{r['n']},{r['row']},{r['col']},{r['value']!r}" for r in records]
+    assert _table_csv(table) == "\n".join(lines) + "\n"
+    assert "-0.0" in _table_json(config, "weights", table) and "5e-324" in _table_csv(table)

@@ -477,6 +477,29 @@ def test_representation_unitary_on_interior():
         assert np.linalg.norm(gram) <= 1e-6
 
 
+@pytest.mark.parametrize("m, lam", [(0, 0.8), (1, 1.0), (2, 1.6), (6, 3.7)])
+def test_unitarity_check_matches_the_dense_gram(monkeypatch, m, lam):
+    # The per-component U_j^*U_j - I against the dense (U^*U - I) on the kept slots, without a dense U.
+    from cdhom.operator import RepresentationMatrixResult
+
+    p, rep = make(lam, m, tuple(1.0 + 0.1 * j for j in range(m + 1)))
+    n_trunc, guard = 40, 10
+    keep = active_slots(m, n_trunc - guard)
+    dense = 0.0
+    for g in (GroupElement.rotation(0.3), exp_basis(X1, 0.1), exp_basis(Y, -0.1)):
+        u = representation_matrix(g, p, rep, n_trunc).matrix
+        dense = max(dense, float(np.linalg.norm((u.conj().T @ u - np.eye(u.shape[0]))[np.ix_(keep, keep)])))
+
+    def refuse(self):
+        raise AssertionError("a dense matrix was assembled")
+
+    monkeypatch.setattr(RepresentationMatrixResult, "matrix", property(refuse))
+    cfg = RunConfig(lam=lam, m=m, mu=p.mu)
+    residual, _, _ = check_unitarity(cfg)
+    assert abs(residual - dense) <= 1e-14, (residual, dense)
+    assert residual <= cfg.tolerance("representation_unitarity")
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="with a 5-degree guard band the mass of U_g beyond the truncation "
@@ -572,6 +595,24 @@ def test_homogeneity_assembles_no_dense_matrix(monkeypatch):
     t_op.apply(np.ones((13 * 7, 2)))
     t_op.apply_adjoint(np.ones(13 * 7))
     mobius_calculus(exp_basis(Y, 0.1), t_op)
+
+
+def test_homogeneity_calculus_stops_at_the_window(monkeypatch):
+    # g(T) up to the window is the full g(T) sliced, bit for bit, so the residual does not move.
+    from cdhom import operator
+
+    p, rep = make(4.0, 6)
+    n_trunc, window = 80, 75
+    t_op = truncate(p, n_trunc)
+    full_calculus = operator._block_calculus
+    for g in (GroupElement.rotation(0.3), exp_basis(X1, 0.05)):
+        kept = full_calculus(g, t_op, window)
+        assert kept.shape == (window + 1, 7, window + 1, 7)
+        assert np.array_equal(kept, full_calculus(g, t_op)[: window + 1, :, : window + 1, :])
+        windowed = check_homogeneity(g, p, rep, n_trunc)
+        with monkeypatch.context() as patch:
+            patch.setattr(operator, "_block_calculus", lambda g, t, max_degree=None: full_calculus(g, t))
+            assert check_homogeneity(g, p, rep, n_trunc) == windowed
 
 
 def test_homogeneity_monotone_fixed_window():

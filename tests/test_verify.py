@@ -4,13 +4,15 @@ from collections import Counter
 
 import numpy as np
 
-from cdhom.kernel import kernel_full
+from cdhom.kernel import kernel_full, kernel_series
 from cdhom.verify import (
     CHECKS,
     DEFAULT_TOLERANCES,
     RunConfig,
     check_hermitian_symmetry,
+    check_kernel_oracle,
     check_monotone_truncation,
+    check_normalization,
     seeded_points,
 )
 
@@ -50,3 +52,37 @@ def test_kernel_symmetry_checks_are_relative_to_the_kernel_scale():
     residual, parameters, _ = check_monotone_truncation(cfg)
     assert parameters["scale"] == scale(zip(seeded, seeded[::-1])) > 1.0
     assert residual <= cfg.tolerance("monotone_truncation")
+
+
+def _oracle_deviation(cfg):
+    p, pts = cfg.params(), cfg.grid().points
+    grid = np.array(pts)
+    series = kernel_series(grid[:, None], grid[None, :], p, cfg.truncation)
+    full = np.array([[kernel_full(z, w, p) for w in pts] for z in pts])
+    return float(np.max(np.abs(series - full))), max(1.0, float(np.max(np.abs(full))))
+
+
+def test_kernel_oracle_is_relative_to_the_kernel_scale():
+    # |K| > 1 on the grid: the deviation is divided by max |K| over the pairs compared.
+    cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
+    deviation, scale = _oracle_deviation(cfg)
+    residual, parameters, _ = check_kernel_oracle(cfg)
+    assert parameters == {"truncation": cfg.truncation, "scale": scale} and scale > 1.0
+    assert residual == deviation / scale <= cfg.tolerance("kernel_oracle")
+    # |K| <= 1 on the grid (mu_0^2 / (1 - r^2)^(2 lam) < 0.45): the residual is the absolute deviation.
+    cfg = RunConfig(lam=1.0, m=0, mu=(0.5,))
+    deviation, scale = _oracle_deviation(cfg)
+    residual, parameters, _ = check_kernel_oracle(cfg)
+    assert parameters["scale"] == scale == 1.0
+    assert residual == deviation
+
+
+def test_normalization_records_the_worst_condition_of_k_z0():
+    cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
+    p = cfg.params()
+    conds = [float(np.linalg.cond(kernel_full(z, 0.0, p))) for z in cfg.grid().points]
+    residual, parameters, _ = check_normalization(cfg)
+    assert parameters == {"cond_k_z0": max(conds)} and max(conds) > 1.0
+    assert residual <= cfg.tolerance("normalization")
+    _, parameters, _ = check_normalization(RunConfig(lam=1.0, m=0, mu=(1.0,)))
+    assert parameters["cond_k_z0"] == 1.0  # a 1x1 K(z, 0)
