@@ -14,9 +14,9 @@ with s = z*conj(w), not through a series.  The independent oracle
 kernel_series sums the orthonormal-basis outer products instead, with
 basis values from `basis.basis_values`: it shares the coefficients G(n)
 with the rest of the package but no code with the derivative formula.
-kernel_series takes scalar points or broadcastable point arrays: one
-coefficient table serves every point, and all pairs are contracted at
-once, giving shape broadcast(z, w).shape + (m+1, m+1).
+kernel_series takes scalar points or broadcastable point arrays; it sums
+a few degrees at a time from basis values at the distinct points, so its
+working set is O(pairs (m+1) max(m+1, 32) + points N (m+1)^2).
 """
 
 from __future__ import annotations
@@ -135,21 +135,14 @@ def kernel_full(z: complex, w: complex, params: ModelParams) -> np.ndarray:
 
 
 def _series_factors(z, w, params: ModelParams, n_trunc: int):
-    """Broadcast shape of (z, w), basis values [s, n, l, j] at the flattened z and conjugated ones at w."""
+    """Broadcast shape; basis values [point, l, slot] at the distinct z, the point of each pair; the same at conj(w)."""
     zs, ws = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
     _require_disc(*zs.flat, *ws.flat)
-    m = params.m
-    slots = np.arange((n_trunc + 1) * (m + 1))
-
-    def values(points):
-        # Broadcast grids repeat each point many times: evaluate the distinct ones, then index.
-        distinct, which = np.unique(points, return_inverse=True)
-        vals = basis_values(distinct, slots, params).reshape(-1, m + 1, n_trunc + 1, m + 1)
-        # Contiguous, so einsum sums in the same order whatever the point layout.
-        return np.ascontiguousarray(vals.transpose(0, 2, 1, 3))[which.reshape(-1)]
-
+    slots = np.arange((n_trunc + 1) * (params.m + 1))
+    # Broadcast grids repeat each point many times, so only the distinct ones are evaluated.
     # G(n) is real, so e(w)^* is e evaluated at conj(w).
-    return zs.shape, values(zs), values(ws.conj())
+    (dz, iz), (dw, iw) = (np.unique(points, return_inverse=True) for points in (zs, ws.conj()))
+    return zs.shape, basis_values(dz, slots, params), iz.reshape(-1), basis_values(dw, slots, params), iw.reshape(-1)
 
 
 def kernel_series(z, w, params: ModelParams, n_trunc: int = DEFAULT_TRUNCATION) -> np.ndarray:
@@ -159,10 +152,16 @@ def kernel_series(z, w, params: ModelParams, n_trunc: int = DEFAULT_TRUNCATION) 
     basis coefficients G(n), not through the derivative formula.  z and w
     are points or broadcastable point arrays; the result has shape
     broadcast(z, w).shape + (m+1, m+1), so a scalar pair gives one
-    (m+1) x (m+1) matrix.
+    (m+1) x (m+1) matrix.  Each batched product per pair sums 32 // (m+1)
+    degrees (at least one), so the working set is O(pairs (m+1) max(m+1, 32)
+    + points N (m+1)^2), not O(pairs N (m+1)^2).
     """
-    shape, vz, vw = _series_factors(z, w, params, n_trunc)
-    out = np.einsum("snlj,snpj->slp", vz, vw)
+    shape, vz, iz, vw, iw = _series_factors(z, w, params, n_trunc)
+    size = params.m + 1
+    step = size * max(1, 32 // size)  # whole degrees per product
+    out = np.zeros((len(iz), size, size), dtype=complex)
+    for lo in range(0, vz.shape[2], step):
+        out += vz[:, :, lo : lo + step][iz] @ vw[:, :, lo : lo + step][iw].transpose(0, 2, 1)
     return out.reshape(shape + out.shape[1:])
 
 
@@ -173,12 +172,18 @@ def kernel_series_partial_sums(z, w, params: ModelParams, n_trunc: int) -> np.nd
     time in the order (n, j), so consecutive truncations share their prefix
     exactly as a sequential sum does, and a term below half an ulp of the
     sum leaves it unchanged.  The result has shape
-    broadcast(z, w).shape + (n_trunc+1, m+1, m+1).
+    broadcast(z, w).shape + (n_trunc+1, m+1, m+1); forming the terms one degree
+    at a time adds a working set of O(pairs (m+1)^3 + points N (m+1)^2).
     """
-    shape, vz, vw = _series_factors(z, w, params, n_trunc)
-    m = params.m
-    terms = np.einsum("snlj,snpj->snjlp", vz, vw).reshape(len(vz), -1, m + 1, m + 1)
-    sums = np.cumsum(terms, axis=1)[:, m :: m + 1]  # the running sum after slot j = m of each degree
+    shape, vz, iz, vw, iw = _series_factors(z, w, params, n_trunc)
+    size = params.m + 1
+    sums = np.empty((len(iz), n_trunc + 1, size, size), dtype=complex)
+    for n in range(n_trunc + 1):
+        degree = slice(n * size, (n + 1) * size)
+        terms = np.einsum("slj,spj->jslp", vz[:, :, degree][iz], vw[:, :, degree][iw])  # terms[j]: slot (n, j)
+        if n:
+            terms[0] += sums[:, n - 1]
+        sums[:, n] = np.cumsum(terms, axis=0)[-1]  # the running sum after slot j = m of degree n
     return sums.reshape(shape + sums.shape[1:])
 
 
@@ -201,10 +206,8 @@ def check_positive_definite(
     size = len(pts) * (m + 1)
     gram = np.zeros((size, size), dtype=complex)
     for i, zi in enumerate(pts):
-        for k, zk in enumerate(pts):
-            if k < i:
-                continue
-            block = kernel_full(zi, zk, params)
+        for k in range(i, len(pts)):
+            block = kernel_full(zi, pts[k], params)
             gram[i * (m + 1): (i + 1) * (m + 1), k * (m + 1): (k + 1) * (m + 1)] = block
             if k > i:
                 gram[k * (m + 1): (k + 1) * (m + 1), i * (m + 1): (i + 1) * (m + 1)] = block.conj().T
@@ -270,19 +273,13 @@ def normalize_kernel(params: ModelParams, grid: SampleGrid | None = None) -> Nor
     k00 = kernel_full(0.0, 0.0, params)
     root = _hermitian_sqrt(k00)
     phi0 = root @ np.linalg.inv(k00)
-
-    conds = []
-
-    def phi(z: complex) -> np.ndarray:
-        kz0 = kernel_full(z, 0.0, params)
+    constant = phi0 @ k00 @ phi0.conj().T
+    residual, conds = 0.0, []
+    for z in grid.points:
+        kz0 = kernel_full(z, 0.0, params)  # once per point: phi(z) inverts it, and the check applies it
         conds.append(float(np.linalg.cond(kz0)))
         if conds[-1] > 1e13:
             raise SingularKernelColumnError(f"K(z, 0) numerically singular at z = {z}")
-        return root @ np.linalg.inv(kz0)
-
-    constant = phi0 @ k00 @ phi0.conj().T
-    residual = 0.0
-    for z in grid.points:
-        val = phi(z) @ kernel_full(z, 0.0, params) @ phi0.conj().T
+        val = root @ np.linalg.inv(kz0) @ kz0 @ phi0.conj().T  # phi(z) K(z, 0) phi(0)^*
         residual = max(residual, float(np.linalg.norm(val - constant)))
-    return NormalizationReport(residual=residual, phi0=phi0, cond_k_z0=max(conds, default=1.0))
+    return NormalizationReport(residual=residual, phi0=phi0, cond_k_z0=max(conds))

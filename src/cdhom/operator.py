@@ -61,9 +61,9 @@ def shift_table(n_max: int, params: ModelParams) -> np.ndarray:
 
     Products run sequentially along n, so row n does not depend on n_max.  Raises
     NormalizationError when 2*lam <= m and OverflowError when a weight that is not
-    structurally zero leaves the normal float range.
+    structurally zero leaves the normal float range.  Every n_max < 0 gives the empty table.
     """
-    m, a, mu = params.m, 2.0 * params.lam - params.m, params.mu
+    m, a, mu, n_max = params.m, 2.0 * params.lam - params.m, params.mu, max(n_max, -1)
     _require_normalizable(0, n_max + 1, params)  # 2*lam_j grows with j, so column 0 decides
     births = np.zeros((m + 1, m + 1))
     for b in range(1, min(m, n_max + 1) + 1):

@@ -11,6 +11,7 @@ no timestamps are recorded.  Checks are declared once, in the registry
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -498,15 +499,16 @@ def check_unitarity(cfg: RunConfig) -> Measurement:
 
 
 def check_calculus_rotation(cfg: RunConfig) -> Measurement:
-    import cmath
-
+    """max |g(T) - e^(i theta) T| for rotations g, on the degree blocks: W(n) sits at (n+1, n), zeros elsewhere."""
     p = cfg.params()
-    t_op = truncate(p, min(cfg.truncation, 40))
+    n_trunc, size = min(cfg.truncation, 40), p.m + 1
+    t_op = truncate(p, n_trunc)
+    sub = (np.arange(1, n_trunc + 1), slice(None), np.arange(n_trunc), slice(None))  # the blocks (n+1, n)
     worst = 0.0
     for theta in (0.3, -0.7):
-        g = GroupElement.rotation(theta)
-        dev = np.max(np.abs(mobius_calculus(g, t_op) - cmath.exp(1j * theta) * t_op.matrix))
-        worst = max(worst, float(dev))
+        g_of_t = mobius_calculus(GroupElement.rotation(theta), t_op).reshape(n_trunc + 1, size, n_trunc + 1, size)
+        g_of_t[sub] -= cmath.exp(1j * theta) * t_op.blocks
+        worst = max(worst, float(np.max(np.abs(g_of_t))))
     return _measured(worst)
 
 

@@ -307,14 +307,14 @@ def test_fixtures_regeneration_is_stable(tmp_path):
 @pytest.mark.parametrize("m", [0, 1, 2, 6])
 @pytest.mark.parametrize("command, key", [("shift-weights", "weights"), ("basis-emit", "coefficients")])
 def test_table_writer_matches_json_dumps(tmp_path, command, key, m):
-    # The bulk writer against the json encoder over the per-record dicts it replaced; nmax = -1 is the empty table.
+    # The bulk writer against the json encoder over the per-record dicts it replaced; every nmax < 0 is the empty table.
     from cdhom import ModelParams, g_matrix, shift_block
     from cdhom.cli import main
 
     lam, mu = m / 2.0 + 0.85, [1.0 + 0.1 * j for j in range(m + 1)]
     block = shift_block if command == "shift-weights" else g_matrix
     p = ModelParams(lam=lam, m=m, mu=tuple(mu))
-    for nmax in (-1, 0, 1, 3, 40):
+    for nmax in (-5, -2, -1, 0, 1, 3, 40):
         out = tmp_path / f"{command}-{m}-{nmax}.json"
         argv = [command, "--lambda", repr(lam), "--m", str(m), "--mu", ",".join(map(repr, mu)), "--nmax", str(nmax)]
         assert main(argv + ["--out", str(out)]) == 0
@@ -338,7 +338,7 @@ def test_table_csv_matches_per_record_layout(tmp_path, command, m):
     lam, mu = m / 2.0 + 0.85, [1.0 + 0.1 * j for j in range(m + 1)]
     block = shift_block if command == "shift-weights" else g_matrix
     p = ModelParams(lam=lam, m=m, mu=tuple(mu))
-    for nmax in (-1, 0, 1, 3, 40):
+    for nmax in (-5, -2, -1, 0, 1, 3, 40):
         out = tmp_path / f"{command}-{m}-{nmax}.csv"
         argv = [command, "--lambda", repr(lam), "--m", str(m), "--mu", ",".join(map(repr, mu)), "--nmax", str(nmax)]
         assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
