@@ -1,6 +1,8 @@
 """Command-line surface: evaluate kernels and weights, run verifications.
 
 Subcommands: kernel-eval, shift-weights, basis-emit, verify, fixtures.
+Only verify reads the numerical settings --truncation, --rmax, --tol and
+--seed; the others print closed forms fixed by (lambda, m, mu) alone.
 Exit codes: 0 success, 1 verification failure, 2 domain error, 3 config
 error (including parameters so large that a computed value overflows).
 Output is JSON (schema under cdhom/schemas/) or flat CSV, with complex
@@ -25,6 +27,7 @@ from .basis import g_table
 from .errors import ConfigError, DomainError, NormalizationError, PoleError
 from .kernel import kernel_full
 from .operator import shift_table
+from .representation import ModelParams
 from .verify import SUITES, RunConfig, run_suite, seeded_points
 
 EXIT_OK = 0
@@ -76,27 +79,13 @@ def _add_model_args(sub: argparse.ArgumentParser):
     sub.add_argument("--lambda", dest="lam", type=float, required=True, help="weight parameter (2*lambda > m)")
     sub.add_argument("--m", type=int, required=True, help="block size minus one")
     sub.add_argument("--mu", type=str, required=True, help="m+1 comma-separated positive scale factors")
-    sub.add_argument("--truncation", type=int, default=RunConfig.truncation, help="series/operator truncation degree")
-    sub.add_argument("--rmax", type=float, default=RunConfig.r_max, help="grid radius for verification checks")
-    sub.add_argument("--tol", action="append", default=[], metavar="CHECK=VAL", help="tolerance override")
     sub.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     sub.add_argument("--out", type=str, default="", help="write output to this path instead of stdout")
-    sub.add_argument("--seed", type=int, default=RunConfig.seed, help="seed for sampled points")
     sub.add_argument("--allow-degenerate", action="store_true", help="permit 2*lambda <= m (negative tests)")
 
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        lam=args.lam,
-        m=args.m,
-        mu=_parse_mu(args.mu),
-        truncation=args.truncation,
-        r_max=args.rmax,
-        tolerances=_parse_tols(args.tol),
-        fmt=args.fmt,
-        seed=args.seed,
-        allow_degenerate=args.allow_degenerate,
-    )
+def _params_from(args) -> ModelParams:
+    return ModelParams(lam=args.lam, m=args.m, mu=_parse_mu(args.mu), allow_degenerate=args.allow_degenerate)
 
 
 def _emit(text: str, out: str):
@@ -118,14 +107,14 @@ def _complex_matrix(mat: np.ndarray) -> list:
 
 
 def cmd_kernel_eval(args) -> int:
-    cfg = _config_from(args)
+    p = _params_from(args)
     z, w = _parse_complex(args.z), _parse_complex(args.w)
-    mat = kernel_full(z, w, cfg.params())
+    mat = kernel_full(z, w, p)
     if not np.all(np.isfinite(mat)):  # the parameters overflow double precision
         raise ConfigError("a value of K(z, w) is not finite: the parameters are out of the representable range")
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
-            "config": {"lambda": cfg.lam, "m": cfg.m, "mu": list(cfg.mu)},
+            "config": {"lambda": p.lam, "m": p.m, "mu": list(p.mu)},
             "z": _c(z),
             "w": _c(w),
             "matrix": _complex_matrix(mat),
@@ -192,11 +181,10 @@ def _table_command(table, key: str):
     """A subcommand that tabulates the real (m+1)x(m+1) matrices table(nmax, params)[n], n <= nmax."""
 
     def command(args) -> int:
-        cfg = _config_from(args)
-        p = cfg.params()
+        p = _params_from(args)
         values = table(args.nmax, p)  # finite or OverflowError; (0, m+1, m+1) when nmax < 0
-        if cfg.fmt == "json":
-            config = {"lambda": cfg.lam, "m": cfg.m, "mu": list(cfg.mu)}
+        if args.fmt == "json":
+            config = {"lambda": p.lam, "m": p.m, "mu": list(p.mu)}
             _emit(_table_json(config, key, values), args.out)
         else:
             _emit(_table_csv(values), args.out)
@@ -212,7 +200,17 @@ cmd_basis_emit = _table_command(lambda n_max, p: g_table(n_max, p), "coefficient
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from(args)
+    cfg = RunConfig(
+        lam=args.lam,
+        m=args.m,
+        mu=_parse_mu(args.mu),
+        truncation=args.truncation,
+        r_max=args.rmax,
+        tolerances=_parse_tols(args.tol),
+        fmt=args.fmt,
+        seed=args.seed,
+        allow_degenerate=args.allow_degenerate,
+    )
     report = run_suite(cfg, args.suite)
     _emit(report.to_json() if cfg.fmt == "json" else report.to_csv(), args.out)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
@@ -282,6 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites and emit a report")
     _add_model_args(p_verify)
+    p_verify.add_argument(
+        "--truncation", type=int, default=RunConfig.truncation, help="series/operator truncation degree"
+    )
+    p_verify.add_argument("--rmax", type=float, default=RunConfig.r_max, help="grid radius for verification checks")
+    p_verify.add_argument("--tol", action="append", default=[], metavar="CHECK=VAL", help="tolerance override")
+    p_verify.add_argument("--seed", type=int, default=RunConfig.seed, help="seed for sampled points")
     p_verify.add_argument("--suite", choices=SUITES, default="all")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -35,7 +35,6 @@ from .scalars import binom, cpow_principal, pochhammer
 DEFAULT_RADII = (0.15, 0.3, 0.45)
 DEFAULT_ANGLE_COUNT = 4
 DEFAULT_ANGLE_OFFSET = 0.4
-DEFAULT_TRUNCATION = 60
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ def _series_factors(z, w, params: ModelParams, n_trunc: int):
     return zs.shape, basis_values(dz, slots, params), iz.reshape(-1), basis_values(dw, slots, params), iw.reshape(-1)
 
 
-def kernel_series(z, w, params: ModelParams, n_trunc: int = DEFAULT_TRUNCATION) -> np.ndarray:
+def kernel_series(z, w, params: ModelParams, n_trunc: int) -> np.ndarray:
     """Truncated basis series sum_{n<=N} sum_j mu_j^2 e^j_{n-j}(z) e^j_{n-j}(w)^*.
 
     This is the independent oracle for kernel_full: it goes through the
@@ -189,18 +188,14 @@ def kernel_series_partial_sums(z, w, params: ModelParams, n_trunc: int) -> np.nd
 
 @dataclass(frozen=True)
 class PositiveDefiniteReport:
-    """Minimum eigenvalue of the block Gram matrix over a grid."""
+    """Minimum eigenvalue of the block Gram matrix over a grid; the verify registry holds its tolerance."""
 
     min_eigenvalue: float
     gram_size: int
-    tolerance: float
-    passed: bool
 
 
-def check_positive_definite(
-    params: ModelParams, grid: SampleGrid, tolerance: float = -1e-10
-) -> PositiveDefiniteReport:
-    """Assemble the Hermitian block Gram matrix [K(z_i, z_k)] and test its spectrum."""
+def check_positive_definite(params: ModelParams, grid: SampleGrid) -> PositiveDefiniteReport:
+    """Assemble the Hermitian block Gram matrix [K(z_i, z_k)] and report its smallest eigenvalue."""
     pts = grid.points
     m = params.m
     size = len(pts) * (m + 1)
@@ -212,10 +207,7 @@ def check_positive_definite(
             if k > i:
                 gram[k * (m + 1): (k + 1) * (m + 1), i * (m + 1): (i + 1) * (m + 1)] = block.conj().T
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-    min_eig = float(eigs[0])
-    return PositiveDefiniteReport(
-        min_eigenvalue=min_eig, gram_size=size, tolerance=tolerance, passed=min_eig >= tolerance
-    )
+    return PositiveDefiniteReport(min_eigenvalue=float(eigs[0]), gram_size=size)
 
 
 def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: TriangularRep) -> float | list[float]:
@@ -260,7 +252,7 @@ class NormalizationReport:
     cond_k_z0: float
 
 
-def normalize_kernel(params: ModelParams, grid: SampleGrid | None = None) -> NormalizationReport:
+def normalize_kernel(params: ModelParams, grid: SampleGrid) -> NormalizationReport:
     """Build phi(z) = K(0,0)^(1/2) K(z,0)^(-1) and verify the normalization.
 
     The transformed kernel Ktilde(z, w) = phi(z) K(z, w) phi(w)^* has
@@ -268,8 +260,6 @@ def normalize_kernel(params: ModelParams, grid: SampleGrid | None = None) -> Nor
     phi(z) K(z, 0) phi(0)^* from its value at z = 0 over the grid, along
     with phi(0) = K(0,0)^(-1/2) and the worst cond K(z, 0) over the grid.
     """
-    if grid is None:
-        grid = default_grid()
     k00 = kernel_full(0.0, 0.0, params)
     root = _hermitian_sqrt(k00)
     phi0 = root @ np.linalg.inv(k00)

@@ -71,12 +71,12 @@ class GroupElement:
             self.c * other.b + self.d * other.d,
         )
 
-    def is_unitary_disc(self, tol: float = 1e-12) -> bool:
-        """True for the SU(1,1) form: d = conj(a), c = conj(b), |a|^2 - |b|^2 = 1."""
+    def is_unitary_disc(self) -> bool:
+        """True for the SU(1,1) form: d = conj(a), c = conj(b), |a|^2 - |b|^2 = 1, each to within _DET_TOL."""
         return (
-            abs(self.d - self.a.conjugate()) <= tol
-            and abs(self.c - self.b.conjugate()) <= tol
-            and abs(abs(self.a) ** 2 - abs(self.b) ** 2 - 1.0) <= tol
+            abs(self.d - self.a.conjugate()) <= _DET_TOL
+            and abs(self.c - self.b.conjugate()) <= _DET_TOL
+            and abs(abs(self.a) ** 2 - abs(self.b) ** 2 - 1.0) <= _DET_TOL
         )
 
 

@@ -189,14 +189,6 @@ def _block_calculus(g: GroupElement, t: TruncatedOperator, max_degree: int | Non
     return out
 
 
-def active_slots(m: int, max_degree: int) -> np.ndarray:
-    """Flat indices i = n*(m+1) + j of the slots with j <= n <= max_degree, in increasing order.
-
-    The slots with j > n hold structurally zero vectors and are left out.
-    """
-    return np.array([n * (m + 1) + j for n in range(max_degree + 1) for j in range(min(n, m) + 1)], dtype=int)
-
-
 @dataclass(frozen=True)
 class RepresentationMatrixResult:
     """U_g on degrees 0..N as its component blocks, and the largest share of a column's norm leaked past degree N.
@@ -279,13 +271,12 @@ def check_homogeneity(
     params: ModelParams,
     rep: TriangularRep,
     n_trunc: int,
-    guard_band: int = DEFAULT_GUARD_BAND,
     window: int | None = None,
 ) -> float:
     """Interior-block residual of U_g^* T U_g = g(T) at truncation N.
 
     The comparison is restricted to basis slots of degree <= window
-    (default N - guard_band) to exclude truncation-boundary artifacts;
+    (default N - DEFAULT_GUARD_BAND) to exclude truncation-boundary artifacts;
     passing a fixed window makes residuals comparable across truncations.
     Structurally zero slots (j > n) span nothing and are excluded: the
     literal matrix function g(T) puts b/d on their diagonal while the
@@ -297,7 +288,7 @@ def check_homogeneity(
     W(i+M-1)[i, j'] times row M + i - j' - 1 of U_j'.
     """
     if window is None:
-        window = n_trunc - guard_band
+        window = n_trunc - DEFAULT_GUARD_BAND
     if not 0 <= window <= n_trunc:
         raise ValueError(f"window {window} outside 0..{n_trunc}")
     t_op = truncate(params, n_trunc)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BranchWarning
+from .errors import BranchWarning, ConfigError
 from .mobius import GroupElement, act, anywhere, denominator, derivative
 from .scalars import VectorPolynomial, cpow_principal
 
@@ -38,9 +38,9 @@ from .scalars import VectorPolynomial, cpow_principal
 class ModelParams:
     """The triple (lam, m, mu) fixing one operator/kernel family.
 
-    The constructor enforces the positivity regime 2*lam > m; pass
-    allow_degenerate=True to build boundary/invalid parameter sets for
-    negative testing.
+    The constructor enforces the positivity regime 2*lam > m, raising
+    ConfigError (a ValueError); pass allow_degenerate=True to build
+    boundary/invalid parameter sets for negative testing.
     """
 
     lam: float
@@ -51,17 +51,17 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "mu", tuple(float(v) for v in self.mu))
         if self.m < 0:
-            raise ValueError(f"m must be a nonnegative integer, got {self.m}")
+            raise ConfigError(f"m must be a nonnegative integer, got {self.m}")
         if not all(math.isfinite(v) for v in (self.lam, *self.mu)):
-            raise ValueError(f"lam and mu must be finite, got lam={self.lam}, mu={self.mu}")
+            raise ConfigError(f"lam and mu must be finite, got lam={self.lam}, mu={self.mu}")
         if not math.isfinite(2.0 * self.lam):  # the weights 2*lam_j enter every kernel power
-            raise ValueError(f"2*lam overflows the float range (lam = {self.lam})")
+            raise ConfigError(f"2*lam overflows the float range (lam = {self.lam})")
         if len(self.mu) != self.m + 1:
-            raise ValueError(f"mu must have m+1 = {self.m + 1} entries, got {len(self.mu)}")
+            raise ConfigError(f"mu must have m+1 = {self.m + 1} entries, got {len(self.mu)}")
         if any(v <= 0 for v in self.mu):
-            raise ValueError(f"mu entries must be positive, got {self.mu}")
+            raise ConfigError(f"mu entries must be positive, got {self.mu}")
         if not self.allow_degenerate and not 2.0 * self.lam > self.m:
-            raise ValueError(
+            raise ConfigError(
                 f"positivity requires 2*lam > m (got lam={self.lam}, m={self.m}); "
                 "pass allow_degenerate=True to override for negative tests"
             )

@@ -55,7 +55,7 @@ _SUBGROUP_ELEMENTS = (("X0", X0), ("X1", X1), ("Y", Y))
 
 @dataclass(frozen=True)
 class RunConfig:
-    """CLI-facing configuration mirroring the model parameters."""
+    """The configuration of a verify run: the model parameters and the numerical settings of the checks."""
 
     lam: float
     m: int
@@ -77,10 +77,10 @@ class RunConfig:
         unknown = [k for k, _ in self.tolerances if k not in DEFAULT_TOLERANCES]
         if unknown:
             raise ConfigError(f"unknown tolerance override(s): {unknown}")
-        try:
-            self.params()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        invalid = [f"{k}={v!r}" for k, v in self.tolerances if not (math.isfinite(v) and v >= 0.0)]
+        if invalid:  # a report must be valid JSON, and a negative bound fails every check
+            raise ConfigError(f"tolerance overrides must be finite and >= 0, got {invalid}")
+        self.params()  # raises ConfigError on invalid model parameters
 
     def params(self) -> ModelParams:
         return ModelParams(
@@ -133,7 +133,8 @@ class VerificationReport:
     def to_csv(self) -> str:
         lines = ["name,residual,tolerance,passed"]
         for c in self.checks:
-            lines.append(f"{c.name},{c.residual!r},{c.tolerance!r},{str(c.passed).lower()}")
+            residual = repr(c.residual) if math.isfinite(c.residual) else ""  # empty where the JSON has null
+            lines.append(f"{c.name},{residual},{c.tolerance!r},{str(c.passed).lower()}")
         lines.append(f"overall,,,{str(self.passed).lower()}")
         return "\n".join(lines) + "\n"
 

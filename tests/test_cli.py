@@ -8,6 +8,8 @@ processes, exit codes of the process itself) start one (run_cli).
 import contextlib
 import io
 import json
+import math
+import re
 import subprocess
 import sys
 import warnings
@@ -200,6 +202,58 @@ def test_verify_operator_suite_passes_at_large_m(tmp_path, model):
 def test_verify_tolerance_override_forces_failure():
     res = run_cli("verify", *BASE_M1, "--suite", "shift", "--tol", "golden_w=1e-30")
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_verify_rejects_tolerance_overrides_that_are_not_finite_and_nonnegative(value):
+    # A non-finite tolerance would be written as NaN or Infinity, which is not JSON.
+    res = call_cli("verify", *BASE_M1, "--suite", "shift", "--tol", f"golden_w={value}")
+    assert res.returncode == 3
+    assert res.stderr.startswith("config error") and "golden_w" in res.stderr
+    assert res.stdout == ""
+
+
+def test_verify_csv_leaves_a_non_finite_residual_empty():
+    # The JSON report writes null there; neither format may hold inf or nan.
+    res = call_cli("verify", "--lambda", "0.5", "--m", "1", "--mu", "1,1", "--allow-degenerate",
+                   "--suite", "kernel", "--format", "csv")
+    assert res.returncode == 1
+    assert "positive_definite,,1e-10,false" in res.stdout.splitlines()
+    for line in res.stdout.splitlines()[1:]:
+        assert all(field == "" or math.isfinite(float(field)) for field in line.split(",")[1:3]), line
+
+
+_MODEL_FLAGS = {"--help", "--lambda", "--m", "--mu", "--format", "--out", "--allow-degenerate"}
+_VERIFY_FLAGS = {"--truncation", "--rmax", "--tol", "--seed"}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("kernel-eval", _MODEL_FLAGS | {"--z", "--w"}),
+        ("shift-weights", _MODEL_FLAGS | {"--nmax"}),
+        ("basis-emit", _MODEL_FLAGS | {"--nmax"}),
+        ("verify", _MODEL_FLAGS | _VERIFY_FLAGS | {"--suite"}),
+        ("fixtures", {"--help", "--out", "--seed"}),
+    ],
+)
+def test_help_lists_exactly_the_flags_a_subcommand_reads(command, flags):
+    res = call_cli(command, "--help")
+    assert res.returncode == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", res.stdout)) == flags
+
+
+@pytest.mark.parametrize("flag, value", [("--truncation", "500"), ("--rmax", "0.9"), ("--tol", "golden_w=1"), ("--seed", "3")])
+@pytest.mark.parametrize(
+    "command, extra",
+    [("kernel-eval", ["--z", "0", "--w", "0"]), ("shift-weights", ["--nmax", "2"]), ("basis-emit", ["--nmax", "2"])],
+)
+def test_closed_form_commands_reject_the_verify_flags(command, extra, flag, value):
+    # K, W(n) and G(n) are fixed by (lambda, m, mu) alone, so these commands read no numerical setting.
+    res = call_cli(command, *BASE_M1, *extra, flag, value)
+    assert res.returncode == 3
+    assert res.stderr == f"cdhom: error: unrecognized arguments: {flag} {value}\n"
+    assert res.stdout == ""
 
 
 def test_exit_code_domain_error():

@@ -21,9 +21,10 @@ from cdhom import goldens
 from cdhom.errors import NormalizationError
 from cdhom.basis import basis_value_matrix, basis_values
 from cdhom.mobius import X1, Y, act
-from cdhom.operator import active_slots, reproducing_coefficients, shift_table
+from cdhom.operator import reproducing_coefficients, shift_table
 from cdhom.representation import multiplier_J
 from cdhom.verify import RunConfig, check_homog_interior, check_unitarity
+from helpers import active_slots
 
 REF_M6 = (3.7, 6, (1.0, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7))
 

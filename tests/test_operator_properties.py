@@ -9,7 +9,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from cdhom import GroupElement, ModelParams, TriangularRep, exp_basis, representation_matrix  # noqa: E402
 from cdhom.mobius import X1, Y  # noqa: E402
-from cdhom.operator import active_slots  # noqa: E402
+from helpers import active_slots  # noqa: E402
 
 
 @st.composite

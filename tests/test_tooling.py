@@ -2,9 +2,11 @@
 
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
+import cdhom.cli
 import cdhom.verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -31,6 +33,38 @@ def test_traced_names_resolve_in_the_package():
         if not callable(holder):
             missing.append(f"{module_name}.{path}")
     assert not missing, f"traced names missing from cdhom: {missing}"
+
+
+# A package name the benchmark reads: c.<path>, self.c.<path>, self.env.c.<path> or cdhom.<path>.
+_PACKAGE_NAME = re.compile(r"(?<![\w.])(?:self\.(?:env\.)?)?(?:c|cdhom)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)")
+
+
+def test_names_the_benchmark_reads_resolve_in_the_package():
+    missing = []
+    for name in ("workloads", "run"):
+        for path in sorted(set(_PACKAGE_NAME.findall((PERFBENCH / f"{name}.py").read_text()))):
+            holder = cdhom
+            for attr in path.split("."):
+                holder = getattr(holder, attr, None)
+            if holder is None:
+                missing.append(f"{name}.py: {path}")
+    assert not missing, f"names the benchmark reads are missing from cdhom: {missing}"
+
+
+def test_result_attributes_the_benchmark_reads_exist():
+    p = cdhom.ModelParams(lam=1.0, m=1, mu=(1.0, 1.0))
+    grid, g = cdhom.default_grid(), cdhom.GroupElement.rotation(0.3)
+    results = {
+        "check_positive_definite": cdhom.check_positive_definite(p, grid),
+        "normalize_kernel": cdhom.normalize_kernel(p, grid),
+        "truncate": cdhom.truncate(p, 4),
+        "representation_matrix": cdhom.representation_matrix(g, p, cdhom.TriangularRep.from_params(p), 4),
+    }
+    text = (PERFBENCH / "workloads.py").read_text()
+    for function, result in results.items():
+        attrs = set(re.findall(rf"\.{function}\([^()]*\)\.(\w+)", text))
+        assert attrs, f"the benchmark no longer reads a result of {function}"
+        assert all(hasattr(result, attr) for attr in attrs), (function, attrs)
 
 
 def test_benchmark_provenance_hook_exists():

@@ -3,7 +3,9 @@
 from collections import Counter
 
 import numpy as np
+import pytest
 
+from cdhom.errors import ConfigError
 from cdhom.kernel import kernel_full, kernel_series
 from cdhom.verify import (
     CHECKS,
@@ -86,3 +88,10 @@ def test_normalization_records_the_worst_condition_of_k_z0():
     assert residual <= cfg.tolerance("normalization")
     _, parameters, _ = check_normalization(RunConfig(lam=1.0, m=0, mu=(1.0,)))
     assert parameters["cond_k_z0"] == 1.0  # a 1x1 K(z, 0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_run_config_rejects_tolerance_overrides_that_are_not_finite_and_nonnegative(value):
+    with pytest.raises(ConfigError, match="finite and >= 0"):
+        RunConfig(lam=1.0, m=1, mu=(1.0, 1.0), tolerances=(("golden_w", value),))
+    assert RunConfig(lam=1.0, m=1, mu=(1.0, 1.0), tolerances=(("golden_w", 0.0),)).tolerance("golden_w") == 0.0
