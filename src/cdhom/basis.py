@@ -27,49 +27,68 @@ closed form as the oracle of the `minus_F` recursion.
 
 from __future__ import annotations
 
+import itertools
+import operator
+
 import numpy as np
 
 from .errors import NormalizationError
 from .representation import ModelParams, TriangularRep
-from .scalars import VectorPolynomial, binom, pochhammer
+from .scalars import VectorPolynomial, binom
 
 
 def op_E(f: VectorPolynomial) -> VectorPolynomial:
     """(E f)(z) = -f'(z)."""
-    return f.derivative() * (-1.0)
+    degs = np.arange(1, f.coeffs.shape[0])[:, None]
+    return VectorPolynomial(-(f.coeffs[1:] * degs)) if f.degree else VectorPolynomial.zero(f.m)
 
 
 def op_H(f: VectorPolynomial, params: ModelParams, rep: TriangularRep) -> VectorPolynomial:
-    """(H f)(z) = (-eta*I + rho0(h)) f(z) - z f'(z)."""
-    const = f.apply_matrix(rep.rho0_h - params.eta * np.eye(params.m + 1))
-    return const - f.derivative().shift_degree(1)
+    """(H f)(z) = (-eta*I + rho0(h)) f(z) - z f'(z): degree d of component l scales by -(eta + l) - d."""
+    degs = np.arange(f.coeffs.shape[0])[:, None]
+    return VectorPolynomial(f.coeffs * np.diag(rep.rho_h) - f.coeffs * degs)
+
+
+def _minus_f_coeffs(f: VectorPolynomial, params: ModelParams, rep: TriangularRep) -> np.ndarray:
+    """Coefficients of -F f, one degree above f: degree d of f moves to d + 1 with weight
+    2*lam - 2 D_m[l] + d, and S_m moves component l - 1 to l at the same degree."""
+    c = f.coeffs
+    out = np.zeros((c.shape[0] + 1, c.shape[1]), dtype=complex)
+    out[1:] = c * (2.0 * params.lam - 2.0 * np.diag(rep.d_m) + np.arange(c.shape[0])[:, None])
+    out[:-1, 1:] += c[:, :-1] * np.diag(rep.rho_y, -1)
+    return out
 
 
 def op_F(f: VectorPolynomial, params: ModelParams, rep: TriangularRep) -> VectorPolynomial:
     """(F f)(z) = (-2*eta*z*I + 2*z*rho0(h) - rho(y)) f(z) - z^2 f'(z)."""
-    return minus_F(f, params, rep) * (-1.0)
+    return VectorPolynomial(-_minus_f_coeffs(f, params, rep))
 
 
 def minus_F(f: VectorPolynomial, params: ModelParams, rep: TriangularRep) -> VectorPolynomial:
     """(-F f)(z) = 2*lam*z f(z) + S_m f(z) - 2z D_m f(z) + z^2 f'(z)."""
-    z_part = (2.0 * params.lam * f - 2.0 * f.apply_matrix(rep.d_m)).shift_degree(1)
-    return z_part + f.apply_matrix(rep.rho_y) + f.derivative().shift_degree(2)
+    return VectorPolynomial(_minus_f_coeffs(f, params, rep))
 
 
 def u_closed(j: int, n: int, params: ModelParams) -> VectorPolynomial:
-    """The ladder vector u^j_n = (-F)^n eps_j from its closed form."""
+    """The ladder vector u^j_n = (-F)^n eps_j from its closed form.
+
+    Component l = j + k is C(n, k) (j+1)_k (a + k)_{n-k} z^(n-k) with
+    a = 2*lam - m + 2j.  The rising factorials for all k come from one
+    running product of j + 1 + k and one suffix product of a + i (i < n),
+    whose entry k is (a + k)_{n-k}.
+    """
     m = params.m
     if not 0 <= j <= m:
         raise ValueError(f"j must lie in 0..{m}, got {j}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    a = 2.0 * params.lam - m + 2 * j
+    rising = list(itertools.accumulate((a + i for i in range(n - 1, -1, -1)), operator.mul, initial=1.0))[::-1]
     coeffs = np.zeros((n + 1, m + 1), dtype=complex)
-    for ell in range(j, m + 1):
-        k = ell - j
-        if k > n:
-            continue  # C(n, k) = 0: the component is identically zero
-        c = binom(n, k) * pochhammer(j + 1.0, k) * pochhammer(2.0 * params.lam - m + 2 * j + k, n - k)
-        coeffs[n - k, ell] = c
+    lowest = 1.0  # (j+1)_k
+    for k in range(min(n, m - j) + 1):  # C(n, k) = 0 past n: those components vanish
+        coeffs[n - k, j + k] = binom(n, k) * lowest * rising[k]
+        lowest *= j + 1.0 + k
     return VectorPolynomial(coeffs)
 
 

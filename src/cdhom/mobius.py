@@ -85,29 +85,37 @@ def anywhere(mask) -> bool:
     return mask if isinstance(mask, bool) else bool(mask.any())
 
 
-def _points(z):
+def as_points(z):
     """A scalar point as given, anything else as a complex array."""
     return z if isinstance(z, (int, float, complex, np.number)) else np.asarray(z, dtype=complex)
+
+
+def check_pole(den, z) -> None:
+    """Raise PoleError if a value c*z + d (nearly) vanishes; den and z broadcast together.
+
+    One pole among the points is enough for the error, which names the first.
+    """
+    near = abs(den) < _POLE_EPS
+    if anywhere(near):
+        at, value = (np.broadcast_to(z, near.shape)[near][0], den[near][0]) if np.ndim(near) else (z, den)
+        raise PoleError(f"c*z + d = {value} at z = {at}")
 
 
 def denominator(g: GroupElement, z):
     """c*z + d, raising PoleError where it (nearly) vanishes.
 
     A scalar z gives a complex number and an array of points an array of
-    its shape; one pole among the points is enough for the error.
+    its shape.
     """
-    z = _points(z)
+    z = as_points(z)
     den = g.c * z + g.d
-    near = abs(den) < _POLE_EPS
-    if anywhere(near):
-        at = z[near][0] if np.ndim(near) else z
-        raise PoleError(f"c*z + d = {g.c * at + g.d} at z = {at}")
+    check_pole(den, z)
     return den
 
 
 def act(g: GroupElement, z):
     """Fractional-linear action (az + b)/(cz + d), pointwise over an array z."""
-    z = _points(z)
+    z = as_points(z)
     return (g.a * z + g.b) / denominator(g, z)
 
 

@@ -19,6 +19,8 @@ C^(m+1)-valued functions by (U_g f)(z) = J_{g^{-1}}(z) f(g^{-1}.z).
 The multipliers and the cocycle residual take a scalar point, giving one
 (m+1)x(m+1) matrix (or one float), or an array of points, giving
 z.shape + (m+1, m+1) (or z.shape) from one batched numpy evaluation.
+Both multipliers depend on g only through (c, d), and the nilpotent
+factor is closed form, exp(t S_m)[i, k] = C(i, k) t^(i-k).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BranchWarning, ConfigError
-from .mobius import GroupElement, act, anywhere, denominator, derivative
+from .mobius import GroupElement, act, anywhere, as_points, check_pole
 from .scalars import VectorPolynomial, cpow_principal
 
 
@@ -80,15 +82,25 @@ class ModelParams:
 
 def lower_shift(m: int) -> np.ndarray:
     """S_m: (j, j-1) entry equal to j for 1 <= j <= m, zero elsewhere."""
-    s = np.zeros((m + 1, m + 1))
-    for j in range(1, m + 1):
-        s[j, j - 1] = j
-    return s
+    return np.diag(np.arange(1.0, m + 1), -1)
+
+
+def _pascal(m: int) -> np.ndarray:
+    """exp(S_m), the lower-triangular Pascal matrix C(i, k), one row from the last."""
+    out = np.zeros((m + 1, m + 1))
+    out[:, 0] = 1.0
+    for i in range(1, m + 1):
+        out[i, 1:] = out[i - 1, 1:] + out[i - 1, :-1]
+    return out
 
 
 @dataclass(frozen=True)
 class TriangularRep:
-    """Realized matrices of the triangular representation on C^(m+1)."""
+    """Realized matrices of the triangular representation on C^(m+1).
+
+    pascal is exp(rho(y)) = exp(S_m), whose entries C(i, k) give every
+    exp(t S_m) in closed form (see _shift_exp).
+    """
 
     m: int
     eta: float
@@ -96,6 +108,7 @@ class TriangularRep:
     rho_y: np.ndarray = field(repr=False)
     rho0_h: np.ndarray = field(repr=False)
     d_m: np.ndarray = field(repr=False)
+    pascal: np.ndarray = field(repr=False)
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "TriangularRep":
@@ -107,9 +120,10 @@ class TriangularRep:
         # the unique diagonal making -F act on monomial profiles with the
         # coefficient (2*lam - m + l + n).
         d_m = rho0_h + (m / 2.0) * np.eye(m + 1)
-        for arr in (rho0_h, rho_h, rho_y, d_m):
+        pascal = _pascal(m)
+        for arr in (rho0_h, rho_h, rho_y, d_m, pascal):
             arr.flags.writeable = False
-        rep = cls(m=m, eta=eta, rho_h=rho_h, rho_y=rho_y, rho0_h=rho0_h, d_m=d_m)
+        rep = cls(m=m, eta=eta, rho_h=rho_h, rho_y=rho_y, rho0_h=rho0_h, d_m=d_m, pascal=pascal)
         with np.errstate(all="ignore"):  # a huge eta overflows here and surfaces just below
             comm = rho_h @ rho_y - rho_y @ rho_h
         if not np.all(np.isfinite(comm)):
@@ -120,40 +134,62 @@ class TriangularRep:
         return rep
 
 
-def _nilpotent_exp(s: np.ndarray, scale) -> np.ndarray:
-    """exp(scale * s) for nilpotent s, as the exact finite sum; an array scale gives scale.shape + s.shape."""
-    n = s.shape[0]
-    out = np.zeros(np.shape(scale) + s.shape, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    out += term
-    for k in range(1, n):
-        term = np.asarray(scale / k)[..., None, None] * (term @ s)
-        if not term.any():
-            break
-        out += term
-    return out
+def _shift_exp(rep: TriangularRep, t) -> np.ndarray:
+    """exp(t S_m) in closed form: entry (i, k) is C(i, k) t^(i-k) for i >= k, zero above the diagonal.
 
-
-def multiplier_J0(g: GroupElement, z, rep: TriangularRep) -> np.ndarray:
-    """The triangular-part multiplier J0_g(z) on C^(m+1).
-
-    The first factor exp(-c/(cz+d) * S_m) is an exact finite sum; the
-    second is diag((cz+d)^(-2j)).  A scalar z gives one (m+1)x(m+1)
-    matrix, an array of points z.shape + (m+1, m+1).  PoleError is raised
-    if any point is a pole, and one BranchWarning is emitted if
-    Re(cz+d) <= 0 at any point, where principal-branch consistency is no
-    longer guaranteed.
+    A scalar t gives one (m+1)x(m+1) matrix, an array t.shape + (m+1, m+1).
     """
-    den = denominator(g, z)
+    idx = np.arange(rep.m + 1)
+    powers = np.asarray(t, dtype=complex)[..., None] ** idx  # t^p for p = 0..m; 0^0 = 1
+    return rep.pascal * powers[..., np.maximum(idx[:, None] - idx[None, :], 0)]
+
+
+def _multiplier(c, d, z, rep: TriangularRep, eta: float | None = None) -> np.ndarray:
+    """J0, or with eta the full multiplier (cz + d)^(-2 eta) J0, over broadcast c, d and z.
+
+    det g = 1 makes both depend on g only through its second row (c, d):
+    g'(z) = (cz + d)^(-2) and J0_g(z) = exp(-c/(cz + d) S_m) diag((cz + d)^(-2j)).
+    Scalars give one (m+1)x(m+1) matrix, and the eta power then goes
+    through cmath; arrays give broadcast(c, d, z).shape + (m+1, m+1).
+    Raises PoleError at a pole, warns BranchWarning once if Re(cz + d) <= 0
+    anywhere, and raises OverflowError if the multiplier is not finite.
+    """
+    den = c * z + d
+    den = complex(den) if np.ndim(den) == 0 else den.astype(complex, copy=False)
+    check_pole(den, z)
     if anywhere(den.real <= 0.0):
         warnings.warn(
             f"Re(c*z + d) = {np.min(den.real)} <= 0: principal branch left its safe half-plane",
             BranchWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    nil = _nilpotent_exp(rep.rho_y, -g.c / den)
     powers = np.asarray(den)[..., None] ** (-2.0 * np.arange(rep.m + 1))
-    return nil * powers[..., None, :]
+    j0 = _shift_exp(rep, -c / den) * powers[..., None, :]
+    if eta is None:
+        return j0
+    base = 1.0 / (den * den)
+    if isinstance(base, complex):  # one point
+        try:
+            out = cpow_principal(base, eta) * j0
+        except OverflowError:  # cmath raises where numpy returns inf; report it as numpy's case below
+            out = np.full(j0.shape, np.inf)
+    else:
+        with np.errstate(all="ignore"):  # overflow surfaces as a non-finite multiplier below
+            out = np.exp(eta * np.log(base))[..., None, None] * j0
+    if not np.isfinite(out).all():
+        raise OverflowError(f"the multiplier J_g(z) is not finite at eta = {eta}")
+    return out
+
+
+def multiplier_J0(g: GroupElement, z, rep: TriangularRep) -> np.ndarray:
+    """The triangular-part multiplier J0_g(z) = exp(-c/(cz+d) S_m) diag((cz+d)^(-2j)) on C^(m+1).
+
+    A scalar z gives one (m+1)x(m+1) matrix, an array of points
+    z.shape + (m+1, m+1).  PoleError is raised if any point is a pole, and
+    one BranchWarning is emitted if Re(cz+d) <= 0 at any point, where
+    principal-branch consistency is no longer guaranteed.
+    """
+    return _multiplier(g.c, g.d, as_points(z), rep)
 
 
 def multiplier_J(g: GroupElement, z, params: ModelParams, rep: TriangularRep) -> np.ndarray:
@@ -163,19 +199,7 @@ def multiplier_J(g: GroupElement, z, params: ModelParams, rep: TriangularRep) ->
     over an array.  A multiplier that is not finite means the parameters
     leave the float range and raises OverflowError.
     """
-    j0 = multiplier_J0(g, z, rep)
-    base = derivative(g, z)
-    if isinstance(base, complex):  # one point, numpy complex scalars included
-        try:
-            out = cpow_principal(base, params.eta) * j0
-        except OverflowError:  # cmath raises where numpy returns inf; report it as numpy's case below
-            out = np.full(j0.shape, np.inf)
-    else:
-        with np.errstate(all="ignore"):  # overflow surfaces as a non-finite multiplier below
-            out = np.exp(params.eta * np.log(base))[..., None, None] * j0
-    if not np.isfinite(out).all():
-        raise OverflowError(f"the multiplier J_g(z) is not finite at eta = {params.eta}")
-    return out
+    return _multiplier(g.c, g.d, as_points(z), rep, params.eta)
 
 
 def act_U(g: GroupElement, f, params: ModelParams, rep: TriangularRep):
@@ -194,15 +218,36 @@ def act_U(g: GroupElement, f, params: ModelParams, rep: TriangularRep):
     return transformed
 
 
-def check_cocycle(
-    g: GroupElement,
-    h: GroupElement,
-    z,
-    params: ModelParams,
-    rep: TriangularRep,
-):
-    """Frobenius residual of J_{gh}(z) = J_h(z) J_g(h.z); a float, or an array of z's shape."""
-    lhs = multiplier_J(g @ h, z, params, rep)
-    rhs = multiplier_J(h, z, params, rep) @ multiplier_J(g, act(h, z), params, rep)
-    residual = np.linalg.norm(lhs - rhs, axis=(-2, -1))
-    return float(residual) if np.ndim(residual) == 0 else residual
+def _entries(g, ndim: int):
+    """(a, b, c, d) of one element as scalars, or of a sequence as arrays over a leading axis.
+
+    The arrays get ndim trailing axes of length one, so they broadcast against the points.
+    """
+    if isinstance(g, GroupElement):
+        return g.a, g.b, g.c, g.d
+    return np.array([(e.a, e.b, e.c, e.d) for e in g], dtype=complex).T.reshape((4, -1) + (1,) * ndim)
+
+
+def check_cocycle(g, h, z, params: ModelParams, rep: TriangularRep):
+    """Frobenius residual of J_{gh}(z) = J_h(z) J_g(h.z).
+
+    g and h are each one GroupElement or a sequence of them.  The residual
+    has shape (len g, len h) + z.shape, without the axis of a single
+    element, so one pair at a scalar point gives a float.  The multipliers
+    are evaluated once for all h and once per g over all h.
+    """
+    z = as_points(z)
+    ha, hb, hc, hd = _entries(h, np.ndim(z))
+    j_h = _multiplier(hc, hd, z, rep, params.eta)  # checks the poles of h.z
+    hz = (ha * z + hb) / (hc * z + hd)
+
+    def residual(gc, gd):
+        # The second row of gh is (c_g a_h + d_g c_h, c_g b_h + d_g d_h).
+        lhs = _multiplier(gc * ha + gd * hc, gc * hb + gd * hd, z, rep, params.eta)
+        return np.linalg.norm(lhs - j_h @ _multiplier(gc, gd, hz, rep, params.eta), axis=(-2, -1))
+
+    if isinstance(g, GroupElement):
+        out = residual(g.c, g.d)
+    else:
+        out = np.array([residual(e.c, e.d) for e in g])
+    return float(out) if np.ndim(out) == 0 else out

@@ -331,16 +331,25 @@ def check_shift_norm_bound(cfg: RunConfig) -> Measurement:
 
 
 def check_cocycle_sweep(cfg: RunConfig) -> Measurement:
+    """Largest cocycle residual over 100 element pairs and 17 points, with the pair and point where it sits."""
     from .mobius import X as X_UPPER
     from .mobius import Y_LOWER
 
     p = cfg.params()
     rep = TriangularRep.from_params(p)
-    elements = [exp_basis(e, t) for e in (X_UPPER, Y_LOWER, X0, X1, Y) for t in (0.2, -0.13)]
+    generators = (("x", X_UPPER), ("y", Y_LOWER), ("X0", X0), ("X1", X1), ("Y", Y))
+    labels, elements = zip(*[(f"exp({t}*{name})", exp_basis(e, t)) for name, e in generators for t in (0.2, -0.13)])
     zs = [complex(zr, zi) for zr in (-0.5, -0.25, 0.0, 0.25, 0.5) for zi in (-0.3, -0.1, 0.0, 0.2, 0.35)]
     zs = np.array([z for z in zs if abs(z) <= 0.5][:25])
-    worst = max(float(np.max(check_cocycle(g, h, zs, p, rep))) for g, h in itertools.product(elements, repeat=2))
-    return _measured(worst, pairs=len(elements) ** 2, points=len(zs))
+    residuals = check_cocycle(elements, elements, zs, p, rep)  # [g, h, point]
+    i, k, s = np.unravel_index(np.argmax(residuals), residuals.shape)
+    return _measured(
+        float(residuals[i, k, s]),
+        pairs=len(elements) ** 2,
+        points=len(zs),
+        worst_pair=[labels[i], labels[k]],
+        worst_point=[float(zs[s].real), float(zs[s].imag)],
+    )
 
 
 def check_rotation_multiplier(cfg: RunConfig) -> Measurement:

@@ -14,7 +14,7 @@ from cdhom import (
     u_closed,
 )
 from cdhom.basis import g_table
-from cdhom.scalars import VectorPolynomial, poly_distance
+from cdhom.scalars import VectorPolynomial, binom, pochhammer, poly_distance
 
 
 def make(lam, m, mu=None):
@@ -146,6 +146,54 @@ def test_ladder_recursion_agreement(m, lam):
             current = minus_F(current, p, rep)
             ref = u_closed(j, n + 1, p)
             assert poly_distance(current, ref) <= 1e-10 * max(ref.max_abs(), 1.0)
+
+
+def _composed_ops(p, rep):
+    """E, H, F and -F composed from VectorPolynomial methods, term by term as their formulas read."""
+    m = p.m
+
+    def op_e(f):
+        return f.derivative() * (-1.0)
+
+    def op_h(f):
+        return f.apply_matrix(rep.rho0_h - p.eta * np.eye(m + 1)) - f.derivative().shift_degree(1)
+
+    def op_minus_f(f):
+        z_part = (2.0 * p.lam * f - 2.0 * f.apply_matrix(rep.d_m)).shift_degree(1)
+        return z_part + f.apply_matrix(rep.rho_y) + f.derivative().shift_degree(2)
+
+    return op_e, op_h, lambda f: op_minus_f(f) * (-1.0), op_minus_f
+
+
+@pytest.mark.parametrize("m,lam", [(0, 0.75), (1, 1.0), (2, 1.6), (3, 1.8), (5, 3.5), (6, 3.7)])
+def test_direct_ladder_operators_match_their_composition(m, lam):
+    p, rep = make(lam, m)
+    op_e, op_h, op_f, op_minus_f = _composed_ops(p, rep)
+    rng = np.random.default_rng(20 + m)
+    for degree in (0, 1, 4, 15):
+        f = random_poly(m, degree, rng)
+        for direct, composed in (
+            (op_E(f), op_e(f)),
+            (op_H(f, p, rep), op_h(f)),
+            (op_F(f, p, rep), op_f(f)),
+            (minus_F(f, p, rep), op_minus_f(f)),
+        ):
+            assert direct.coeffs.shape == composed.coeffs.shape
+            assert poly_distance(direct, composed) <= 1e-14 * max(1.0, composed.max_abs())
+
+
+@pytest.mark.parametrize("m,lam", [(0, 0.75), (1, 1.0), (2, 1.6), (4, 3.5), (8, 5.0)])
+def test_u_closed_equals_its_pochhammer_products(m, lam):
+    # Each entry is C(n, k) (j+1)_k (2 lam - m + 2j + k)_{n-k}; the products differ in order, so by n+1 roundings.
+    p, _ = make(lam, m)
+    for j in range(m + 1):
+        for n in (0, 1, 2, 7, 20):
+            ref = np.zeros((n + 1, m + 1))
+            for k in range(min(n, m - j) + 1):
+                ref[n - k, j + k] = binom(n, k) * pochhammer(j + 1.0, k) * pochhammer(2.0 * lam - m + 2 * j + k, n - k)
+            got = u_closed(j, n, p).padded(n)
+            assert np.array_equal(got == 0, ref == 0)
+            assert np.all(np.abs(got - ref) <= 2 * (n + 1) * np.finfo(float).eps * np.abs(ref))
 
 
 def test_e_basis_lowest_k_types():

@@ -139,6 +139,24 @@ def test_verify_default_passes_and_validates(tmp_path):
     jsonschema.validate(report, SCHEMA)
 
 
+def test_verify_rep_report_locates_the_worst_cocycle_residual(tmp_path):
+    out = tmp_path / "report.json"
+    res = call_cli("verify", "--lambda", "1.6", "--m", "2", "--mu", "1,0.7,1.3", "--suite", "rep", "--out", str(out))
+    assert res.returncode == 0
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, SCHEMA)
+    # worst_pair (two element labels) and worst_point ([re, im]) are optional on the cocycle record.
+    (record,) = [c for c in report["checks"] if c["name"] == "cocycle"]
+    assert len(record["parameters"]["worst_pair"]) == len(record["parameters"]["worst_point"]) == 2
+    for key, bad in (("worst_pair", ["exp(0.2*x)"]), ("worst_point", [0.25, -0.1, 0.0]), ("worst_point", ["0.25", "-0.1"])):
+        good, record["parameters"][key] = record["parameters"][key], bad
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, SCHEMA)
+        record["parameters"][key] = good
+    del record["parameters"]["worst_pair"], record["parameters"]["worst_point"]
+    jsonschema.validate(report, SCHEMA)
+
+
 def test_verify_full_report_schema(tmp_path):
     out = tmp_path / "report.json"
     res = call_cli(

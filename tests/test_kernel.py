@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -26,6 +24,7 @@ from cdhom import goldens
 from cdhom.kernel import kernel_series_partial_sums
 from cdhom.mobius import X0, X1, Y
 from cdhom.verify import RunConfig, run_suite, seeded_points
+from helpers import traced_peak
 
 ORACLE_TUPLES = [
     (1, 1.0, (1.0, 1.0)),
@@ -253,29 +252,18 @@ def test_series_partial_sums_are_the_truncations():
         assert np.max(np.abs(sums[:, n] - kernel_series(z, w, p, n))) <= 1e-14
 
 
-def _traced_peak(fn, *args) -> int:
-    """Peak bytes traced by tracemalloc during fn(*args), after one untraced warm-up call."""
-    fn(*args)
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_series_memory_bounded_on_default_grid():
     # Degrees are summed a few at a time over the 144 pairs; a stack of all degrees of all pairs took 14.9 MB.
     p, _ = make(3.7, 6, (1.0, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7))
     pts = np.array(default_grid().points)
-    assert _traced_peak(kernel_series, pts[:, None], pts[None, :], p, 60) < 4e6
+    assert traced_peak(kernel_series, pts[:, None], pts[None, :], p, 60) < 4e6
 
 
 def test_series_partial_sums_memory_bounded():
     # The terms are formed one degree at a time; forming all of them at once took 13.9 MB.
     p, _ = make(8.0, 12)
     pts = np.array(seeded_points(20260813, 3))
-    assert _traced_peak(kernel_series_partial_sums, pts, pts[::-1], p, 60) < 4e6
+    assert traced_peak(kernel_series_partial_sums, pts, pts[::-1], p, 60) < 4e6
 
 
 @pytest.mark.parametrize("bad", [1.0, 0.8 + 0.8j, complex("nan"), complex(0.1, float("nan"))])

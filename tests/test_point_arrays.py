@@ -58,3 +58,24 @@ def test_array_forms_match_pointwise(case):
     j_scale = float(np.max(np.abs(multiplier_J(g @ h, zs, p, rep))))
     assert got.shape == zs.shape
     assert _close(got.ravel(), ref, j_scale)
+
+
+@st.composite
+def element_sequences(draw):
+    p, zs, _, _ = draw(cases())
+    gs = [_element(draw) for _ in range(draw(st.integers(1, 4)))]
+    hs = [_element(draw) for _ in range(draw(st.integers(1, 4)))]
+    return p, zs, gs, hs
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(element_sequences())
+def test_cocycle_over_sequences_matches_per_pair_calls(case):
+    p, zs, gs, hs = case
+    rep = TriangularRep.from_params(p)
+    got = check_cocycle(gs, hs, zs, p, rep)
+    assert got.shape == (len(gs), len(hs)) + zs.shape
+    for i, g in enumerate(gs):
+        for k, h in enumerate(hs):
+            j_scale = float(np.max(np.abs(multiplier_J(g @ h, zs, p, rep))))
+            assert _close(got[i, k], check_cocycle(g, h, zs, p, rep), j_scale)

@@ -238,3 +238,44 @@ def test_multiplier_past_float_range_raises_overflow():
         multiplier_J(g, np.array([0.1, -0.4]), p, rep)
     with pytest.raises(OverflowError, match="not finite"):  # cmath's own 'math range error' would name nothing
         multiplier_J(g, -0.4, p, rep)
+
+
+def _series_shift_exp(s, scale):
+    """exp(scale * s) for nilpotent s as the finite series sum_k (scale s)^k / k!, one matrix product per term."""
+    n = s.shape[0]
+    out = np.zeros(np.shape(scale) + s.shape, dtype=complex)
+    term = np.eye(n, dtype=complex)
+    out += term
+    for k in range(1, n):
+        term = np.asarray(scale / k)[..., None, None] * (term @ s)
+        if not term.any():
+            break
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_shift_exp_closed_form_matches_the_series(m):
+    from cdhom.representation import _shift_exp, lower_shift
+
+    _, rep = make(m / 2.0 + 0.6, m)
+    assert np.array_equal(rep.rho_y, lower_shift(m))
+    ts = (0.0, 0j, 0.37 - 0.21j, -1.3, np.array([0.0, 0.5j, -0.8 + 0.1j]), np.array([[0.2], [-0.05 - 0.9j]]))
+    for t in ts:
+        got, ref = _shift_exp(rep, t), _series_shift_exp(rep.rho_y, t)
+        assert got.shape == ref.shape == np.shape(t) + (m + 1, m + 1)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, float(np.max(np.abs(ref))))
+    assert np.array_equal(_shift_exp(rep, 0.0), np.eye(m + 1))  # 0^0 = 1 on the diagonal, exact zeros below
+    assert np.array_equal(rep.pascal, _series_shift_exp(rep.rho_y, 1.0).real)  # integers C(i, k), exact
+
+
+def test_cocycle_over_element_sequences_has_the_pair_axes():
+    p, rep = make(1.6, 2, mu=(1.0, 0.7, 1.3))
+    gs = [exp_basis(X1, 0.2), exp_basis(Y_LOWER, -0.1), GroupElement.rotation(0.4)]
+    hs = [exp_basis(Y, 0.15), exp_basis(X0, 0.3)]
+    zs = np.array([[0.1, -0.2j, 0.3 + 0.1j], [0.0, -0.4, 0.25j]])
+    assert check_cocycle(gs, hs, zs, p, rep).shape == (3, 2) + zs.shape
+    assert check_cocycle(gs[0], hs, zs, p, rep).shape == (2,) + zs.shape
+    assert check_cocycle(gs, hs[0], zs, p, rep).shape == (3,) + zs.shape
+    assert check_cocycle(gs, hs, 0.2j, p, rep).shape == (3, 2)
+    assert isinstance(check_cocycle(gs[0], hs[0], 0.2j, p, rep), float)

@@ -7,16 +7,23 @@ import pytest
 
 from cdhom.errors import ConfigError
 from cdhom.kernel import kernel_full, kernel_series
+from cdhom.mobius import X, X0, X1, Y, Y_LOWER, exp_basis
+from cdhom.representation import TriangularRep, check_cocycle
 from cdhom.verify import (
     CHECKS,
     DEFAULT_TOLERANCES,
     RunConfig,
+    check_cocycle_sweep,
     check_hermitian_symmetry,
     check_kernel_oracle,
     check_monotone_truncation,
     check_normalization,
+    run_suite,
     seeded_points,
 )
+from helpers import traced_peak
+
+GENERATORS = (("x", X), ("y", Y_LOWER), ("X0", X0), ("X1", X1), ("Y", Y))
 
 # Report order; byte-identical reports depend on it.
 REPORT_ORDER = [
@@ -95,3 +102,23 @@ def test_run_config_rejects_tolerance_overrides_that_are_not_finite_and_nonnegat
     with pytest.raises(ConfigError, match="finite and >= 0"):
         RunConfig(lam=1.0, m=1, mu=(1.0, 1.0), tolerances=(("golden_w", value),))
     assert RunConfig(lam=1.0, m=1, mu=(1.0, 1.0), tolerances=(("golden_w", 0.0),)).tolerance("golden_w") == 0.0
+
+
+def test_cocycle_records_the_worst_pair_and_point():
+    cfg = RunConfig(lam=3.7, m=6, mu=(1.0, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7))
+    p = cfg.params()
+    residual, parameters, _ = check_cocycle_sweep(cfg)
+    assert parameters["pairs"] == 100 and parameters["points"] == 17
+    labels = {f"exp({t}*{name})": exp_basis(e, t) for name, e in GENERATORS for t in (0.2, -0.13)}
+    g, h = (labels[label] for label in parameters["worst_pair"])
+    z = complex(*parameters["worst_point"])
+    at_worst = check_cocycle(g, h, np.array([z]), p, TriangularRep.from_params(p))  # the array path, as the sweep
+    assert at_worst[0] == residual <= cfg.tolerance("cocycle")
+    record = next(c for c in run_suite(cfg, "rep").checks if c.name == "cocycle")
+    assert record.parameters == parameters
+
+
+def test_cocycle_sweep_memory_bounded():
+    # The multipliers are batched over h and the points, one g at a time; all 100 pairs at once take several MB.
+    cfg = RunConfig(lam=3.7, m=6, mu=(1.0, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7))
+    assert traced_peak(check_cocycle_sweep, cfg) <= 1.5e6
