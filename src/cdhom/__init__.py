@@ -31,10 +31,7 @@ from .kernel import (
     SampleGrid,
     check_positive_definite,
     check_quasi_invariance,
-    d_j_diagonal,
     default_grid,
-    kernel_Bj_closed,
-    kernel_Kj,
     kernel_full,
     kernel_series,
     normalize_kernel,
@@ -68,7 +65,7 @@ from .representation import (
     multiplier_J,
     multiplier_J0,
 )
-from .scalars import VectorPolynomial, binom, cpow_principal, pochhammer
+from .scalars import VectorPolynomial
 
 __version__ = "0.1.0"
 
@@ -98,20 +95,15 @@ __all__ = [
     "act",
     "act_U",
     "basis_value_matrix",
-    "binom",
     "check_cocycle",
     "check_homogeneity",
     "check_positive_definite",
     "check_quasi_invariance",
-    "cpow_principal",
-    "d_j_diagonal",
     "default_grid",
     "derivative",
     "e_basis",
     "exp_basis",
     "g_matrix",
-    "kernel_Bj_closed",
-    "kernel_Kj",
     "kernel_full",
     "kernel_series",
     "minus_F",
@@ -122,7 +114,6 @@ __all__ = [
     "op_E",
     "op_F",
     "op_H",
-    "pochhammer",
     "representation_matrix",
     "shift_block",
     "truncate",

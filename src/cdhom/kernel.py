@@ -32,7 +32,7 @@ from .mobius import GroupElement, act
 from .representation import ModelParams, TriangularRep, multiplier_J
 from .scalars import binom, cpow_principal, pochhammer
 
-DEFAULT_RADII = (0.15, 0.3, 0.45)
+DEFAULT_RADIUS_FRACTIONS = (0.3, 0.6, 0.9)
 DEFAULT_ANGLE_COUNT = 4
 DEFAULT_ANGLE_OFFSET = 0.4
 
@@ -56,9 +56,9 @@ class SampleGrid:
 
 
 def default_grid(r_max: float = 0.5) -> SampleGrid:
-    """12 points: radii (0.15, 0.3, 0.45) times 4 angles, offset to avoid axes."""
+    """12 points: radii r_max * (0.3, 0.6, 0.9) times 4 angles, offset to avoid axes."""
     pts = []
-    for r in DEFAULT_RADII:
+    for r in (r_max * f for f in DEFAULT_RADIUS_FRACTIONS):
         for k in range(DEFAULT_ANGLE_COUNT):
             theta = DEFAULT_ANGLE_OFFSET + 2.0 * math.pi * k / DEFAULT_ANGLE_COUNT
             pts.append(r * complex(math.cos(theta), math.sin(theta)))
@@ -217,17 +217,17 @@ def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: Triang
     one float per element; K(z, w) on the grid is evaluated once for all.
     """
     pts = grid.points
-    k_grid = {(z, w): kernel_full(z, w, params) for z in pts for w in pts}
+    k_grid = [[kernel_full(z, w, params) for w in pts] for z in pts]
     elements = [g] if isinstance(g, GroupElement) else list(g)
     residuals = []
     for h in elements:
-        jz = {z: multiplier_J(h, z, params, rep) for z in pts}
-        hz = {z: act(h, z) for z in pts}
+        jz = multiplier_J(h, pts, params, rep)
+        hz = act(h, pts).tolist()  # Python complex: kernel_full is slower on numpy scalars
         worst = 0.0
-        for z in pts:
-            for w in pts:
-                lhs = jz[z] @ kernel_full(hz[z], hz[w], params) @ jz[w].conj().T
-                worst = max(worst, float(np.linalg.norm(lhs - k_grid[z, w])))
+        for i, z in enumerate(hz):
+            for k, w in enumerate(hz):
+                lhs = jz[i] @ kernel_full(z, w, params) @ jz[k].conj().T
+                worst = max(worst, float(np.linalg.norm(lhs - k_grid[i][k])))
         residuals.append(worst)
     return residuals[0] if isinstance(g, GroupElement) else residuals
 

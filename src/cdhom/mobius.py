@@ -10,8 +10,9 @@ basis h, x, y with
     h = diag(1/2, -1/2),   x = [[0, 1], [0, 0]],   y = [[0, 0], [1, 0]],
 
 related by h = -i*X0, x = X1 + i*Y, y = X1 - i*Y.  The action, its
-derivative and the denominator c*z + d take a scalar point or an array
-of points and return a value of the same shape.  Matrix exponentials
+derivative and the denominator c*z + d read their points through
+np.asarray(z, dtype=complex), so a scalar point is a 0-d array on the one
+numpy path, and each returns a value of the shape of z.  Matrix exponentials
 of real spans are evaluated in closed form (every traceless 2x2 matrix M
 satisfies M^2 = -det(M) I, so exp(tM) is a two-term expression).
 """
@@ -80,34 +81,20 @@ class GroupElement:
         )
 
 
-def anywhere(mask) -> bool:
-    """A condition at one scalar point (a bool) or at any point of an array."""
-    return mask if isinstance(mask, bool) else bool(mask.any())
-
-
-def as_points(z):
-    """A scalar point as given, anything else as a complex array."""
-    return z if isinstance(z, (int, float, complex, np.number)) else np.asarray(z, dtype=complex)
-
-
 def check_pole(den, z) -> None:
     """Raise PoleError if a value c*z + d (nearly) vanishes; den and z broadcast together.
 
     One pole among the points is enough for the error, which names the first.
     """
-    near = abs(den) < _POLE_EPS
-    if anywhere(near):
-        at, value = (np.broadcast_to(z, near.shape)[near][0], den[near][0]) if np.ndim(near) else (z, den)
+    near = np.abs(den) < _POLE_EPS
+    if near.any():
+        at, value = np.broadcast_to(z, near.shape)[near][0], np.asarray(den)[near][0]
         raise PoleError(f"c*z + d = {value} at z = {at}")
 
 
 def denominator(g: GroupElement, z):
-    """c*z + d, raising PoleError where it (nearly) vanishes.
-
-    A scalar z gives a complex number and an array of points an array of
-    its shape.
-    """
-    z = as_points(z)
+    """c*z + d over the points z, raising PoleError where it (nearly) vanishes."""
+    z = np.asarray(z, dtype=complex)
     den = g.c * z + g.d
     check_pole(den, z)
     return den
@@ -115,7 +102,7 @@ def denominator(g: GroupElement, z):
 
 def act(g: GroupElement, z):
     """Fractional-linear action (az + b)/(cz + d), pointwise over an array z."""
-    z = as_points(z)
+    z = np.asarray(z, dtype=complex)
     return (g.a * z + g.b) / denominator(g, z)
 
 

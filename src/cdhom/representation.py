@@ -16,9 +16,10 @@ attached to g = [[a, b], [c, d]] is
 with all real powers on the principal branch.  The group acts on
 C^(m+1)-valued functions by (U_g f)(z) = J_{g^{-1}}(z) f(g^{-1}.z).
 
-The multipliers and the cocycle residual take a scalar point, giving one
-(m+1)x(m+1) matrix (or one float), or an array of points, giving
-z.shape + (m+1, m+1) (or z.shape) from one batched numpy evaluation.
+The multipliers and the cocycle residual read their points through
+np.asarray(z, dtype=complex), so a scalar point is a 0-d array on the one
+numpy path: it gives one (m+1)x(m+1) matrix (or one float), and an array
+of points gives z.shape + (m+1, m+1) (or z.shape).
 Both multipliers depend on g only through (c, d), and the nilpotent
 factor is closed form, exp(t S_m)[i, k] = C(i, k) t^(i-k).
 """
@@ -32,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BranchWarning, ConfigError
-from .mobius import GroupElement, act, anywhere, as_points, check_pole
-from .scalars import VectorPolynomial, cpow_principal
+from .mobius import GroupElement, act, check_pole
+from .scalars import VectorPolynomial
 
 
 @dataclass(frozen=True)
@@ -149,33 +150,24 @@ def _multiplier(c, d, z, rep: TriangularRep, eta: float | None = None) -> np.nda
 
     det g = 1 makes both depend on g only through its second row (c, d):
     g'(z) = (cz + d)^(-2) and J0_g(z) = exp(-c/(cz + d) S_m) diag((cz + d)^(-2j)).
-    Scalars give one (m+1)x(m+1) matrix, and the eta power then goes
-    through cmath; arrays give broadcast(c, d, z).shape + (m+1, m+1).
+    The result has shape broadcast(c, d, z).shape + (m+1, m+1).
     Raises PoleError at a pole, warns BranchWarning once if Re(cz + d) <= 0
     anywhere, and raises OverflowError if the multiplier is not finite.
     """
     den = c * z + d
-    den = complex(den) if np.ndim(den) == 0 else den.astype(complex, copy=False)
     check_pole(den, z)
-    if anywhere(den.real <= 0.0):
+    if (den.real <= 0.0).any():
         warnings.warn(
             f"Re(c*z + d) = {np.min(den.real)} <= 0: principal branch left its safe half-plane",
             BranchWarning,
             stacklevel=3,
         )
-    powers = np.asarray(den)[..., None] ** (-2.0 * np.arange(rep.m + 1))
+    powers = den[..., None] ** (-2.0 * np.arange(rep.m + 1))
     j0 = _shift_exp(rep, -c / den) * powers[..., None, :]
     if eta is None:
         return j0
-    base = 1.0 / (den * den)
-    if isinstance(base, complex):  # one point
-        try:
-            out = cpow_principal(base, eta) * j0
-        except OverflowError:  # cmath raises where numpy returns inf; report it as numpy's case below
-            out = np.full(j0.shape, np.inf)
-    else:
-        with np.errstate(all="ignore"):  # overflow surfaces as a non-finite multiplier below
-            out = np.exp(eta * np.log(base))[..., None, None] * j0
+    with np.errstate(all="ignore"):  # overflow surfaces as a non-finite multiplier below
+        out = np.exp(eta * np.log(1.0 / (den * den)))[..., None, None] * j0
     if not np.isfinite(out).all():
         raise OverflowError(f"the multiplier J_g(z) is not finite at eta = {eta}")
     return out
@@ -189,17 +181,17 @@ def multiplier_J0(g: GroupElement, z, rep: TriangularRep) -> np.ndarray:
     one BranchWarning is emitted if Re(cz+d) <= 0 at any point, where
     principal-branch consistency is no longer guaranteed.
     """
-    return _multiplier(g.c, g.d, as_points(z), rep)
+    return _multiplier(g.c, g.d, np.asarray(z, dtype=complex), rep)
 
 
 def multiplier_J(g: GroupElement, z, params: ModelParams, rep: TriangularRep) -> np.ndarray:
     """Full multiplier (g'(z))^eta * J0_g(z), of shape z.shape + (m+1, m+1).
 
-    The principal power goes through cmath at a scalar point and numpy
-    over an array.  A multiplier that is not finite means the parameters
-    leave the float range and raises OverflowError.
+    The power is taken on the principal branch.  A multiplier that is not
+    finite means the parameters leave the float range and raises
+    OverflowError.
     """
-    return _multiplier(g.c, g.d, as_points(z), rep, params.eta)
+    return _multiplier(g.c, g.d, np.asarray(z, dtype=complex), rep, params.eta)
 
 
 def act_U(g: GroupElement, f, params: ModelParams, rep: TriangularRep):
@@ -236,7 +228,7 @@ def check_cocycle(g, h, z, params: ModelParams, rep: TriangularRep):
     element, so one pair at a scalar point gives a float.  The multipliers
     are evaluated once for all h and once per g over all h.
     """
-    z = as_points(z)
+    z = np.asarray(z, dtype=complex)
     ha, hb, hc, hd = _entries(h, np.ndim(z))
     j_h = _multiplier(hc, hd, z, rep, params.eta)  # checks the poles of h.z
     hz = (ha * z + hb) / (hc * z + hd)

@@ -1,5 +1,6 @@
 """Shared helpers of the test modules."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,3 +23,24 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def g_reference(mp, n: int, lam, m: int):
+    """G(n) from the normalized ladder closed form, in mpmath arithmetic.
+
+    Entry (j + k, j) is C(N, k) (j+1)_k (2 lam_j + k)_{N-k} / sqrt((2 lam_j)_N N!)
+    with N = n - j.  The rising factorials are explicit products, since mp.rf
+    loses its argument past about 1e300; (2 lam_j + k)_{N-k} is read as
+    (2 lam_j)_N / (2 lam_j)_k, so each column costs one product of length N.
+    """
+    out = mp.zeros(m + 1, m + 1)
+    for j in range(min(n, m) + 1):
+        big_n, two_lj = n - j, 2 * mp.mpf(lam) - m + 2 * j
+        full = mp.fprod(two_lj + i for i in range(big_n))  # (2 lam_j)_N
+        norm = mp.sqrt(full * mp.factorial(big_n))
+        head, low = mp.mpf(1), mp.mpf(1)  # (j+1)_k and (2 lam_j)_k
+        for k in range(min(big_n, m - j) + 1):
+            out[j + k, j] = math.comb(big_n, k) * head * (full / low) / norm
+            head *= j + 1 + k
+            low *= two_lj + k
+    return out

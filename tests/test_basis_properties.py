@@ -12,6 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from cdhom import ModelParams, e_basis, g_matrix, kernel_series, shift_block  # noqa: E402
 from cdhom.basis import basis_values, g_table  # noqa: E402
+from helpers import g_reference  # noqa: E402
 
 TOL = 1e-12
 
@@ -62,21 +63,6 @@ def test_series_values_properties(case, w_radius, w_angle):
     assert np.max(np.abs(k_zw - kernel_series(w, z, p, n).conj().T)) <= TOL * scale
 
 
-def _g_reference(mp, n, lam, m):
-    """G(n) from the normalized ladder closed form, in mpmath arithmetic."""
-
-    def rf(x, count):  # explicit products: mp.rf loses its argument past about 1e300
-        return mp.fprod(x + i for i in range(count))
-
-    out = mp.zeros(m + 1, m + 1)
-    for j in range(min(n, m) + 1):
-        big_n, two_lj = n - j, 2 * mp.mpf(lam) - m + 2 * j
-        norm = mp.sqrt(rf(two_lj, big_n) * mp.factorial(big_n))
-        for k in range(min(big_n, m - j) + 1):
-            out[j + k, j] = mp.binomial(big_n, k) * rf(j + 1, k) * rf(two_lj + k, big_n - k) / norm
-    return out
-
-
 def _max_relative_error(mp, got, ref):
     worst = 0.0
     for ell in range(ref.rows):
@@ -94,7 +80,7 @@ def test_g_matrix_matches_mpmath(lam, m):
     mp.mp.dps = 50
     p = ModelParams(lam=lam, m=m, mu=(1.0,) * (m + 1))
     for n in range(61):
-        assert _max_relative_error(mp, g_matrix(n, p), _g_reference(mp, n, lam, m)) <= 1e-13, n
+        assert _max_relative_error(mp, g_matrix(n, p), g_reference(mp, n, lam, m)) <= 1e-13, n
 
 
 def test_g_matrix_at_huge_lambda():
@@ -104,7 +90,7 @@ def test_g_matrix_at_huge_lambda():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # entries past the float range stay silent inside the table
         for n in range(3):
-            assert _max_relative_error(mp, g_matrix(n, p), _g_reference(mp, n, 1e300, 1)) <= 1e-13, n
+            assert _max_relative_error(mp, g_matrix(n, p), g_reference(mp, n, 1e300, 1)) <= 1e-13, n
         assert g_matrix(2, p)[0, 0] == pytest.approx(2.0**0.5 * 1e300, rel=1e-13)
         with pytest.raises(OverflowError):
             g_matrix(3, p)  # G(3)[0, 0] = sqrt((2 lam - 1)_3 / 3!) is about 1e450

@@ -367,6 +367,29 @@ def test_verify_kernel_suite_at_high_truncation(tmp_path):
     assert all(c["residual"] is not None and c["passed"] for c in report["checks"])  # null marks non-finite
 
 
+def test_verify_kernel_suite_on_a_small_grid_radius(tmp_path):
+    # --rmax scales the 12 grid points to radii rmax * (0.3, 0.6, 0.9); 0.3 once put them outside it.
+    out = tmp_path / "report.json"
+    res = call_cli("verify", *BASE_M1, "--rmax", "0.3", "--suite", "kernel", "--out", str(out))
+    assert res.returncode in (0, 1), res.stderr
+    assert "Traceback" not in res.stderr
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, SCHEMA)
+    assert report["config"]["r_max"] == 0.3
+
+
+def test_verify_rep_suite_at_m28_reports_the_k_type_check(tmp_path):
+    # Every monomial value at |z0| = 0.33 and degree >= 30 lies below 1e-14; the check must still measure.
+    out = tmp_path / "report.json"
+    res = call_cli("verify", "--lambda", "18.67", "--m", "28", "--mu", ",".join(["1"] * 29), "--suite", "rep", "--out", str(out))
+    assert res.returncode in (0, 1), res.stderr  # cocycle fails on scale at this m
+    assert "Traceback" not in res.stderr
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, SCHEMA)
+    (record,) = [c for c in report["checks"] if c["name"] == "rotation_k_type"]
+    assert record["passed"] and 0.0 < record["residual"] <= 1e-10
+
+
 def test_fixtures_regeneration_is_stable(tmp_path):
     res = call_cli("fixtures", "--out", str(tmp_path))
     assert res.returncode == 0

@@ -1,3 +1,6 @@
+import cmath
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,21 +13,18 @@ from cdhom import (
     TriangularRep,
     check_positive_definite,
     check_quasi_invariance,
-    cpow_principal,
-    d_j_diagonal,
     default_grid,
     exp_basis,
-    kernel_Bj_closed,
-    kernel_Kj,
     kernel_full,
     kernel_series,
     normalize_kernel,
 )
 from cdhom import goldens
-from cdhom.kernel import kernel_series_partial_sums
+from cdhom.kernel import d_j_diagonal, kernel_Bj_closed, kernel_Kj, kernel_series_partial_sums
 from cdhom.mobius import X0, X1, Y
+from cdhom.scalars import cpow_principal
 from cdhom.verify import RunConfig, run_suite, seeded_points
-from helpers import traced_peak
+from helpers import g_reference, traced_peak
 
 ORACLE_TUPLES = [
     (1, 1.0, (1.0, 1.0)),
@@ -221,6 +221,49 @@ def test_series_oracle_default_grid(m, lam, mu):
     assert worst <= 1e-8
 
 
+def _kernel_reference(mp, pairs, lam, m, mu):
+    """sum_n sum_j mu_j^2 e^j_{n-j}(z) e^j_{n-j}(w)^* at each pair (z, w), in mpmath arithmetic.
+
+    Component l of e^j_{n-j}(z) is G(n)[l, j] z^(n-l), so degree n adds
+    A[l, q] z^(n-l) conj(w)^(n-q) with A = G(n) diag(mu^2) G(n)^T.  Past their
+    peak the degrees shrink geometrically (by about |z w| per degree), and the sum
+    stops after the first degree above m whose terms are all below 1e-20.
+    """
+    mu2 = [mp.mpf(v) ** 2 for v in mu]
+    points = [(mp.mpc(z), mp.conj(mp.mpc(w))) for z, w in pairs]
+    moduli = np.array([(abs(z), abs(w)) for z, w in pairs])
+    sums = [[[mp.mpc(0)] * (m + 1) for _ in range(m + 1)] for _ in pairs]
+    for n in itertools.count():
+        top = min(n, m)  # G(n)[l, j] vanishes for l > n
+        g = g_reference(mp, n, lam, m).tolist()
+        weighted = [[mu2[j] * g[l][j] for j in range(l + 1)] for l in range(top + 1)]
+        a = [[mp.fdot(weighted[min(l, q)], g[max(l, q)][: min(l, q) + 1]) for q in range(top + 1)] for l in range(top + 1)]
+        for (z, wbar), total in zip(points, sums):
+            zp, wp = [z ** (n - l) for l in range(top + 1)], [wbar ** (n - q) for q in range(top + 1)]
+            for l in range(top + 1):
+                for q in range(top + 1):
+                    total[l][q] += a[l][q] * zp[l] * wp[q]
+        # The size of each term of degree n, in floats: |A[l, q]| |z|^(n-l) |w|^(n-q).
+        exps = n - np.arange(top + 1)
+        sizes = np.abs(np.array(a, dtype=float))[None] * (moduli[:, :1] ** exps)[:, :, None] * (moduli[:, 1:] ** exps)[:, None, :]
+        if n > m and sizes.max() < 1e-20:
+            return [np.array(total, dtype=complex) for total in sums]
+
+
+@pytest.mark.parametrize("lam,m", [(3.5, 5), (3.7, 6), (8.0, 12)])
+def test_kernel_full_matches_the_mpmath_series(lam, m):
+    # No golden kernel exists at m >= 3; this pins kernel_full there at double precision.
+    mp = pytest.importorskip("mpmath")
+    mu = (1.0, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7, 1.05, 0.95, 1.15, 0.85, 1.25, 0.75)[: m + 1]
+    p, _ = make(lam, m, mu)
+    pairs = [(cmath.rect(0.45, 0.4), cmath.rect(0.12, -1.1)), (cmath.rect(0.2, -2.5), cmath.rect(0.45, 1.3))]
+    with mp.workdps(30):
+        refs = _kernel_reference(mp, pairs, lam, m, mu)
+    for (z, w), ref in zip(pairs, refs):
+        got = kernel_full(z, w, p)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref)))), (z, w)
+
+
 def test_series_truncation_monotone():
     p, _ = make(1.0, 1)
     z, w = 0.45, 0.3 - 0.3j
@@ -379,6 +422,16 @@ def test_default_grid_shape():
     assert len(grid.points) == 12
     assert len(set(grid.points)) == 12
     assert max(abs(z) for z in grid.points) <= 0.45 + 1e-15
+
+
+def test_default_grid_radii_scale_with_r_max():
+    for r_max in (0.5, 0.3, 0.05):
+        radii = np.abs(np.array(default_grid(r_max).points)).reshape(3, 4)  # one row per radius
+        assert np.allclose(radii, r_max * np.array([[0.3], [0.6], [0.9]]), rtol=1e-15, atol=0.0)
+    # At the default radius 0.5 the radii are the doubles 0.15, 0.3 and 0.45, so the points do not move.
+    angles = [0.4 + 2.0 * np.pi * k / 4 for k in range(4)]
+    fixed = tuple(r * complex(np.cos(t), np.sin(t)) for r in (0.15, 0.3, 0.45) for t in angles)
+    assert default_grid().points == fixed
 
 
 def test_grid_rejects_duplicates():

@@ -24,7 +24,7 @@ from cdhom.mobius import X1, Y, act
 from cdhom.operator import reproducing_coefficients, shift_table
 from cdhom.representation import multiplier_J
 from cdhom.verify import RunConfig, check_homog_interior, check_unitarity
-from helpers import active_slots
+from helpers import active_slots, g_reference
 
 REF_M6 = (3.7, 6, (1.0, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7))
 
@@ -77,20 +77,10 @@ def test_shift_block_diagonal_tends_to_one():
 
 def _w_reference(mp, lam, m, mu, n_max):
     """W(n) = D(mu)^-1 G(n+1)^-1 G(n) D(mu) for n <= n_max, by forward substitution in mpmath."""
-
-    def g_ref(n):
-        out = mp.zeros(m + 1, m + 1)
-        for j in range(min(n, m) + 1):
-            big_n, two_lj = n - j, 2 * mp.mpf(lam) - m + 2 * j
-            norm = mp.sqrt(mp.rf(two_lj, big_n) * mp.factorial(big_n))
-            for k in range(min(big_n, m - j) + 1):
-                out[j + k, j] = mp.binomial(big_n, k) * mp.rf(j + 1, k) * mp.rf(two_lj + k, big_n - k) / norm
-        return out
-
     mus = [mp.mpf(v) for v in mu]
-    g_next, blocks = g_ref(0), []
+    g_next, blocks = g_reference(mp, 0, lam, m), []
     for n in range(n_max + 1):
-        g_cur, g_next = g_next, g_ref(n + 1)
+        g_cur, g_next = g_next, g_reference(mp, n + 1, lam, m)
         x = mp.zeros(m + 1, m + 1)
         for col in range(m + 1):
             for row in range(min(n + 1, m) + 1):

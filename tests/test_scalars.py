@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from cdhom import ModelParams, ZeroBaseError, binom, cpow_principal, pochhammer, u_closed
-from cdhom.scalars import VectorPolynomial
+from cdhom import ModelParams, ZeroBaseError, u_closed
+from cdhom.scalars import VectorPolynomial, binom, cpow_principal, pochhammer
 
 
 def test_pochhammer_empty_product():
