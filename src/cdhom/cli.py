@@ -207,12 +207,11 @@ def cmd_verify(args) -> int:
         truncation=args.truncation,
         r_max=args.rmax,
         tolerances=_parse_tols(args.tol),
-        fmt=args.fmt,
         seed=args.seed,
         allow_degenerate=args.allow_degenerate,
     )
     report = run_suite(cfg, args.suite)
-    _emit(report.to_json() if cfg.fmt == "json" else report.to_csv(), args.out)
+    _emit(report.to_json() if args.fmt == "json" else report.to_csv(), args.out)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 

@@ -30,7 +30,7 @@ class SingularResolventError(ArithmeticError):
     """The resolvent factor c*T + d*I of a fractional-linear map is singular."""
 
 
-class SingularKernelColumnError(ArithmeticError):
+class SingularKernelColumnError(NormalizationError):
     """K(z, 0) is numerically singular, so the normalizing map is undefined."""
 
 

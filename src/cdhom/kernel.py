@@ -133,17 +133,6 @@ def kernel_full(z: complex, w: complex, params: ModelParams) -> np.ndarray:
     return out
 
 
-def _series_factors(z, w, params: ModelParams, n_trunc: int):
-    """Broadcast shape; basis values [point, l, slot] at the distinct z, the point of each pair; the same at conj(w)."""
-    zs, ws = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
-    _require_disc(*zs.flat, *ws.flat)
-    slots = np.arange((n_trunc + 1) * (params.m + 1))
-    # Broadcast grids repeat each point many times, so only the distinct ones are evaluated.
-    # G(n) is real, so e(w)^* is e evaluated at conj(w).
-    (dz, iz), (dw, iw) = (np.unique(points, return_inverse=True) for points in (zs, ws.conj()))
-    return zs.shape, basis_values(dz, slots, params), iz.reshape(-1), basis_values(dw, slots, params), iw.reshape(-1)
-
-
 def kernel_series(z, w, params: ModelParams, n_trunc: int) -> np.ndarray:
     """Truncated basis series sum_{n<=N} sum_j mu_j^2 e^j_{n-j}(z) e^j_{n-j}(w)^*.
 
@@ -155,35 +144,20 @@ def kernel_series(z, w, params: ModelParams, n_trunc: int) -> np.ndarray:
     degrees (at least one), so the working set is O(pairs (m+1) max(m+1, 32)
     + points N (m+1)^2), not O(pairs N (m+1)^2).
     """
-    shape, vz, iz, vw, iw = _series_factors(z, w, params, n_trunc)
+    zs, ws = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+    _require_disc(*zs.flat, *ws.flat)
+    slots = np.arange((n_trunc + 1) * (params.m + 1))
+    # Broadcast grids repeat each point many times, so only the distinct ones are evaluated.
+    # G(n) is real, so e(w)^* is e evaluated at conj(w).
+    (dz, iz), (dw, iw) = (np.unique(points, return_inverse=True) for points in (zs, ws.conj()))
+    vz, vw = basis_values(dz, slots, params), basis_values(dw, slots, params)
+    iz, iw = iz.reshape(-1), iw.reshape(-1)
     size = params.m + 1
     step = size * max(1, 32 // size)  # whole degrees per product
     out = np.zeros((len(iz), size, size), dtype=complex)
     for lo in range(0, vz.shape[2], step):
         out += vz[:, :, lo : lo + step][iz] @ vw[:, :, lo : lo + step][iw].transpose(0, 2, 1)
-    return out.reshape(shape + out.shape[1:])
-
-
-def kernel_series_partial_sums(z, w, params: ModelParams, n_trunc: int) -> np.ndarray:
-    """Every truncation of kernel_series at once: entry [..., N, :, :] sums the degrees n <= N.
-
-    The terms mu_j^2 e^j_{n-j}(z) e^j_{n-j}(w)^* are accumulated one at a
-    time in the order (n, j), so consecutive truncations share their prefix
-    exactly as a sequential sum does, and a term below half an ulp of the
-    sum leaves it unchanged.  The result has shape
-    broadcast(z, w).shape + (n_trunc+1, m+1, m+1); forming the terms one degree
-    at a time adds a working set of O(pairs (m+1)^3 + points N (m+1)^2).
-    """
-    shape, vz, iz, vw, iw = _series_factors(z, w, params, n_trunc)
-    size = params.m + 1
-    sums = np.empty((len(iz), n_trunc + 1, size, size), dtype=complex)
-    for n in range(n_trunc + 1):
-        degree = slice(n * size, (n + 1) * size)
-        terms = np.einsum("slj,spj->jslp", vz[:, :, degree][iz], vw[:, :, degree][iw])  # terms[j]: slot (n, j)
-        if n:
-            terms[0] += sums[:, n - 1]
-        sums[:, n] = np.cumsum(terms, axis=0)[-1]  # the running sum after slot j = m of degree n
-    return sums.reshape(shape + sums.shape[1:])
+    return out.reshape(zs.shape + out.shape[1:])
 
 
 @dataclass(frozen=True)

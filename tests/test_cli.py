@@ -390,6 +390,27 @@ def test_verify_rep_suite_at_m28_reports_the_k_type_check(tmp_path):
     assert record["passed"] and 0.0 < record["residual"] <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "model, suite",
+    [
+        (["--lambda", "1", "--m", "1", "--mu", "1e-8,1e8"], "kernel"),
+        (["--lambda", "3.7", "--m", "6", "--mu", "1e-5,1,1,1,1,1,1e5"], "all"),
+    ],
+    ids=["m1", "m6"],
+)
+def test_verify_reports_a_singular_kernel_column_as_a_failed_normalization(tmp_path, model, suite):
+    # cond K(z, 0) > 1e13 on the grid: the normalizing map is undefined, which is a failed check, not a crash.
+    out = tmp_path / "report.json"
+    res = call_cli("verify", *model, "--suite", suite, "--out", str(out))
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, SCHEMA)
+    (record,) = [c for c in report["checks"] if c["name"] == "normalization"]
+    assert record["residual"] is None and not record["passed"]
+    assert "numerically singular" in record["note"]
+
+
 def test_fixtures_regeneration_is_stable(tmp_path):
     res = call_cli("fixtures", "--out", str(tmp_path))
     assert res.returncode == 0

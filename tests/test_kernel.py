@@ -20,10 +20,10 @@ from cdhom import (
     normalize_kernel,
 )
 from cdhom import goldens
-from cdhom.kernel import d_j_diagonal, kernel_Bj_closed, kernel_Kj, kernel_series_partial_sums
+from cdhom.kernel import d_j_diagonal, kernel_Bj_closed, kernel_Kj
 from cdhom.mobius import X0, X1, Y
 from cdhom.scalars import cpow_principal
-from cdhom.verify import RunConfig, run_suite, seeded_points
+from cdhom.verify import RunConfig, run_suite
 from helpers import g_reference, traced_peak
 
 ORACLE_TUPLES = [
@@ -286,27 +286,11 @@ def test_series_batched_matches_pairwise(m, lam, mu):
     assert kernel_series(pts, 0.2j, p, 60).shape == (len(pts), m + 1, m + 1)
 
 
-def test_series_partial_sums_are_the_truncations():
-    p, _ = make(1.6, 2, (1.0, 0.7, 1.3))
-    z, w = np.array([0.3, -0.2 + 0.4j]), np.array([0.45j, 0.1])
-    sums = kernel_series_partial_sums(z, w, p, 30)
-    assert sums.shape == (2, 31, 3, 3)
-    for n in (0, 1, 7, 30):
-        assert np.max(np.abs(sums[:, n] - kernel_series(z, w, p, n))) <= 1e-14
-
-
 def test_series_memory_bounded_on_default_grid():
     # Degrees are summed a few at a time over the 144 pairs; a stack of all degrees of all pairs took 14.9 MB.
     p, _ = make(3.7, 6, (1.0, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7))
     pts = np.array(default_grid().points)
     assert traced_peak(kernel_series, pts[:, None], pts[None, :], p, 60) < 4e6
-
-
-def test_series_partial_sums_memory_bounded():
-    # The terms are formed one degree at a time; forming all of them at once took 13.9 MB.
-    p, _ = make(8.0, 12)
-    pts = np.array(seeded_points(20260813, 3))
-    assert traced_peak(kernel_series_partial_sums, pts, pts[::-1], p, 60) < 4e6
 
 
 @pytest.mark.parametrize("bad", [1.0, 0.8 + 0.8j, complex("nan"), complex(0.1, float("nan"))])

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from cdhom import goldens, verify
 from cdhom.errors import ConfigError
 from cdhom.kernel import kernel_full, kernel_series
 from cdhom.mobius import X, X0, X1, Y, Y_LOWER, exp_basis
@@ -14,6 +15,9 @@ from cdhom.verify import (
     DEFAULT_TOLERANCES,
     RunConfig,
     check_cocycle_sweep,
+    check_golden_g,
+    check_golden_k,
+    check_golden_w,
     check_hermitian_symmetry,
     check_kernel_oracle,
     check_monotone_truncation,
@@ -61,6 +65,14 @@ def test_kernel_symmetry_checks_are_relative_to_the_kernel_scale():
     residual, parameters, _ = check_monotone_truncation(cfg)
     assert parameters["scale"] == scale(zip(seeded, seeded[::-1])) > 1.0
     assert residual <= cfg.tolerance("monotone_truncation")
+
+
+def test_monotone_truncation_catches_a_deviation_that_grows_with_the_cut(monkeypatch):
+    cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
+    assert check_monotone_truncation(cfg)[0] <= cfg.tolerance("monotone_truncation")
+    series = verify.kernel_series
+    monkeypatch.setattr(verify, "kernel_series", lambda z, w, p, n: series(z, w, p, n) + 1e-9 * n * np.eye(p.m + 1))
+    assert check_monotone_truncation(cfg)[0] > cfg.tolerance("monotone_truncation")
 
 
 def _oracle_deviation(cfg):
@@ -122,3 +134,29 @@ def test_cocycle_sweep_memory_bounded():
     # The multipliers are batched over h and the points, one g at a time; all 100 pairs at once take several MB.
     cfg = RunConfig(lam=3.7, m=6, mu=(1.0, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7))
     assert traced_peak(check_cocycle_sweep, cfg) <= 1.5e6
+
+
+# Each of these read above its tolerance while the golden checks were absolute.
+GOLDEN_REPRODUCERS = [
+    (50.0, 2, (1.0, 1.0, 1.0)),
+    (20.0, 1, (1.0, 1.0)),
+    (1.6, 2, (1.0, 1e-6, 1.0)),
+    (1.6, 2, (1.0, 1e6, 1.0)),
+    (1.0, 1, (1e-8, 1e8)),
+]
+
+
+@pytest.mark.parametrize("lam,m,mu", GOLDEN_REPRODUCERS)
+def test_golden_checks_are_relative_to_the_closed_form_scale(lam, m, mu):
+    cfg = RunConfig(lam=lam, m=m, mu=mu)
+    ratios = [v / mu[0] for v in mu[1:]]
+    closed = {
+        "golden_g": lambda where: getattr(goldens, f"g_matrix_m{m}")(where["degree"], lam),
+        "golden_w": lambda where: getattr(goldens, f"shift_block_m{m}")(where["degree"], lam, *ratios),
+        "golden_k": lambda where: mu[0] ** 2
+        * getattr(goldens, f"kernel_m{m}")(*(complex(*z) for z in where["pair"]), lam, *ratios),
+    }
+    for name, check in (("golden_g", check_golden_g), ("golden_w", check_golden_w), ("golden_k", check_golden_k)):
+        residual, parameters, _ = check(cfg)
+        assert residual <= 1e-14 and residual <= cfg.tolerance(name), name
+        assert parameters["scale"] == max(1.0, float(np.max(np.abs(closed[name](parameters)))))
