@@ -162,10 +162,14 @@ def kernel_series(z, w, params: ModelParams, n_trunc: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PositiveDefiniteReport:
-    """Minimum eigenvalue of the block Gram matrix over a grid; the verify registry holds its tolerance."""
+    """Minimum eigenvalue of the block Gram matrix over a grid, and its scale max(1, max |entry|).
+
+    The verify registry holds the tolerance, which applies to max(0, -min_eigenvalue) / scale.
+    """
 
     min_eigenvalue: float
     gram_size: int
+    scale: float
 
 
 def check_positive_definite(params: ModelParams, grid: SampleGrid) -> PositiveDefiniteReport:
@@ -181,7 +185,8 @@ def check_positive_definite(params: ModelParams, grid: SampleGrid) -> PositiveDe
             if k > i:
                 gram[k * (m + 1): (k + 1) * (m + 1), i * (m + 1): (i + 1) * (m + 1)] = block.conj().T
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-    return PositiveDefiniteReport(min_eigenvalue=float(eigs[0]), gram_size=size)
+    scale = max(1.0, float(np.max(np.abs(gram))))
+    return PositiveDefiniteReport(min_eigenvalue=float(eigs[0]), gram_size=size, scale=scale)
 
 
 def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: TriangularRep) -> float | list[float]:
@@ -243,7 +248,7 @@ def normalize_kernel(params: ModelParams, grid: SampleGrid) -> NormalizationRepo
         kz0 = kernel_full(z, 0.0, params)  # once per point: phi(z) inverts it, and the check applies it
         conds.append(float(np.linalg.cond(kz0)))
         if conds[-1] > 1e13:
-            raise SingularKernelColumnError(f"K(z, 0) numerically singular at z = {z}")
+            raise SingularKernelColumnError(f"cond {conds[-1]:.3g} > 1e13, numerically singular at z = {z}")
         val = root @ np.linalg.inv(kz0) @ kz0 @ phi0.conj().T  # phi(z) K(z, 0) phi(0)^*
         residual = max(residual, float(np.linalg.norm(val - constant)))
     return NormalizationReport(residual=residual, phi0=phi0, cond_k_z0=max(conds))

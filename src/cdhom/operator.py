@@ -14,7 +14,10 @@ the truncated shift agrees with the infinite functional calculus on
 every retained block because the shift only propagates downward in
 degree.  It needs no solve: g(T) is the finite Taylor sum
 b/d + sum_k coef_k T^k, and block (n+k, n) of T^k is the product
-W(n+k-1)...W(n).
+W(n+k-1)...W(n).  On a plain matrix, the oracle of that sum, g(T) is one
+dense inverse of cT + dI times aT + bI.  Its guard is the exact 1-norm
+condition number, read off the same inverse, because an SVD for the 2-norm
+one would cost more than the inverse itself.
 
 The unitary group action needs no sampling and no solve either.  The
 associated representation is multiplicity free, the sum of the discrete
@@ -147,20 +150,33 @@ def mobius_calculus(g: GroupElement, t) -> np.ndarray:
         g(T) = b/d + (ad - bc) sum_{k>=1} (-c)^(k-1) d^(-k-1) T^k,
 
     assembled block by block from products of the shift blocks; d = 0 (or
-    coefficients past the float range) raises SingularResolventError.  A
-    plain matrix goes through one dense solve instead, guarded by the
-    condition number of cT + dI; it is the oracle of the block form.
+    coefficients past the float range) raises SingularResolventError.
+
+    A plain square matrix is the oracle of the block form.  It takes one
+    inverse R^(-1) of R = cT + dI and returns R^(-1) (aT + bI).  The guard
+    reads the exact 1-norm condition number ||R||_1 ||R^(-1)||_1 off that
+    inverse, so no SVD is needed for it.  SingularResolventError is raised on
+    an exact zero pivot, or when that number is non-finite or above 1e13.
+    The 1-norm bound differs from the 2-norm one by at most the size n:
+    cond_2 / n <= cond_1 <= n cond_2.
     """
     if isinstance(t, TruncatedOperator):
         return _block_calculus(g, t).reshape(((t.n_trunc + 1) * (t.params.m + 1),) * 2)
     mat = np.asarray(t, dtype=complex)
-    eye = np.eye(mat.shape[0], dtype=complex)
-    resolvent = g.c * mat + g.d * eye
-    cond = np.linalg.cond(resolvent)
+    diagonal = np.diag_indices_from(mat)
+    with np.errstate(all="ignore"):  # a non-finite entry surfaces in the guard below
+        resolvent, right = g.c * mat, g.a * mat
+        resolvent[diagonal] += g.d
+        right[diagonal] += g.b
+        try:
+            inverse = np.linalg.inv(resolvent)
+        except np.linalg.LinAlgError as exc:
+            raise SingularResolventError(f"c*T + d*I has an exact zero pivot: {exc}") from None
+        cond = np.linalg.norm(resolvent, 1) * np.linalg.norm(inverse, 1)
     if not np.isfinite(cond) or cond > 1e13:
-        raise SingularResolventError(f"c*T + d*I has condition number {cond}")
+        raise SingularResolventError(f"c*T + d*I has 1-norm condition number {cond}")
     # (aT + b) and (cT + d)^(-1) are both functions of T, hence commute.
-    return np.linalg.solve(resolvent, g.a * mat + g.b * eye)
+    return inverse @ right
 
 
 def _block_calculus(g: GroupElement, t: TruncatedOperator, max_degree: int | None = None) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, goldens
 from .basis import g_matrix, g_table, minus_F, op_E, op_F, op_H, u_closed
-from .errors import ConfigError, NormalizationError
+from .errors import ConfigError, NormalizationError, SingularKernelColumnError
 from .kernel import (
     SampleGrid,
     check_positive_definite,
@@ -195,11 +195,13 @@ def check_kernel_oracle(cfg: RunConfig) -> Measurement:
 
 
 def check_pd(cfg: RunConfig) -> Measurement:
+    """The most negative Gram eigenvalue, relative to the Gram's scale max(1, max |K|) over the grid."""
     report = check_positive_definite(cfg.params(), cfg.grid())
     return _measured(
-        max(0.0, -report.min_eigenvalue),
+        max(0.0, -report.min_eigenvalue) / report.scale,
         min_eigenvalue=report.min_eigenvalue,
         gram_size=report.gram_size,
+        scale=report.scale,
     )
 
 
@@ -608,6 +610,8 @@ def _run_check(check: Check, cfg: RunConfig) -> CheckResult:
     """Run one check and stamp its registered name and tolerance onto the record."""
     try:
         residual, parameters, note = check.fn(cfg)
+    except SingularKernelColumnError as exc:
+        residual, parameters, note = float("inf"), {}, f"ill-conditioned K(z, 0): {exc}"
     except NormalizationError as exc:
         residual, parameters, note = float("inf"), {}, f"degenerate normalization: {exc}"
     tol = cfg.tolerance(check.name)

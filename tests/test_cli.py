@@ -409,6 +409,7 @@ def test_verify_reports_a_singular_kernel_column_as_a_failed_normalization(tmp_p
     (record,) = [c for c in report["checks"] if c["name"] == "normalization"]
     assert record["residual"] is None and not record["passed"]
     assert "numerically singular" in record["note"]
+    assert record["note"].startswith("ill-conditioned K(z, 0)") and "degenerate" not in record["note"]
 
 
 def test_fixtures_regeneration_is_stable(tmp_path):

@@ -247,6 +247,39 @@ def test_calculus_singular_resolvent():
         mobius_calculus(bad, t_op)
 
 
+RESOLVENT_G = GroupElement(1.0, 0.5, 2.0, 2.0)  # det 1; c*T + d*I vanishes where T has the eigenvalue -d/c = -1
+
+
+def test_dense_calculus_exact_zero_pivot_raises_singular_resolvent():
+    # c*diag(-d/c, 1, ...) + d*I has an exact zero on its diagonal, so np.linalg.inv itself raises.
+    g = RESOLVENT_G
+    t_mat = np.diag([-g.d / g.c] + [1.0] * 5)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(g.c * t_mat + g.d * np.eye(6))
+    with pytest.raises(SingularResolventError, match="zero pivot"):
+        mobius_calculus(g, t_mat)
+
+
+def test_dense_calculus_raises_above_the_one_norm_condition_bound():
+    # Invertible, but ||R||_1 ||R^(-1)||_1 = (c + d) / (c * 1e-14) is far above 1e13.
+    g = RESOLVENT_G
+    t_mat = np.diag([-g.d / g.c + 1e-14] + [1.0] * 5)
+    resolvent = g.c * t_mat + g.d * np.eye(6)
+    assert np.linalg.norm(resolvent, 1) * np.linalg.norm(np.linalg.inv(resolvent), 1) > 1e13
+    with pytest.raises(SingularResolventError, match="1-norm condition number"):
+        mobius_calculus(g, t_mat)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dense_calculus_raises_on_a_non_finite_entry(bad):
+    t_mat = np.array(truncate(ModelParams(lam=1.0, m=1, mu=(1.0, 1.0)), 5).matrix)
+    t_mat[3, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularResolventError):
+            mobius_calculus(exp_basis(X1, 0.3), t_mat)
+
+
 CALCULUS_ELEMENTS = [
     GroupElement.identity(),
     GroupElement.rotation(-0.7),

@@ -67,6 +67,13 @@ def test_result_attributes_the_benchmark_reads_exist():
         assert all(hasattr(result, attr) for attr in attrs), (function, attrs)
 
 
+def test_dense_calculus_keeps_the_shape_the_benchmark_subtracts_from():
+    # operator-truncation's _calculus_residual subtracts e^(i theta) * t_mat from mobius_calculus(g, t_mat).
+    t_mat = cdhom.truncate(cdhom.ModelParams(lam=1.6, m=2, mu=(1.0, 0.7, 1.3)), 8).matrix
+    out = cdhom.mobius_calculus(cdhom.GroupElement.rotation(0.3), t_mat)
+    assert out.dtype == complex and out.shape == t_mat.shape
+
+
 def test_benchmark_provenance_hook_exists():
     assert cdhom.verify._max_workers() == 1  # recorded by perfbench/run.py as the verify pool size
 

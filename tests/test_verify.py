@@ -22,6 +22,8 @@ from cdhom.verify import (
     check_kernel_oracle,
     check_monotone_truncation,
     check_normalization,
+    check_pd,
+    check_qi,
     run_suite,
     seeded_points,
 )
@@ -73,6 +75,15 @@ def test_monotone_truncation_catches_a_deviation_that_grows_with_the_cut(monkeyp
     series = verify.kernel_series
     monkeypatch.setattr(verify, "kernel_series", lambda z, w, p, n: series(z, w, p, n) + 1e-9 * n * np.eye(p.m + 1))
     assert check_monotone_truncation(cfg)[0] > cfg.tolerance("monotone_truncation")
+
+
+def test_positive_definite_is_relative_to_the_gram_scale():
+    # max |K| is about 2e16 here, so the min eigenvalue -2.43 is rounding; quasi_invariance is still absolute.
+    cfg = RunConfig(lam=1.0, m=1, mu=(1e-8, 1e8))
+    residual, parameters, _ = check_pd(cfg)
+    assert parameters["min_eigenvalue"] < -1.0 and parameters["scale"] > 1e16
+    assert residual == -parameters["min_eigenvalue"] / parameters["scale"] <= cfg.tolerance("positive_definite")
+    assert check_qi(cfg)[0] > cfg.tolerance("quasi_invariance")  # its scale needs K at the moved points
 
 
 def _oracle_deviation(cfg):
