@@ -6,8 +6,10 @@ The three operators on C^(m+1)-valued polynomials are
     (H f)(z) = (-eta*I + rho0(h)) f(z) - z f'(z)
     (F f)(z) = (-2*eta*z*I + 2*z*rho0(h) - rho(y)) f(z) - z^2 f'(z)
 
-and -F, repeatedly applied to the coordinate vectors eps_j, produces the
-ladder u^j_n = (-F)^n eps_j whose closed form is, with k = l - j,
+with rho0(h) = diag(-l) and rho(y) = S_m.  H and F take (f, params):
+they read eta, m/2 - l and the S_m weights l from (lam, m) alone.  -F,
+repeatedly applied to the coordinate vectors eps_j, produces the ladder
+u^j_n = (-F)^n eps_j whose closed form is, with k = l - j,
 
     u^j_{n,l}(z) = C(n,k) (j+1)_k (2*lam - m + 2j + k)_{n-k} z^{n-k}
 
@@ -33,7 +35,7 @@ import operator
 import numpy as np
 
 from .errors import NormalizationError
-from .representation import ModelParams, TriangularRep
+from .representation import ModelParams
 from .scalars import VectorPolynomial, binom
 
 
@@ -43,30 +45,30 @@ def op_E(f: VectorPolynomial) -> VectorPolynomial:
     return VectorPolynomial(-(f.coeffs[1:] * degs)) if f.degree else VectorPolynomial.zero(f.m)
 
 
-def op_H(f: VectorPolynomial, params: ModelParams, rep: TriangularRep) -> VectorPolynomial:
+def op_H(f: VectorPolynomial, params: ModelParams) -> VectorPolynomial:
     """(H f)(z) = (-eta*I + rho0(h)) f(z) - z f'(z): degree d of component l scales by -(eta + l) - d."""
     degs = np.arange(f.coeffs.shape[0])[:, None]
-    return VectorPolynomial(f.coeffs * np.diag(rep.rho_h) - f.coeffs * degs)
+    return VectorPolynomial(f.coeffs * -(params.eta + np.arange(params.m + 1)) - f.coeffs * degs)
 
 
-def _minus_f_coeffs(f: VectorPolynomial, params: ModelParams, rep: TriangularRep) -> np.ndarray:
-    """Coefficients of -F f, one degree above f: degree d of f moves to d + 1 with weight
-    2*lam - 2 D_m[l] + d, and S_m moves component l - 1 to l at the same degree."""
-    c = f.coeffs
+def _minus_f_coeffs(f: VectorPolynomial, params: ModelParams) -> np.ndarray:
+    """Coefficients of -F f, one degree above f: degree d of component l moves to d + 1 with weight
+    2*lam - 2*(m/2 - l) + d, and S_m moves component l - 1 to l at the same degree with weight l."""
+    c, m = f.coeffs, params.m
     out = np.zeros((c.shape[0] + 1, c.shape[1]), dtype=complex)
-    out[1:] = c * (2.0 * params.lam - 2.0 * np.diag(rep.d_m) + np.arange(c.shape[0])[:, None])
-    out[:-1, 1:] += c[:, :-1] * np.diag(rep.rho_y, -1)
+    out[1:] = c * (2.0 * params.lam - 2.0 * (m / 2.0 - np.arange(m + 1)) + np.arange(c.shape[0])[:, None])
+    out[:-1, 1:] += c[:, :-1] * np.arange(1.0, m + 1)
     return out
 
 
-def op_F(f: VectorPolynomial, params: ModelParams, rep: TriangularRep) -> VectorPolynomial:
+def op_F(f: VectorPolynomial, params: ModelParams) -> VectorPolynomial:
     """(F f)(z) = (-2*eta*z*I + 2*z*rho0(h) - rho(y)) f(z) - z^2 f'(z)."""
-    return VectorPolynomial(-_minus_f_coeffs(f, params, rep))
+    return VectorPolynomial(-_minus_f_coeffs(f, params))
 
 
-def minus_F(f: VectorPolynomial, params: ModelParams, rep: TriangularRep) -> VectorPolynomial:
-    """(-F f)(z) = 2*lam*z f(z) + S_m f(z) - 2z D_m f(z) + z^2 f'(z)."""
-    return VectorPolynomial(_minus_f_coeffs(f, params, rep))
+def minus_F(f: VectorPolynomial, params: ModelParams) -> VectorPolynomial:
+    """(-F f)(z) = 2*lam*z f(z) + S_m f(z) - 2z D_m f(z) + z^2 f'(z), with D_m = diag(m/2 - l)."""
+    return VectorPolynomial(_minus_f_coeffs(f, params))
 
 
 def u_closed(j: int, n: int, params: ModelParams) -> VectorPolynomial:

@@ -4,7 +4,8 @@ Subcommands: kernel-eval, shift-weights, basis-emit, verify, fixtures.
 Only verify reads the numerical settings --truncation, --rmax, --tol and
 --seed; the others print closed forms fixed by (lambda, m, mu) alone.
 Exit codes: 0 success, 1 verification failure, 2 domain error, 3 config
-error (including parameters so large that a computed value overflows).
+error (including parameters so large that a computed value overflows, and
+sizes such as --nmax or --truncation whose arrays cannot be allocated).
 Output is JSON (schema under cdhom/schemas/) or flat CSV, with complex
 numbers serialized as {"re": ..., "im": ...}; identical config and seed
 produce byte-identical output.  The shift-weights and basis-emit tables
@@ -217,6 +218,8 @@ def cmd_verify(args) -> int:
 
 def fixture_payloads(seed: int) -> dict[str, dict]:
     """Golden fixture data from the hand-expanded m=1 and m=2 closed forms."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     out: dict[str, dict] = {}
     for m, tag in ((1, "2"), (2, "3")):
         closed = {family: getattr(goldens, f"{family}_m{m}") for family in ("g_matrix", "shift_block", "kernel")}
@@ -247,9 +250,10 @@ def fixture_payloads(seed: int) -> dict[str, dict]:
 
 
 def cmd_fixtures(args) -> int:
+    payloads = fixture_payloads(args.seed)  # a bad seed raises before any directory is made
     outdir = Path(args.out or "fixtures")
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, payload in fixture_payloads(args.seed).items():
+    for name, payload in payloads.items():
         (outdir / f"{name}.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
@@ -305,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except OverflowError as exc:
         sys.stderr.write(f"config error: the parameters are out of the representable range ({exc})\n")
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        sys.stderr.write(f"config error: the requested size does not fit in memory ({exc})\n")
         return EXIT_CONFIG
     except (DomainError, PoleError, NormalizationError) as exc:
         sys.stderr.write(f"domain error: {exc}\n")

@@ -21,7 +21,8 @@ np.asarray(z, dtype=complex), so a scalar point is a 0-d array on the one
 numpy path: it gives one (m+1)x(m+1) matrix (or one float), and an array
 of points gives z.shape + (m+1, m+1) (or z.shape).
 Both multipliers depend on g only through (c, d), and the nilpotent
-factor is closed form, exp(t S_m)[i, k] = C(i, k) t^(i-k).
+factor is closed form, exp(t S_m)[i, k] = C(i, k) t^(i-k).  Since (lam, m)
+fix rho, TriangularRep keeps only m and the Pascal table exp(S_m).
 """
 
 from __future__ import annotations
@@ -81,58 +82,28 @@ class ModelParams:
         return np.asarray(self.mu, dtype=float)
 
 
-def lower_shift(m: int) -> np.ndarray:
-    """S_m: (j, j-1) entry equal to j for 1 <= j <= m, zero elsewhere."""
-    return np.diag(np.arange(1.0, m + 1), -1)
-
-
-def _pascal(m: int) -> np.ndarray:
-    """exp(S_m), the lower-triangular Pascal matrix C(i, k), one row from the last."""
-    out = np.zeros((m + 1, m + 1))
-    out[:, 0] = 1.0
-    for i in range(1, m + 1):
-        out[i, 1:] = out[i - 1, 1:] + out[i - 1, :-1]
-    return out
-
-
 @dataclass(frozen=True)
 class TriangularRep:
-    """Realized matrices of the triangular representation on C^(m+1).
+    """The triangular representation on C^(m+1), kept as the one table the multipliers read.
 
-    pascal is exp(rho(y)) = exp(S_m), whose entries C(i, k) give every
-    exp(t S_m) in closed form (see _shift_exp).
+    (lam, m) fix rho(h) = diag(-(eta + j)) and rho(y) = S_m, and the sl(2)
+    operators in basis.py read those diagonals from ModelParams.  pascal is
+    exp(S_m), the lower-triangular Pascal matrix C(i, k), whose entries give
+    every exp(t S_m) in closed form (see _shift_exp).
     """
 
     m: int
-    eta: float
-    rho_h: np.ndarray = field(repr=False)
-    rho_y: np.ndarray = field(repr=False)
-    rho0_h: np.ndarray = field(repr=False)
-    d_m: np.ndarray = field(repr=False)
     pascal: np.ndarray = field(repr=False)
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "TriangularRep":
-        m, eta = params.m, params.eta
-        rho0_h = np.diag(-np.arange(m + 1, dtype=float))
-        rho_h = rho0_h - eta * np.eye(m + 1)
-        rho_y = lower_shift(m)
-        # d_m carries the descending diagonal m/2, m/2 - 1, ..., -m/2; it is
-        # the unique diagonal making -F act on monomial profiles with the
-        # coefficient (2*lam - m + l + n).
-        d_m = rho0_h + (m / 2.0) * np.eye(m + 1)
-        pascal = _pascal(m)
-        for arr in (rho0_h, rho_h, rho_y, d_m, pascal):
-            arr.flags.writeable = False
-        rep = cls(m=m, eta=eta, rho_h=rho_h, rho_y=rho_y, rho0_h=rho0_h, d_m=d_m, pascal=pascal)
-        with np.errstate(all="ignore"):  # a huge eta overflows here and surfaces just below
-            comm = rho_h @ rho_y - rho_y @ rho_h
-        if not np.all(np.isfinite(comm)):
-            raise OverflowError(f"[rho(h), rho(y)] is not finite at eta = {eta}")
-        # Relative to ||rho(h)||: its diagonal carries -eta, which may be huge.
-        if np.max(np.abs(comm + rho_y)) > 1e-14 * max(1.0, float(np.max(np.abs(rho_h)))):
-            raise AssertionError("[rho(h), rho(y)] != -rho(y); construction is broken")
-        return rep
+        m = params.m
+        pascal = np.zeros((m + 1, m + 1))
+        pascal[:, 0] = 1.0
+        for i in range(1, m + 1):  # one row from the last
+            pascal[i, 1:] = pascal[i - 1, 1:] + pascal[i - 1, :-1]
+        pascal.flags.writeable = False
+        return cls(m=m, pascal=pascal)
 
 
 def _shift_exp(rep: TriangularRep, t) -> np.ndarray:

@@ -33,7 +33,7 @@ from .kernel import (
     kernel_series,
     normalize_kernel,
 )
-from .mobius import X0, X1, Y, GroupElement, exp_basis
+from .mobius import H as H_DIAG, X as X_UPPER, X0, X1, Y, Y_LOWER, GroupElement, exp_basis
 from .operator import (
     check_homogeneity,
     mobius_calculus,
@@ -70,6 +70,8 @@ class RunConfig:
             raise ConfigError(f"truncation must be >= 1, got {self.truncation}")
         if not 0.0 < self.r_max < 1.0:
             raise ConfigError(f"r_max must lie in (0, 1), got {self.r_max}")
+        if self.seed < 0:  # numpy's generators take only nonnegative seeds
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         unknown = [k for k, _ in self.tolerances if k not in DEFAULT_TOLERANCES]
         if unknown:
             raise ConfigError(f"unknown tolerance override(s): {unknown}")
@@ -346,9 +348,6 @@ def check_shift_norm_bound(cfg: RunConfig) -> Measurement:
 
 def check_cocycle_sweep(cfg: RunConfig) -> Measurement:
     """Largest cocycle residual over 100 element pairs and 17 points, with the pair and point where it sits."""
-    from .mobius import X as X_UPPER
-    from .mobius import Y_LOWER
-
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     generators = (("x", X_UPPER), ("y", Y_LOWER), ("X0", X0), ("X1", X1), ("Y", Y))
@@ -400,27 +399,25 @@ def _test_polynomials(p: ModelParams, seed: int, degree: int = 15, count: int = 
 
 def check_sl2(cfg: RunConfig) -> Measurement:
     p = cfg.params()
-    rep = TriangularRep.from_params(p)
     worst = 0.0
     for f in _test_polynomials(p, cfg.seed + 8):
         scale = f.max_abs()
-        he = op_H(op_E(f), p, rep) - op_E(op_H(f, p, rep))
+        he = op_H(op_E(f), p) - op_E(op_H(f, p))
         worst = max(worst, poly_distance(he, op_E(f)) / scale)
-        hf = op_H(op_F(f, p, rep), p, rep) - op_F(op_H(f, p, rep), p, rep)
-        worst = max(worst, poly_distance(hf, op_F(f, p, rep) * (-1.0)) / scale)
-        ef = op_E(op_F(f, p, rep)) - op_F(op_E(f), p, rep)
-        worst = max(worst, poly_distance(ef, op_H(f, p, rep) * (-2.0)) / scale)
+        hf = op_H(op_F(f, p), p) - op_F(op_H(f, p), p)
+        worst = max(worst, poly_distance(hf, op_F(f, p) * (-1.0)) / scale)
+        ef = op_E(op_F(f, p)) - op_F(op_E(f), p)
+        worst = max(worst, poly_distance(ef, op_H(f, p) * (-2.0)) / scale)
     return _measured(worst, degree=15)
 
 
 def check_ladder_recursion(cfg: RunConfig) -> Measurement:
     p = cfg.params()
-    rep = TriangularRep.from_params(p)
     worst = 0.0
     for j in range(p.m + 1):
         current = u_closed(j, 0, p)
         for n in range(15):
-            current = minus_F(current, p, rep)
+            current = minus_F(current, p)
             ref = u_closed(j, n + 1, p)
             worst = max(worst, poly_distance(current, ref) / max(ref.max_abs(), 1.0))
     return _measured(worst, max_n=15)
@@ -443,10 +440,6 @@ def check_k_type(cfg: RunConfig) -> Measurement:
 
 
 def check_infinitesimal(cfg: RunConfig) -> Measurement:
-    from .mobius import X as X_UPPER
-    from .mobius import H as H_DIAG
-    from .mobius import Y_LOWER
-
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     f = _test_polynomials(p, cfg.seed + 9, degree=6, count=1)[0]
@@ -454,8 +447,8 @@ def check_infinitesimal(cfg: RunConfig) -> Measurement:
     worst = 0.0
     cases = [
         (X_UPPER, op_E(f)),
-        (H_DIAG, op_H(f, p, rep)),
-        (Y_LOWER, op_F(f, p, rep) * (-1.0)),  # d/dt U_{exp(tY_-)} = U_y = -F
+        (H_DIAG, op_H(f, p)),
+        (Y_LOWER, op_F(f, p) * (-1.0)),  # d/dt U_{exp(tY_-)} = U_y = -F
     ]
     for elem, expected in cases:
         for z in (0.3, 0.18 - 0.22j):

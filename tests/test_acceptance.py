@@ -122,11 +122,11 @@ def test_kernel_series_oracle():
 def test_ladder_closed_form_vs_recursion():
     worst = 0.0
     for m, lam in ((1, 1.0), (2, 1.5), (3, 2.0), (4, 2.6)):
-        p, rep = mk(lam, m, [1.0] * (m + 1))
+        p, _ = mk(lam, m, [1.0] * (m + 1))
         for j in range(m + 1):
             current = u_closed(j, 0, p)
             for n in range(15):
-                current = minus_F(current, p, rep)
+                current = minus_F(current, p)
                 ref = u_closed(j, n + 1, p)
                 dev = poly_distance(current, ref) / max(ref.max_abs(), 1.0)
                 worst = max(worst, dev)
@@ -137,17 +137,17 @@ def test_sl2_commutation_relations():
     worst = 0.0
     rng = np.random.default_rng(314)
     for m, lam in ((1, 1.0), (2, 1.4), (3, 2.0)):
-        p, rep = mk(lam, m, [1.0] * (m + 1))
+        p, _ = mk(lam, m, [1.0] * (m + 1))
         for _ in range(3):
             coeffs = rng.standard_normal((16, m + 1)) + 1j * rng.standard_normal((16, m + 1))
             f = VectorPolynomial(coeffs)
             scale = f.max_abs()
-            he = op_H(op_E(f), p, rep) - op_E(op_H(f, p, rep))
+            he = op_H(op_E(f), p) - op_E(op_H(f, p))
             worst = max(worst, poly_distance(he, op_E(f)) / scale)
-            hf = op_H(op_F(f, p, rep), p, rep) - op_F(op_H(f, p, rep), p, rep)
-            worst = max(worst, poly_distance(hf, op_F(f, p, rep) * (-1.0)) / scale)
-            ef = op_E(op_F(f, p, rep)) - op_F(op_E(f), p, rep)
-            worst = max(worst, poly_distance(ef, op_H(f, p, rep) * (-2.0)) / scale)
+            hf = op_H(op_F(f, p), p) - op_F(op_H(f, p), p)
+            worst = max(worst, poly_distance(hf, op_F(f, p) * (-1.0)) / scale)
+            ef = op_E(op_F(f, p)) - op_F(op_E(f), p)
+            worst = max(worst, poly_distance(ef, op_H(f, p) * (-2.0)) / scale)
     report("sl(2) commutation relations on degree-15 polynomials", worst, 1e-10)
 
 

@@ -281,7 +281,7 @@ def test_exit_code_domain_error():
         assert "domain error" in res.stderr
 
 
-def test_exit_code_config_errors():
+def test_exit_code_config_errors(tmp_path):
     assert call_cli("kernel-eval", "--lambda", "1", "--m", "1", "--mu", "bad", "--z", "0", "--w", "0").returncode == 3
     assert call_cli("verify", "--lambda", "0.5", "--m", "1", "--mu", "1,1").returncode == 3
     assert call_cli("nonsense").returncode == 3
@@ -290,6 +290,17 @@ def test_exit_code_config_errors():
         res = call_cli("kernel-eval", "--lambda", lam, "--m", "1", "--mu", mu, "--z", "0", "--w", "0")
         assert res.returncode == 3, (lam, mu)
         assert "config error" in res.stderr
+    # numpy's generators take only nonnegative seeds; -1 is refused too, not only the seeds numpy rejects.
+    for argv in (
+        ["verify", *BASE_M1, "--seed", "-5", "--suite", "shift"],
+        ["verify", *BASE_M1, "--seed", "-5", "--suite", "kernel"],
+        ["verify", *BASE_M1, "--seed", "-1", "--suite", "shift"],
+        ["fixtures", "--seed", "-5", "--out", str(tmp_path / "fixtures")],
+    ):
+        res = call_cli(*argv)
+        assert res.returncode == 3, argv
+        assert res.stderr == "config error: seed must be >= 0, got " + argv[argv.index("--seed") + 1] + "\n"
+    assert not (tmp_path / "fixtures").exists()
 
 
 def _overflow_cases():
@@ -302,6 +313,9 @@ def _overflow_cases():
         ("verify", huge + ["--suite", "rep"]),
         ("verify", huge + ["--suite", "operator"]),  # through the point-array multiplier
         ("verify", huge + ["--suite", "shift"]),
+        # Sizes whose arrays exceed the address space: numpy refuses them at once, allocating nothing.
+        ("shift-weights", BASE_M1 + ["--nmax", "1000000000000000"]),
+        ("verify", BASE_M1 + ["--truncation", "1000000000000000", "--suite", "kernel"]),
     ]
     for i, (command, argv) in enumerate(cases):
         yield pytest.param(command, argv, id=f"{command}-extra{i}")

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -47,17 +49,13 @@ def test_params_derived_quantities():
 @pytest.mark.parametrize("lam,m", [(1.0, 1), (1.5, 2), (2.2, 3), (0.75, 0)])
 def test_triangular_rep_structure(lam, m):
     p, rep = make(lam, m)
-    comm = rep.rho_h @ rep.rho_y - rep.rho_y @ rep.rho_h
-    assert np.max(np.abs(comm + rep.rho_y)) <= 1e-14
-    # rho(y) is the lower shift with (j, j-1) entry j
-    for j in range(m + 1):
-        for k in range(m + 1):
-            expect = j if k == j - 1 else 0.0
-            assert rep.rho_y[j, k] == expect
-    assert np.allclose(rep.rho_h, rep.rho0_h - p.eta * np.eye(m + 1))
-    assert np.allclose(np.diag(rep.rho0_h), -np.arange(m + 1))
-    # descending diagonal m/2, ..., -m/2
-    assert np.allclose(np.diag(rep.d_m), m / 2.0 - np.arange(m + 1))
+    # (lam, m) fix the representation, so the rep keeps only m and exp(S_m).
+    assert [f.name for f in dataclasses.fields(rep)] == ["m", "pascal"]
+    assert rep.m == m and not rep.pascal.flags.writeable
+    assert rep.pascal.tolist() == [[float(math.comb(i, k)) for k in range(m + 1)] for i in range(m + 1)]
+    # The diagonals the sl(2) operators read from ModelParams realize [rho(h), rho(y)] = -rho(y).
+    rho_h, rho_y = np.diag(-(p.eta + np.arange(m + 1))), np.diag(np.arange(1.0, m + 1), -1)
+    assert np.max(np.abs(rho_h @ rho_y - rho_y @ rho_h + rho_y), initial=0.0) <= 1e-14
 
 
 def test_multiplier_j0_identity():
@@ -175,7 +173,7 @@ def test_act_u_matches_minus_y_generator():
         up = act_U(exp_basis(Y_LOWER, -h), f, p, rep)(z)
         dn = act_U(exp_basis(Y_LOWER, h), f, p, rep)(z)
         fd = (up - dn) / (2 * h)
-        assert np.max(np.abs(fd - op_F(f, p, rep)(z))) <= 1e-6
+        assert np.max(np.abs(fd - op_F(f, p)(z))) <= 1e-6
 
 
 def test_rotation_multiplier_constant_in_z():
@@ -256,17 +254,17 @@ def _series_shift_exp(s, scale):
 
 @pytest.mark.parametrize("m", range(13))
 def test_shift_exp_closed_form_matches_the_series(m):
-    from cdhom.representation import _shift_exp, lower_shift
+    from cdhom.representation import _shift_exp
 
     _, rep = make(m / 2.0 + 0.6, m)
-    assert np.array_equal(rep.rho_y, lower_shift(m))
+    s_m = np.diag(np.arange(1.0, m + 1), -1)  # the lower shift with (j, j-1) entry j
     ts = (0.0, 0j, 0.37 - 0.21j, -1.3, np.array([0.0, 0.5j, -0.8 + 0.1j]), np.array([[0.2], [-0.05 - 0.9j]]))
     for t in ts:
-        got, ref = _shift_exp(rep, t), _series_shift_exp(rep.rho_y, t)
+        got, ref = _shift_exp(rep, t), _series_shift_exp(s_m, t)
         assert got.shape == ref.shape == np.shape(t) + (m + 1, m + 1)
         assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, float(np.max(np.abs(ref))))
     assert np.array_equal(_shift_exp(rep, 0.0), np.eye(m + 1))  # 0^0 = 1 on the diagonal, exact zeros below
-    assert np.array_equal(rep.pascal, _series_shift_exp(rep.rho_y, 1.0).real)  # integers C(i, k), exact
+    assert np.array_equal(rep.pascal, _series_shift_exp(s_m, 1.0).real)  # integers C(i, k), exact
 
 
 def test_cocycle_over_element_sequences_has_the_pair_axes():

@@ -67,6 +67,15 @@ def test_result_attributes_the_benchmark_reads_exist():
         assert all(hasattr(result, attr) for attr in attrs), (function, attrs)
 
 
+def test_tolerance_names_the_benchmark_reads_are_registered():
+    # env.tol["<name>"] lookups, and the tol_name closing each (label, element, tol_name) residual tuple.
+    text = (PERFBENCH / "workloads.py").read_text()
+    looked_up = set(re.findall(r'env\.tol\["(\w+)"\]', text))
+    tol_names = set(re.findall(r'\(f?"[^"\n]*", c\.[^\n]*, "(\w+)"\)', text))
+    assert looked_up and tol_names, "the benchmark no longer reads tolerances this way"
+    assert sorted((looked_up | tol_names) - set(cdhom.verify.DEFAULT_TOLERANCES)) == []
+
+
 def test_dense_calculus_keeps_the_shape_the_benchmark_subtracts_from():
     # operator-truncation's _calculus_residual subtracts e^(i theta) * t_mat from mobius_calculus(g, t_mat).
     t_mat = cdhom.truncate(cdhom.ModelParams(lam=1.6, m=2, mu=(1.0, 0.7, 1.3)), 8).matrix
