@@ -10,7 +10,6 @@ from .basis import (
     basis_value_matrix,
     e_basis,
     g_matrix,
-    minus_F,
     op_E,
     op_F,
     op_H,
@@ -46,7 +45,6 @@ from .mobius import (
     GroupElement,
     LieAlgebraElement,
     act,
-    derivative,
     exp_basis,
 )
 from .operator import (
@@ -63,7 +61,6 @@ from .representation import (
     act_U,
     check_cocycle,
     multiplier_J,
-    multiplier_J0,
 )
 from .scalars import VectorPolynomial
 
@@ -100,16 +97,13 @@ __all__ = [
     "check_positive_definite",
     "check_quasi_invariance",
     "default_grid",
-    "derivative",
     "e_basis",
     "exp_basis",
     "g_matrix",
     "kernel_full",
     "kernel_series",
-    "minus_F",
     "mobius_calculus",
     "multiplier_J",
-    "multiplier_J0",
     "normalize_kernel",
     "op_E",
     "op_F",

@@ -8,8 +8,9 @@ The three operators on C^(m+1)-valued polynomials are
 
 with rho0(h) = diag(-l) and rho(y) = S_m.  H and F take (f, params):
 they read eta, m/2 - l and the S_m weights l from (lam, m) alone.  -F,
-repeatedly applied to the coordinate vectors eps_j, produces the ladder
-u^j_n = (-F)^n eps_j whose closed form is, with k = l - j,
+that is op_F followed by an exact negation, repeatedly applied to the
+coordinate vectors eps_j, produces the ladder u^j_n = (-F)^n eps_j whose
+closed form is, with k = l - j,
 
     u^j_{n,l}(z) = C(n,k) (j+1)_k (2*lam - m + 2j + k)_{n-k} z^{n-k}
 
@@ -24,7 +25,7 @@ from the ladder closed form and its normalization: `g_matrix`,
 `g_table`, `e_basis` and the batched evaluator `basis_values` all read
 it.  Row n of the table does not depend on how many rows were built, so
 every route sees the same G(n).  `u_closed` keeps the unnormalized
-closed form as the oracle of the `minus_F` recursion.
+closed form as the oracle of the (-F)^n recursion.
 """
 
 from __future__ import annotations
@@ -51,24 +52,17 @@ def op_H(f: VectorPolynomial, params: ModelParams) -> VectorPolynomial:
     return VectorPolynomial(f.coeffs * -(params.eta + np.arange(params.m + 1)) - f.coeffs * degs)
 
 
-def _minus_f_coeffs(f: VectorPolynomial, params: ModelParams) -> np.ndarray:
-    """Coefficients of -F f, one degree above f: degree d of component l moves to d + 1 with weight
-    2*lam - 2*(m/2 - l) + d, and S_m moves component l - 1 to l at the same degree with weight l."""
+def op_F(f: VectorPolynomial, params: ModelParams) -> VectorPolynomial:
+    """(F f)(z) = (-2*eta*z*I + 2*z*rho0(h) - rho(y)) f(z) - z^2 f'(z), one degree above f.
+
+    In -F, degree d of component l moves to d + 1 with weight 2*lam - 2*(m/2 - l) + d,
+    and S_m moves component l - 1 to l at the same degree with weight l.
+    """
     c, m = f.coeffs, params.m
     out = np.zeros((c.shape[0] + 1, c.shape[1]), dtype=complex)
     out[1:] = c * (2.0 * params.lam - 2.0 * (m / 2.0 - np.arange(m + 1)) + np.arange(c.shape[0])[:, None])
     out[:-1, 1:] += c[:, :-1] * np.arange(1.0, m + 1)
-    return out
-
-
-def op_F(f: VectorPolynomial, params: ModelParams) -> VectorPolynomial:
-    """(F f)(z) = (-2*eta*z*I + 2*z*rho0(h) - rho(y)) f(z) - z^2 f'(z)."""
-    return VectorPolynomial(-_minus_f_coeffs(f, params))
-
-
-def minus_F(f: VectorPolynomial, params: ModelParams) -> VectorPolynomial:
-    """(-F f)(z) = 2*lam*z f(z) + S_m f(z) - 2z D_m f(z) + z^2 f'(z), with D_m = diag(m/2 - l)."""
-    return VectorPolynomial(_minus_f_coeffs(f, params))
+    return VectorPolynomial(-out)
 
 
 def u_closed(j: int, n: int, params: ModelParams) -> VectorPolynomial:

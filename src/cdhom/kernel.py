@@ -125,11 +125,14 @@ def kernel_Kj(j: int, z: complex, w: complex, params: ModelParams) -> np.ndarray
 
 
 def kernel_full(z: complex, w: complex, params: ModelParams) -> np.ndarray:
-    """The reproducing kernel K(z, w) = sum_j mu_j^2 K_j(z, w)."""
+    """The reproducing kernel K(z, w) = sum_j mu_j^2 K_j(z, w); OverflowError names K when a power overflows."""
     _require_disc(z, w)
     out = np.zeros((params.m + 1, params.m + 1), dtype=complex)
-    for j in range(params.m + 1):
-        out += params.mu[j] ** 2 * kernel_Kj(j, z, w, params)
+    try:
+        for j in range(params.m + 1):
+            out += params.mu[j] ** 2 * kernel_Kj(j, z, w, params)
+    except OverflowError as exc:
+        raise OverflowError(f"a value of K(z, w) leaves the float range at lam = {params.lam}") from exc
     return out
 
 

@@ -1,20 +1,21 @@
 """The Moebius group of the disc and its Lie algebra.
 
 Group elements are stored as 2x2 complex matrices of determinant one
-acting on the disc by fractional-linear maps.  Elements of SU(1,1) (the
-realization of the biholomorphism group used throughout) are recognised
-by the `is_unitary_disc` predicate.  The Lie algebra carries two bases:
-the real one X0, X1, Y spanning su(1,1), and the complex triangular
-basis h, x, y with
+acting on the disc by fractional-linear maps; the elements of SU(1,1),
+[[a, b], [conj(b), conj(a)]], realize the biholomorphism group used
+throughout, and exp_basis of a real span of X0, X1, Y lands there.  The
+derivative g'(z) = (cz + d)^(-2) enters only through the multiplier
+(representation.py).  The Lie algebra carries two bases: the real one
+X0, X1, Y spanning su(1,1), and the complex triangular basis h, x, y with
 
     h = diag(1/2, -1/2),   x = [[0, 1], [0, 0]],   y = [[0, 0], [1, 0]],
 
-related by h = -i*X0, x = X1 + i*Y, y = X1 - i*Y.  The action, its
-derivative and the denominator c*z + d read their points through
-np.asarray(z, dtype=complex), so a scalar point is a 0-d array on the one
-numpy path, and each returns a value of the shape of z.  Matrix exponentials
-of real spans are evaluated in closed form (every traceless 2x2 matrix M
-satisfies M^2 = -det(M) I, so exp(tM) is a two-term expression).
+related by h = -i*X0, x = X1 + i*Y, y = X1 - i*Y.  The action reads its
+points through np.asarray(z, dtype=complex), so a scalar point is a 0-d
+array on the one numpy path, and it returns a value of the shape of z.
+Matrix exponentials of real spans are evaluated in closed form (every
+traceless 2x2 matrix M satisfies M^2 = -det(M) I, so exp(tM) is a
+two-term expression).
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ class GroupElement:
         ph = cmath.exp(0.5j * theta)
         return cls(ph, 0.0, 0.0, 1.0 / ph)
 
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray) -> "GroupElement":
-        return cls(complex(mat[0, 0]), complex(mat[0, 1]), complex(mat[1, 0]), complex(mat[1, 1]))
-
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
 
@@ -72,14 +69,6 @@ class GroupElement:
             self.c * other.b + self.d * other.d,
         )
 
-    def is_unitary_disc(self) -> bool:
-        """True for the SU(1,1) form: d = conj(a), c = conj(b), |a|^2 - |b|^2 = 1, each to within _DET_TOL."""
-        return (
-            abs(self.d - self.a.conjugate()) <= _DET_TOL
-            and abs(self.c - self.b.conjugate()) <= _DET_TOL
-            and abs(abs(self.a) ** 2 - abs(self.b) ** 2 - 1.0) <= _DET_TOL
-        )
-
 
 def check_pole(den, z) -> None:
     """Raise PoleError if a value c*z + d (nearly) vanishes; den and z broadcast together.
@@ -92,24 +81,15 @@ def check_pole(den, z) -> None:
         raise PoleError(f"c*z + d = {value} at z = {at}")
 
 
-def denominator(g: GroupElement, z):
-    """c*z + d over the points z, raising PoleError where it (nearly) vanishes."""
+def act(g: GroupElement, z):
+    """Fractional-linear action (az + b)/(cz + d), pointwise over an array z.
+
+    Raises PoleError where cz + d (nearly) vanishes.
+    """
     z = np.asarray(z, dtype=complex)
     den = g.c * z + g.d
     check_pole(den, z)
-    return den
-
-
-def act(g: GroupElement, z):
-    """Fractional-linear action (az + b)/(cz + d), pointwise over an array z."""
-    z = np.asarray(z, dtype=complex)
-    return (g.a * z + g.b) / denominator(g, z)
-
-
-def derivative(g: GroupElement, z):
-    """g'(z) = (cz + d)^(-2), using det = 1; pointwise over an array z."""
-    den = denominator(g, z)
-    return 1.0 / (den * den)
+    return (g.a * z + g.b) / den
 
 
 @dataclass(frozen=True)
@@ -153,5 +133,5 @@ def exp_basis(elem: LieAlgebraElement, t: float) -> GroupElement:
         out = cmath.cosh(t * delta) * np.eye(2, dtype=complex) + (
             cmath.sinh(t * delta) / delta
         ) * mat
-    return GroupElement.from_matrix(out)
+    return GroupElement(complex(out[0, 0]), complex(out[0, 1]), complex(out[1, 0]), complex(out[1, 1]))
 

@@ -118,13 +118,6 @@ class TruncatedOperator:
         mat.flags.writeable = False
         return mat
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """T @ u for a ((N+1)(m+1), k) array u, one degree at a time: block row n+1 is W(n) u_n."""
-        rows = u.reshape(self.n_trunc + 1, self.params.m + 1, -1)
-        out = np.zeros(rows.shape, dtype=np.result_type(complex, u))
-        out[1:] = self.blocks @ rows[:-1]
-        return out.reshape(u.shape)
-
     def apply_adjoint(self, c: np.ndarray) -> np.ndarray:
         """T^* @ c for a ((N+1)(m+1),) or ((N+1)(m+1), k) array c: block row n is W(n)^* c_(n+1)."""
         rows = c.reshape(self.n_trunc + 1, self.params.m + 1, -1)

@@ -10,19 +10,19 @@ where S_m is the lower shift with (j, j-1) entry equal to j.  Writing
 eta = lam - m/2 and rho0(h) = rho(h) + eta*I = diag(-j), the multiplier
 attached to g = [[a, b], [c, d]] is
 
-    J0_g(z) = exp(-c/(cz+d) * S_m) . diag((cz+d)^(-2j)),
-    J_g(z)  = (g'(z))^eta . J0_g(z),
+    J_g(z) = (g'(z))^eta . J0_g(z),   J0_g(z) = exp(-c/(cz+d) * S_m) . diag((cz+d)^(-2j)),
 
-with all real powers on the principal branch.  The group acts on
-C^(m+1)-valued functions by (U_g f)(z) = J_{g^{-1}}(z) f(g^{-1}.z).
+with g'(z) = (cz+d)^(-2) and all real powers on the principal branch.
+The group acts on C^(m+1)-valued functions by
+(U_g f)(z) = J_{g^{-1}}(z) f(g^{-1}.z).
 
-The multipliers and the cocycle residual read their points through
+The multiplier and the cocycle residual read their points through
 np.asarray(z, dtype=complex), so a scalar point is a 0-d array on the one
 numpy path: it gives one (m+1)x(m+1) matrix (or one float), and an array
 of points gives z.shape + (m+1, m+1) (or z.shape).
-Both multipliers depend on g only through (c, d), and the nilpotent
-factor is closed form, exp(t S_m)[i, k] = C(i, k) t^(i-k).  Since (lam, m)
-fix rho, TriangularRep keeps only m and the Pascal table exp(S_m).
+J depends on g only through (c, d), and the nilpotent factor of J0 is
+closed form, exp(t S_m)[i, k] = C(i, k) t^(i-k).  Since (lam, m) fix rho,
+TriangularRep keeps only m and the Pascal table exp(S_m).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import BranchWarning, ConfigError
 from .mobius import GroupElement, act, check_pole
-from .scalars import VectorPolynomial
 
 
 @dataclass(frozen=True)
@@ -116,10 +115,10 @@ def _shift_exp(rep: TriangularRep, t) -> np.ndarray:
     return rep.pascal * powers[..., np.maximum(idx[:, None] - idx[None, :], 0)]
 
 
-def _multiplier(c, d, z, rep: TriangularRep, eta: float | None = None) -> np.ndarray:
-    """J0, or with eta the full multiplier (cz + d)^(-2 eta) J0, over broadcast c, d and z.
+def _multiplier(c, d, z, rep: TriangularRep, eta: float) -> np.ndarray:
+    """The multiplier (cz + d)^(-2 eta) J0 over broadcast c, d and z.
 
-    det g = 1 makes both depend on g only through its second row (c, d):
+    det g = 1 makes it depend on g only through its second row (c, d):
     g'(z) = (cz + d)^(-2) and J0_g(z) = exp(-c/(cz + d) S_m) diag((cz + d)^(-2j)).
     The result has shape broadcast(c, d, z).shape + (m+1, m+1).
     Raises PoleError at a pole, warns BranchWarning once if Re(cz + d) <= 0
@@ -135,8 +134,6 @@ def _multiplier(c, d, z, rep: TriangularRep, eta: float | None = None) -> np.nda
         )
     powers = den[..., None] ** (-2.0 * np.arange(rep.m + 1))
     j0 = _shift_exp(rep, -c / den) * powers[..., None, :]
-    if eta is None:
-        return j0
     with np.errstate(all="ignore"):  # overflow surfaces as a non-finite multiplier below
         out = np.exp(eta * np.log(1.0 / (den * den)))[..., None, None] * j0
     if not np.isfinite(out).all():
@@ -144,23 +141,12 @@ def _multiplier(c, d, z, rep: TriangularRep, eta: float | None = None) -> np.nda
     return out
 
 
-def multiplier_J0(g: GroupElement, z, rep: TriangularRep) -> np.ndarray:
-    """The triangular-part multiplier J0_g(z) = exp(-c/(cz+d) S_m) diag((cz+d)^(-2j)) on C^(m+1).
-
-    A scalar z gives one (m+1)x(m+1) matrix, an array of points
-    z.shape + (m+1, m+1).  PoleError is raised if any point is a pole, and
-    one BranchWarning is emitted if Re(cz+d) <= 0 at any point, where
-    principal-branch consistency is no longer guaranteed.
-    """
-    return _multiplier(g.c, g.d, np.asarray(z, dtype=complex), rep)
-
-
 def multiplier_J(g: GroupElement, z, params: ModelParams, rep: TriangularRep) -> np.ndarray:
     """Full multiplier (g'(z))^eta * J0_g(z), of shape z.shape + (m+1, m+1).
 
-    The power is taken on the principal branch.  A multiplier that is not
-    finite means the parameters leave the float range and raises
-    OverflowError.
+    The power is taken on the principal branch.  Raises PoleError at a pole,
+    warns BranchWarning once if Re(cz+d) <= 0 anywhere, and raises
+    OverflowError when the parameters leave the float range.
     """
     return _multiplier(g.c, g.d, np.asarray(z, dtype=complex), rep, params.eta)
 
@@ -168,15 +154,14 @@ def multiplier_J(g: GroupElement, z, params: ModelParams, rep: TriangularRep) ->
 def act_U(g: GroupElement, f, params: ModelParams, rep: TriangularRep):
     """The group action (U_g f)(z) = J_{g^{-1}}(z) f(g^{-1}.z).
 
-    f may be a VectorPolynomial or any callable returning a length-(m+1)
-    vector; the result is returned as an evaluable closure since it is not
-    polynomial for general g.
+    f is any callable returning a length-(m+1) vector, such as a
+    VectorPolynomial; the result is returned as an evaluable closure since it
+    is not polynomial for general g.
     """
     ginv = g.inverse()
-    fn = f if callable(f) and not isinstance(f, VectorPolynomial) else f.__call__
 
     def transformed(z: complex) -> np.ndarray:
-        return multiplier_J(ginv, z, params, rep) @ fn(act(ginv, z))
+        return multiplier_J(ginv, z, params, rep) @ f(act(ginv, z))
 
     return transformed
 
@@ -192,25 +177,28 @@ def _entries(g, ndim: int):
 
 
 def check_cocycle(g, h, z, params: ModelParams, rep: TriangularRep):
-    """Frobenius residual of J_{gh}(z) = J_h(z) J_g(h.z).
+    """Frobenius residual of J_{gh}(z) = J_h(z) J_g(h.z), and its scale max(1, ||J_h(z)||_F ||J_g(h.z)||_F).
 
-    g and h are each one GroupElement or a sequence of them.  The residual
-    has shape (len g, len h) + z.shape, without the axis of a single
-    element, so one pair at a scalar point gives a float.  The multipliers
-    are evaluated once for all h and once per g over all h.
+    The scale bounds ||J_h(z) J_g(h.z)||_F.  g and h are each one GroupElement or a
+    sequence of them.  Both have shape (len g, len h) + z.shape, without the axis of
+    a single element, so one pair at a scalar point gives two floats.  The
+    multipliers are evaluated once for all h and once per g over all h.
     """
     z = np.asarray(z, dtype=complex)
     ha, hb, hc, hd = _entries(h, np.ndim(z))
     j_h = _multiplier(hc, hd, z, rep, params.eta)  # checks the poles of h.z
+    h_norm = np.linalg.norm(j_h, axis=(-2, -1))
     hz = (ha * z + hb) / (hc * z + hd)
 
-    def residual(gc, gd):
+    def measure(gc, gd):
         # The second row of gh is (c_g a_h + d_g c_h, c_g b_h + d_g d_h).
         lhs = _multiplier(gc * ha + gd * hc, gc * hb + gd * hd, z, rep, params.eta)
-        return np.linalg.norm(lhs - j_h @ _multiplier(gc, gd, hz, rep, params.eta), axis=(-2, -1))
+        j_g = _multiplier(gc, gd, hz, rep, params.eta)
+        scale = np.maximum(1.0, h_norm * np.linalg.norm(j_g, axis=(-2, -1)))
+        return np.linalg.norm(lhs - j_h @ j_g, axis=(-2, -1)), scale
 
     if isinstance(g, GroupElement):
-        out = residual(g.c, g.d)
+        residual, scale = measure(g.c, g.d)
     else:
-        out = np.array([residual(e.c, e.d) for e in g])
-    return float(out) if np.ndim(out) == 0 else out
+        residual, scale = (np.array(part) for part in zip(*(measure(e.c, e.d) for e in g)))
+    return (float(residual), float(scale)) if np.ndim(residual) == 0 else (residual, scale)

@@ -97,23 +97,6 @@ class VectorPolynomial:
             out = out * z + self.coeffs[d]
         return out
 
-    def derivative(self) -> "VectorPolynomial":
-        if self.coeffs.shape[0] == 1:
-            return VectorPolynomial.zero(self.m)
-        degs = np.arange(1, self.coeffs.shape[0])[:, None]
-        return VectorPolynomial(self.coeffs[1:] * degs)
-
-    def shift_degree(self, k: int) -> "VectorPolynomial":
-        """Multiply by z**k."""
-        if k == 0:
-            return self
-        pad = np.zeros((k, self.m + 1), dtype=complex)
-        return VectorPolynomial(np.vstack([pad, self.coeffs]))
-
-    def apply_matrix(self, a: np.ndarray) -> "VectorPolynomial":
-        """Constant matrix acting on the component vector at every degree."""
-        return VectorPolynomial(self.coeffs @ np.asarray(a, dtype=complex).T)
-
     def __add__(self, other: "VectorPolynomial") -> "VectorPolynomial":
         if other.m != self.m:
             raise ValueError("component counts differ")

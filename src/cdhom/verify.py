@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, goldens
-from .basis import g_matrix, g_table, minus_F, op_E, op_F, op_H, u_closed
+from .basis import g_matrix, g_table, op_E, op_F, op_H, u_closed
 from .errors import ConfigError, NormalizationError, SingularKernelColumnError
 from .kernel import (
     SampleGrid,
@@ -43,7 +43,7 @@ from .operator import (
     shift_table,
     truncate,
 )
-from .representation import ModelParams, TriangularRep, act_U, check_cocycle, multiplier_J, multiplier_J0
+from .representation import ModelParams, TriangularRep, act_U, check_cocycle, multiplier_J
 from .scalars import VectorPolynomial, poly_distance
 
 SUITES = ("all", "kernel", "shift", "rep", "operator")
@@ -347,21 +347,26 @@ def check_shift_norm_bound(cfg: RunConfig) -> Measurement:
 
 
 def check_cocycle_sweep(cfg: RunConfig) -> Measurement:
-    """Largest cocycle residual over 100 element pairs and 17 points, with the pair and point where it sits."""
+    """Largest cocycle residual over 100 element pairs and 17 points, with the pair, point and scale where it sits.
+
+    Each residual is relative to max(1, ||J_h(z)||_F ||J_g(h.z)||_F), the bound ||AB||_F <= ||A||_F ||B||_F.
+    """
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     generators = (("x", X_UPPER), ("y", Y_LOWER), ("X0", X0), ("X1", X1), ("Y", Y))
     labels, elements = zip(*[(f"exp({t}*{name})", exp_basis(e, t)) for name, e in generators for t in (0.2, -0.13)])
     zs = [complex(zr, zi) for zr in (-0.5, -0.25, 0.0, 0.25, 0.5) for zi in (-0.3, -0.1, 0.0, 0.2, 0.35)]
     zs = np.array([z for z in zs if abs(z) <= 0.5][:25])
-    residuals = check_cocycle(elements, elements, zs, p, rep)  # [g, h, point]
-    i, k, s = np.unravel_index(np.argmax(residuals), residuals.shape)
+    residuals, scales = check_cocycle(elements, elements, zs, p, rep)  # [g, h, point]
+    relative = residuals / scales
+    i, k, s = np.unravel_index(np.argmax(relative), relative.shape)
     return _measured(
-        float(residuals[i, k, s]),
+        float(relative[i, k, s]),
         pairs=len(elements) ** 2,
         points=len(zs),
         worst_pair=[labels[i], labels[k]],
         worst_point=[float(zs[s].real), float(zs[s].imag)],
+        scale=float(scales[i, k, s]),
     )
 
 
@@ -378,13 +383,17 @@ def check_rotation_multiplier(cfg: RunConfig) -> Measurement:
 
 
 def check_holomorphy(cfg: RunConfig) -> Measurement:
+    """max |dJ/dx - dJ/(i dy)| for J_g by central differences at four seeded points.
+
+    J is the multiplier the cocycle needs; its factor (g')^eta is holomorphic where Re(cz + d) > 0.
+    """
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     g = exp_basis(X1, 0.17)
     h = 1e-6
     zs = np.array(seeded_points(cfg.seed + 7, 4, cfg.r_max))
-    dx = (multiplier_J0(g, zs + h, rep) - multiplier_J0(g, zs - h, rep)) / (2 * h)
-    dy = (multiplier_J0(g, zs + 1j * h, rep) - multiplier_J0(g, zs - 1j * h, rep)) / (2j * h)
+    dx = (multiplier_J(g, zs + h, p, rep) - multiplier_J(g, zs - h, p, rep)) / (2 * h)
+    dy = (multiplier_J(g, zs + 1j * h, p, rep) - multiplier_J(g, zs - 1j * h, p, rep)) / (2j * h)
     return _measured(float(np.max(np.abs(dx - dy))))
 
 
@@ -412,12 +421,13 @@ def check_sl2(cfg: RunConfig) -> Measurement:
 
 
 def check_ladder_recursion(cfg: RunConfig) -> Measurement:
+    """(-F)^n eps_j, stepped by op_F and an exact negation, against u_closed (n <= 15), relative to max(1, max |u|)."""
     p = cfg.params()
     worst = 0.0
     for j in range(p.m + 1):
         current = u_closed(j, 0, p)
         for n in range(15):
-            current = minus_F(current, p)
+            current = op_F(current, p) * (-1.0)
             ref = u_closed(j, n + 1, p)
             worst = max(worst, poly_distance(current, ref) / max(ref.max_abs(), 1.0))
     return _measured(worst, max_n=15)

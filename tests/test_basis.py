@@ -6,7 +6,6 @@ from cdhom import (
     NormalizationError,
     e_basis,
     g_matrix,
-    minus_F,
     op_E,
     op_F,
     op_H,
@@ -71,6 +70,11 @@ def test_op_h_explicit_value():
     p = make(1.0, 1)
     mono = VectorPolynomial.monomial(1, 1, 1)
     assert poly_distance(op_H(mono, p), mono * (-2.5)) == 0.0
+
+
+def minus_F(f, p):
+    """-F: op_F followed by an exact negation."""
+    return op_F(f, p) * (-1.0)
 
 
 def test_minus_f_zero():
@@ -147,24 +151,37 @@ def test_ladder_recursion_agreement(m, lam):
 
 
 def _composed_ops(p):
-    """E, H, F and -F composed from VectorPolynomial methods, term by term as their formulas read.
+    """E, H, F and -F composed term by term as their formulas read, on coefficient arrays c[d, l].
 
-    rho0(h) = diag(-l), D_m = rho0(h) + (m/2) I and S_m (entry (l, l-1) = l) are built here as matrices.
+    f', z^k f and a constant matrix acting on the components are built here, and so are
+    rho0(h) = diag(-l), D_m = rho0(h) + (m/2) I and S_m (entry (l, l-1) = l) as matrices.
     """
     m = p.m
     rho0_h = np.diag(-np.arange(m + 1, dtype=float))
     d_m = rho0_h + (m / 2.0) * np.eye(m + 1)
     s_m = np.diag(np.arange(1.0, m + 1), -1)
 
+    def deriv(c):
+        return c[1:] * np.arange(1, c.shape[0])[:, None] if c.shape[0] > 1 else np.zeros_like(c)
+
+    def times_z(c, k):
+        return np.vstack([np.zeros((k, m + 1)), c])
+
+    def apply_matrix(a, c):
+        return c @ a.T
+
     def op_e(f):
-        return f.derivative() * (-1.0)
+        return VectorPolynomial(-deriv(f.coeffs))
 
     def op_h(f):
-        return f.apply_matrix(rho0_h - p.eta * np.eye(m + 1)) - f.derivative().shift_degree(1)
+        c = f.coeffs
+        diagonal_part = VectorPolynomial(apply_matrix(rho0_h - p.eta * np.eye(m + 1), c))
+        return diagonal_part - VectorPolynomial(times_z(deriv(c), 1))
 
     def op_minus_f(f):
-        z_part = (2.0 * p.lam * f - 2.0 * f.apply_matrix(d_m)).shift_degree(1)
-        return z_part + f.apply_matrix(s_m) + f.derivative().shift_degree(2)
+        c = f.coeffs
+        z_part = VectorPolynomial(times_z(2.0 * p.lam * c - 2.0 * apply_matrix(d_m, c), 1))
+        return z_part + VectorPolynomial(apply_matrix(s_m, c)) + VectorPolynomial(times_z(deriv(c), 2))
 
     return op_e, op_h, lambda f: op_minus_f(f) * (-1.0), op_minus_f
 

@@ -2,29 +2,33 @@
 
 A fault is a monkeypatch of one ingredient of the program.  For every fault the
 test pins which checks of a suite fail at the model (1.6, 2, mu = (1, 0.7, 1.3));
-the other checks of the suite cannot see that fault.  The rep suite is covered so
-far: its faults sit in the multiplier J, the Pascal table exp(S_m) and the sl(2)
-operators H and -F, patched at their (f, params) signatures.
+the other checks of the suite cannot see that fault.  The rep faults sit in the
+multiplier J, the Pascal table exp(S_m) and the sl(2) operators H and F, patched
+at their (f, params) signatures.  The shift and operator faults sit in one W(n)
+entry, one G(n) entry, the mu-weighting of K, one U_j entry and one Taylor
+coefficient of g(T).  A check that no fault can move is listed in CANNOT_FAIL
+with the reason.
 """
 
+import numpy as np
 import pytest
 
-from cdhom import basis, representation, verify
+from cdhom import basis, kernel, operator, representation, verify
 from cdhom.representation import TriangularRep
 from cdhom.scalars import VectorPolynomial
 
 CFG = verify.RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
-REP_CHECKS = {check.name for check in verify.CHECKS if check.suite == "rep"}
+SUITE_CHECKS = {suite: {c.name for c in verify.CHECKS if c.suite == suite} for suite in ("shift", "rep", "operator")}
 
 
 def _wrap_multiplier(monkeypatch, shift_eta=0.0, shift_den=None):
-    """Run J and J0 with eta + shift_eta and the denominator cz + d + shift_den(z)."""
+    """Run J with eta + shift_eta and the denominator cz + d + shift_den(z)."""
     original = representation._multiplier
 
-    def faulty(c, d, z, rep, eta=None):
+    def faulty(c, d, z, rep, eta):
         if shift_den is not None:
             d = d + shift_den(z)
-        return original(c, d, z, rep, None if eta is None else eta + shift_eta)
+        return original(c, d, z, rep, eta + shift_eta)
 
     monkeypatch.setattr(representation, "_multiplier", faulty)
 
@@ -55,15 +59,15 @@ def _op_h_component(monkeypatch):
     monkeypatch.setattr(verify, "op_H", op_h)
 
 
-def _shift_weight_in_minus_f(monkeypatch):
-    original = basis._minus_f_coeffs
+def _shift_weight_in_f(monkeypatch):
+    original = basis.op_F
 
-    def minus_f_coeffs(f, params):
-        out = original(f, params)
-        out[:-1, 2] += 0.01 * f.coeffs[:, 1]  # the S_m weight moving component 1 to 2 reads 2.01
-        return out
+    def op_f(f, params):
+        coeffs = original(f, params).padded(f.degree + 1)
+        coeffs[:-1, 2] -= 0.01 * f.coeffs[:, 1]  # the S_m weight moving component 1 to 2 reads 2.01 in -F
+        return VectorPolynomial(coeffs)
 
-    monkeypatch.setattr(basis, "_minus_f_coeffs", minus_f_coeffs)
+    monkeypatch.setattr(verify, "op_F", op_f)
 
 
 def _denominator_z(monkeypatch):
@@ -74,12 +78,68 @@ def _denominator_abs_z2(monkeypatch):
     _wrap_multiplier(monkeypatch, shift_den=lambda z: 0.01 * (z * z.conj()))
 
 
-# fault: (plant, the rep checks it makes fail)
+def _w_entry(monkeypatch):
+    original = operator.shift_table
+
+    def shift_table(n_max, params):
+        table = original(n_max, params)
+        if n_max >= 3:
+            table[3, 2, 1] *= 1.01  # W(3)[2, 1], below the diagonal
+        return table
+
+    for module in (operator, verify):
+        monkeypatch.setattr(module, "shift_table", shift_table)
+
+
+def _g_entry(monkeypatch):
+    original = basis._ladder_coefficients
+
+    def ladder_coefficients(n_max, params):
+        table = original(n_max, params)
+        if n_max >= 3:
+            table[3, 1, 0] *= 1.01  # G(3)[1, 0]
+        return table
+
+    monkeypatch.setattr(basis, "_ladder_coefficients", ladder_coefficients)
+
+
+def _mu_unsquared_in_k(monkeypatch):
+    original = kernel.kernel_Kj
+    # kernel_full weights K_j by mu_j^2; dividing K_j by mu_j leaves mu_j.
+    monkeypatch.setattr(kernel, "kernel_Kj", lambda j, z, w, params: original(j, z, w, params) / params.mu[j])
+
+
+def _u_entry(monkeypatch):
+    original = operator.representation_matrix
+
+    def representation_matrix(g, params, rep, n_trunc):
+        result = original(g, params, rep, n_trunc)
+        blocks = result.blocks.copy()
+        blocks[1, 0, 0] += 0.01  # U_0 from degree 0 to degree 1
+        return operator.RepresentationMatrixResult(blocks=blocks, truncation_loss=result.truncation_loss)
+
+    for module in (operator, verify):
+        monkeypatch.setattr(module, "representation_matrix", representation_matrix)
+
+
+def _taylor_coefficient(monkeypatch):
+    original = operator._block_calculus
+
+    def block_calculus(g, t, max_degree=None):
+        out = original(g, t, max_degree)
+        top = out.shape[0] - 1
+        out[np.arange(1, top + 1), :, np.arange(top), :] *= 1.01  # the blocks (n+1, n) hold only the T^1 term
+        return out
+
+    monkeypatch.setattr(operator, "_block_calculus", block_calculus)
+
+
+# fault: (plant, the checks of the suite it makes fail)
 REP_FAULTS = {
     "eta+0.01 in J": (_eta_in_j, {"infinitesimal_generators"}),
     "pascal C(2,1)+0.01": (_pascal_entry, {"cocycle", "infinitesimal_generators"}),
     "op_H component 1 x1.01": (_op_h_component, {"sl2_commutators", "infinitesimal_generators"}),
-    "S_m weight 1->2 +0.01 in -F": (_shift_weight_in_minus_f, {"ladder_recursion", "infinitesimal_generators"}),
+    "S_m weight 1->2 +0.01 in -F": (_shift_weight_in_f, {"ladder_recursion", "infinitesimal_generators"}),
     "denominator +0.01 z": (
         _denominator_z,
         {"cocycle", "rotation_multiplier_constant", "rotation_k_type", "infinitesimal_generators"},
@@ -94,6 +154,24 @@ REP_FAULTS = {
             "infinitesimal_generators",
         },
     ),
+}
+SHIFT_FAULTS = {
+    "W(3)[2,1] x1.01": (_w_entry, {"golden_w", "adjoint_reproducing", "column_action"}),
+    "G(3)[1,0] x1.01": (_g_entry, {"golden_g", "adjoint_reproducing", "column_action"}),
+    "mu_j^2 -> mu_j in K": (_mu_unsquared_in_k, {"golden_k"}),
+}
+OPERATOR_FAULTS = {
+    "W(3)[2,1] x1.01": (_w_entry, {"homogeneity_interior"}),
+    "U_0[1,0] +0.01": (_u_entry, {"homogeneity_rotation", "homogeneity_interior", "representation_unitarity"}),
+    "T^1 coefficient x1.01": (
+        _taylor_coefficient,
+        {"homogeneity_rotation", "homogeneity_interior", "calculus_rotation"},
+    ),
+}
+FAULTS = {"shift": SHIFT_FAULTS, "operator": OPERATOR_FAULTS}
+CANNOT_FAIL = {
+    "shift_norm_bound": "||T_N|| <= max ||W(n)|| holds for every block shift, whatever its W(n)",
+    "homogeneity_monotone": "a fault adds the same residual at N = 20, 40 and 60 in its fixed window: the rise stays 0",
 }
 
 
@@ -113,4 +191,22 @@ def test_rep_fault_fails_exactly_the_checks_that_can_see_it(monkeypatch, fault):
 
 
 def test_every_rep_check_fails_under_some_fault():
-    assert set().union(*(expected for _, expected in REP_FAULTS.values())) == REP_CHECKS
+    assert set().union(*(expected for _, expected in REP_FAULTS.values())) == SUITE_CHECKS["rep"]
+
+
+@pytest.mark.parametrize("suite", FAULTS)
+def test_suite_passes_without_a_fault(suite):
+    assert _failing(suite) == set()
+
+
+@pytest.mark.parametrize("suite, fault", [(suite, fault) for suite, faults in FAULTS.items() for fault in faults])
+def test_fault_fails_exactly_the_checks_of_its_suite_that_can_see_it(monkeypatch, suite, fault):
+    plant, expected = FAULTS[suite][fault]
+    plant(monkeypatch)
+    assert _failing(suite) == expected
+
+
+def test_every_shift_and_operator_check_fails_under_some_fault_or_cannot_fail():
+    failed = set().union(*(expected for faults in FAULTS.values() for _, expected in faults.values()))
+    assert failed.isdisjoint(CANNOT_FAIL)
+    assert failed | set(CANNOT_FAIL) == SUITE_CHECKS["shift"] | SUITE_CHECKS["operator"]

@@ -316,6 +316,7 @@ def _overflow_cases():
         # Sizes whose arrays exceed the address space: numpy refuses them at once, allocating nothing.
         ("shift-weights", BASE_M1 + ["--nmax", "1000000000000000"]),
         ("verify", BASE_M1 + ["--truncation", "1000000000000000", "--suite", "kernel"]),
+        ("verify", huge + ["--suite", "kernel"]),  # a principal power in K(z, w) overflows
     ]
     for i, (command, argv) in enumerate(cases):
         yield pytest.param(command, argv, id=f"{command}-extra{i}")
@@ -332,6 +333,8 @@ def test_exit_code_overflowing_parameters(command, extra):
     assert res.stderr.startswith("config error") and "Traceback" not in res.stderr
     assert "RuntimeWarning" not in res.stderr
     assert res.stdout == ""
+    if "1e300" in extra and (command == "kernel-eval" or extra[-1] == "kernel"):
+        assert "K(z, w) leaves the float range at lam = 1e+300" in res.stderr
 
 
 def test_shift_weights_at_huge_lambda_match_mpmath():

@@ -3,11 +3,17 @@ import cmath
 import numpy as np
 import pytest
 
-from cdhom import GroupElement, PoleError, act, derivative, exp_basis
+from cdhom import GroupElement, ModelParams, PoleError, TriangularRep, act, exp_basis, multiplier_J
 from cdhom.mobius import H, X, X0, X1, Y, Y_LOWER
 
 REAL_BASIS = [("X0", X0), ("X1", X1), ("Y", Y)]
 ALL_BASIS = [("x", X), ("y", Y_LOWER), ("h", H)] + REAL_BASIS
+
+
+def derivative(g, z):
+    """g'(z), read off the multiplier: at m = 0 and lam = eta = 1, J_g(z) = (g'(z))^1."""
+    p = ModelParams(lam=1.0, m=0, mu=(1.0,))
+    return complex(multiplier_J(g, z, p, TriangularRep.from_params(p))[0, 0])
 
 
 def random_disc_elements(rng, count):
@@ -51,7 +57,9 @@ def test_act_pole():
 def test_unitary_disc_preserves_disc():
     rng = np.random.default_rng(3)
     for g in random_disc_elements(rng, 10):
-        assert g.is_unitary_disc()
+        # SU(1,1): d = conj(a), c = conj(b) and |a|^2 - |b|^2 = 1
+        assert abs(g.d - g.a.conjugate()) <= 1e-12 and abs(g.c - g.b.conjugate()) <= 1e-12
+        assert abs(abs(g.a) ** 2 - abs(g.b) ** 2 - 1.0) <= 1e-12
         for z in (0.0, 0.89, -0.4 + 0.7j):
             assert abs(act(g, z)) < 1.0
 

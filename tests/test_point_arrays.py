@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cdhom import ModelParams, TriangularRep, act, check_cocycle, exp_basis, multiplier_J, multiplier_J0  # noqa: E402
+from cdhom import ModelParams, TriangularRep, act, check_cocycle, exp_basis, multiplier_J  # noqa: E402
 from cdhom.mobius import X0, X1, Y  # noqa: E402
 
 GENERATORS = (X0, X1, Y)
@@ -47,17 +47,17 @@ def test_array_forms_match_pointwise(case):
     assert got.shape == zs.shape
     assert _close(got.ravel(), np.array([act(g, z) for z in points]), 1.0)
 
-    for fn in (lambda z: multiplier_J0(g, z, rep), lambda z: multiplier_J(g, z, p, rep)):
-        got = fn(zs)
-        ref = np.array([fn(z) for z in points])
-        assert got.shape == block
-        assert _close(got.reshape(ref.shape), ref, float(np.max(np.abs(ref))))
+    got = multiplier_J(g, zs, p, rep)
+    ref = np.array([multiplier_J(g, z, p, rep) for z in points])
+    assert got.shape == block
+    assert _close(got.reshape(ref.shape), ref, float(np.max(np.abs(ref))))
 
-    got = check_cocycle(g, h, zs, p, rep)
-    ref = np.array([check_cocycle(g, h, z, p, rep) for z in points])
+    got, got_scale = check_cocycle(g, h, zs, p, rep)
+    ref, ref_scale = np.array([check_cocycle(g, h, z, p, rep) for z in points]).T
     j_scale = float(np.max(np.abs(multiplier_J(g @ h, zs, p, rep))))
-    assert got.shape == zs.shape
+    assert got.shape == got_scale.shape == zs.shape
     assert _close(got.ravel(), ref, j_scale)
+    assert _close(got_scale.ravel(), ref_scale, float(np.max(ref_scale)))
 
 
 @st.composite
@@ -73,9 +73,11 @@ def element_sequences(draw):
 def test_cocycle_over_sequences_matches_per_pair_calls(case):
     p, zs, gs, hs = case
     rep = TriangularRep.from_params(p)
-    got = check_cocycle(gs, hs, zs, p, rep)
-    assert got.shape == (len(gs), len(hs)) + zs.shape
+    got, got_scale = check_cocycle(gs, hs, zs, p, rep)
+    assert got.shape == got_scale.shape == (len(gs), len(hs)) + zs.shape
     for i, g in enumerate(gs):
         for k, h in enumerate(hs):
+            ref, ref_scale = check_cocycle(g, h, zs, p, rep)
             j_scale = float(np.max(np.abs(multiplier_J(g @ h, zs, p, rep))))
-            assert _close(got[i, k], check_cocycle(g, h, zs, p, rep), j_scale)
+            assert _close(got[i, k], ref, j_scale)
+            assert _close(got_scale[i, k], ref_scale, float(np.max(ref_scale)))

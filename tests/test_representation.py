@@ -14,7 +14,6 @@ from cdhom import (
     check_cocycle,
     exp_basis,
     multiplier_J,
-    multiplier_J0,
 )
 from cdhom.basis import op_F
 from cdhom.mobius import X, X0, X1, Y, Y_LOWER
@@ -58,24 +57,27 @@ def test_triangular_rep_structure(lam, m):
     assert np.max(np.abs(rho_h @ rho_y - rho_y @ rho_h + rho_y), initial=0.0) <= 1e-14
 
 
+# The J0 factor of J = (g')^eta J0 is read where g' = 1 (c = 0, d = 1, or z = 0 with d = 1), so J = J0 there.
+
+
 def test_multiplier_j0_identity():
     p, rep = make(1.2, 2)
     for z in (0.0, 0.3 - 0.2j):
-        assert np.allclose(multiplier_J0(GroupElement.identity(), z, rep), np.eye(3))
+        assert np.allclose(multiplier_J(GroupElement.identity(), z, p, rep), np.eye(3))
 
 
 def test_multiplier_j0_upper_subgroup_trivial():
     # c = 0, d = 1: both factors collapse to the identity
     p, rep = make(1.3, 2)
     g = exp_basis(X, 0.4)
-    assert np.allclose(multiplier_J0(g, 0.2 + 0.1j, rep), np.eye(3))
+    assert np.allclose(multiplier_J(g, 0.2 + 0.1j, p, rep), np.eye(3))
 
 
 def test_multiplier_j0_lower_subgroup():
-    # exp(t y), z = 0, m = 1: exp(-t S_1) diag(1, 1) = [[1, 0], [-t, 1]]
+    # exp(t y), z = 0, m = 1: cz + d = 1, so J = J0 = exp(-t S_1) diag(1, 1) = [[1, 0], [-t, 1]]
     p, rep = make(1.0, 1)
     t = 0.35
-    got = multiplier_J0(exp_basis(Y_LOWER, t), 0.0, rep)
+    got = multiplier_J(exp_basis(Y_LOWER, t), 0.0, p, rep)
     assert np.allclose(got, np.array([[1.0, 0.0], [-t, 1.0]]), atol=1e-15)
 
 
@@ -83,7 +85,7 @@ def test_multiplier_j0_branch_warning():
     p, rep = make(1.0, 1)
     g = GroupElement(0.0, 1j, 1j, -1.0)  # c*0 + d = -1: left half-plane
     with pytest.warns(BranchWarning):
-        multiplier_J0(g, 0.0, rep)
+        multiplier_J(g, 0.0, p, rep)
 
 
 def test_multiplier_j_identity_and_rotation_scalar():
@@ -97,26 +99,26 @@ def test_multiplier_j_identity_and_rotation_scalar():
 
 
 def test_multiplier_j_diag_part_is_derivative_powers():
-    # the diagonal factor of J0 is (cz+d)^(-2j) exactly by construction
+    # exp(t S_m) has a unit diagonal, so the diagonal of J is (g'(z))^eta (cz+d)^(-2j) = (cz+d)^(-2(eta + j))
     p, rep = make(1.8, 3)
     g = exp_basis(X1, 0.3)
     z = 0.25 - 0.15j
     den = g.c * z + g.d
-    j0 = multiplier_J0(g, z, rep)
-    assert np.allclose(np.diag(j0), den ** (-2.0 * np.arange(4)))
+    assert np.allclose(np.diag(multiplier_J(g, z, p, rep)), den ** (-2.0 * (p.eta + np.arange(4))))
 
 
 def test_cocycle_trivial_cases():
     p, rep = make(1.0, 1)
     e = GroupElement.identity()
-    assert check_cocycle(e, e, 0.2, p, rep) == 0.0
-    # two upper-triangular elements: both multipliers are the identity
-    assert check_cocycle(exp_basis(X, 0.2), exp_basis(X, -0.5), 0.1j, p, rep) == 0.0
+    # the identity, and two upper-triangular elements: every multiplier is I, so the scale is ||I||_F^2 = m + 1
+    for g, h, z in ((e, e, 0.2), (exp_basis(X, 0.2), exp_basis(X, -0.5), 0.1j)):
+        residual, scale = check_cocycle(g, h, z, p, rep)
+        assert residual == 0.0 and scale == pytest.approx(2.0, rel=1e-15)
 
 
 def test_cocycle_lower_pair():
     p, rep = make(1.5, 2)
-    r = check_cocycle(exp_basis(Y_LOWER, 0.1), exp_basis(Y_LOWER, 0.15), 0.2, p, rep)
+    r, _ = check_cocycle(exp_basis(Y_LOWER, 0.1), exp_basis(Y_LOWER, 0.15), 0.2, p, rep)
     assert r <= 1e-12
 
 
@@ -138,7 +140,7 @@ def test_cocycle_sweep_acceptance_grid():
     worst = 0.0
     for g, h in itertools.product(elements, repeat=2):
         for z in zs[:: max(1, len(zs) // 8)]:
-            worst = max(worst, check_cocycle(g, h, z, p, rep))
+            worst = max(worst, check_cocycle(g, h, z, p, rep)[0])
     assert worst <= 1e-10
 
 
@@ -190,14 +192,14 @@ def test_multiplier_holomorphy():
     g = exp_basis(X1, 0.15)
     h = 1e-6
     for z in (0.1, 0.2 - 0.3j):
-        dx = (multiplier_J0(g, z + h, rep) - multiplier_J0(g, z - h, rep)) / (2 * h)
-        dy = (multiplier_J0(g, z + 1j * h, rep) - multiplier_J0(g, z - 1j * h, rep)) / (2j * h)
+        dx = (multiplier_J(g, z + h, p, rep) - multiplier_J(g, z - h, p, rep)) / (2 * h)
+        dy = (multiplier_J(g, z + 1j * h, p, rep) - multiplier_J(g, z - 1j * h, p, rep)) / (2j * h)
         assert np.max(np.abs(dx - dy)) <= 1e-6
 
 
 def test_array_forms_raise_at_one_pole():
     # c*z + d = 1j*z vanishes at z = 0 only; one pole among the points is enough.
-    from cdhom import PoleError, derivative
+    from cdhom import PoleError
     from cdhom.mobius import act
 
     p, rep = make(1.0, 1)
@@ -205,8 +207,6 @@ def test_array_forms_raise_at_one_pole():
     zs = np.array([0.3 - 0.1j, 0.0, -0.2j])  # Re(c*z + d) > 0 away from the pole
     for fn in (
         lambda z: act(g, z),
-        lambda z: derivative(g, z),
-        lambda z: multiplier_J0(g, z, rep),
         lambda z: multiplier_J(g, z, p, rep),
         lambda z: check_cocycle(g, GroupElement.identity(), z, p, rep),
     ):
@@ -220,12 +220,11 @@ def test_array_forms_warn_when_one_point_leaves_the_branch_half_plane():
 
     p, rep = make(1.0, 1)
     g = GroupElement(1.0, -0.9, 1.0, 0.1)  # c*z + d = z + 0.1: Re <= 0 for Re z <= -0.1 only
-    for fn in (lambda z: multiplier_J0(g, z, rep), lambda z: multiplier_J(g, z, p, rep)):
-        with pytest.warns(BranchWarning):
-            fn(np.array([0.3, -0.5, 0.2j]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", BranchWarning)
-            fn(np.array([0.3, 0.2j]))
+    with pytest.warns(BranchWarning):
+        multiplier_J(g, np.array([0.3, -0.5, 0.2j]), p, rep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BranchWarning)
+        multiplier_J(g, np.array([0.3, 0.2j]), p, rep)
 
 
 def test_multiplier_past_float_range_raises_overflow():
@@ -272,8 +271,12 @@ def test_cocycle_over_element_sequences_has_the_pair_axes():
     gs = [exp_basis(X1, 0.2), exp_basis(Y_LOWER, -0.1), GroupElement.rotation(0.4)]
     hs = [exp_basis(Y, 0.15), exp_basis(X0, 0.3)]
     zs = np.array([[0.1, -0.2j, 0.3 + 0.1j], [0.0, -0.4, 0.25j]])
-    assert check_cocycle(gs, hs, zs, p, rep).shape == (3, 2) + zs.shape
-    assert check_cocycle(gs[0], hs, zs, p, rep).shape == (2,) + zs.shape
-    assert check_cocycle(gs, hs[0], zs, p, rep).shape == (3,) + zs.shape
-    assert check_cocycle(gs, hs, 0.2j, p, rep).shape == (3, 2)
-    assert isinstance(check_cocycle(gs[0], hs[0], 0.2j, p, rep), float)
+
+    def shapes(g, h, z):  # of the residual and of its scale
+        return [np.shape(part) for part in check_cocycle(g, h, z, p, rep)]
+
+    assert shapes(gs, hs, zs) == [(3, 2) + zs.shape] * 2
+    assert shapes(gs[0], hs, zs) == [(2,) + zs.shape] * 2
+    assert shapes(gs, hs[0], zs) == [(3,) + zs.shape] * 2
+    assert shapes(gs, hs, 0.2j) == [(3, 2)] * 2
+    assert all(isinstance(part, float) for part in check_cocycle(gs[0], hs[0], 0.2j, p, rep))

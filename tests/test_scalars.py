@@ -128,9 +128,3 @@ def test_polynomial_rejects_nonfinite():
     with pytest.raises(ValueError):
         VectorPolynomial(arr)
 
-
-def test_polynomial_derivative_and_shift():
-    p = VectorPolynomial.monomial(1, 0, 3, 2.0)  # 2 z^3 in component 0
-    dp = p.derivative()
-    assert dp.coeffs[2, 0] == 6.0
-    assert p.shift_degree(2).degree == 5

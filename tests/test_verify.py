@@ -135,8 +135,9 @@ def test_cocycle_records_the_worst_pair_and_point():
     labels = {f"exp({t}*{name})": exp_basis(e, t) for name, e in GENERATORS for t in (0.2, -0.13)}
     g, h = (labels[label] for label in parameters["worst_pair"])
     z = complex(*parameters["worst_point"])
-    at_worst = check_cocycle(g, h, np.array([z]), p, TriangularRep.from_params(p))  # the array path, as the sweep
-    assert at_worst[0] == residual <= cfg.tolerance("cocycle")
+    at_worst, scale = check_cocycle(g, h, np.array([z]), p, TriangularRep.from_params(p))  # the array path, as the sweep
+    assert at_worst[0] / scale[0] == residual <= cfg.tolerance("cocycle")
+    assert parameters["scale"] == scale[0] >= 1.0
     record = next(c for c in run_suite(cfg, "rep").checks if c.name == "cocycle")
     assert record.parameters == parameters
 
