@@ -193,8 +193,10 @@ def check_positive_definite(params: ModelParams, grid: SampleGrid) -> PositiveDe
 
 
 def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: TriangularRep) -> float | list[float]:
-    """Max over grid pairs of || J_g(z) K(g.z, g.w) J_g(w)^* - K(z, w) ||_F.
+    """Max over grid pairs of || J_g(z) K(g.z, g.w) J_g(w)^* - K(z, w) ||_F, each relative to its scale.
 
+    The scale of a pair is max(1, ||J_g(z)||_F ||K(g.z, g.w)||_F ||J_g(w)||_F), the bound
+    that ||AB||_F <= ||A||_F ||B||_F gives for the product, as in the cocycle check.
     g is one GroupElement, giving one float, or a sequence of them, giving
     one float per element; K(z, w) on the grid is evaluated once for all.
     """
@@ -204,12 +206,14 @@ def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: Triang
     residuals = []
     for h in elements:
         jz = multiplier_J(h, pts, params, rep)
+        j_norms = np.linalg.norm(jz, axis=(1, 2))
         hz = act(h, pts).tolist()  # Python complex: kernel_full is slower on numpy scalars
         worst = 0.0
         for i, z in enumerate(hz):
             for k, w in enumerate(hz):
-                lhs = jz[i] @ kernel_full(z, w, params) @ jz[k].conj().T
-                worst = max(worst, float(np.linalg.norm(lhs - k_grid[i][k])))
+                moved = kernel_full(z, w, params)
+                scale = max(1.0, float(j_norms[i] * np.linalg.norm(moved) * j_norms[k]))
+                worst = max(worst, float(np.linalg.norm(jz[i] @ moved @ jz[k].conj().T - k_grid[i][k])) / scale)
         residuals.append(worst)
     return residuals[0] if isinstance(g, GroupElement) else residuals
 

@@ -13,25 +13,26 @@ Finite truncations keep degrees 0..N; a fractional-linear map g(T) of
 the truncated shift agrees with the infinite functional calculus on
 every retained block because the shift only propagates downward in
 degree.  It needs no solve: g(T) is the finite Taylor sum
-b/d + sum_k coef_k T^k, and block (n+k, n) of T^k is the product
-W(n+k-1)...W(n).  On a plain matrix, the oracle of that sum, g(T) is one
-dense inverse of cT + dI times aT + bI.  Its guard is the exact 1-norm
-condition number, read off the same inverse, because an SVD for the 2-norm
-one would cost more than the inverse itself.
+b/d + sum_k coef_k T^k, cut once the terms left sum below rounding, and
+block (n+k, n) of T^k is the product W(n+k-1)...W(n).  On a plain matrix,
+the oracle of that sum, g(T) is one LU solve of (cT + dI) X = aT + bI.  Its
+guard is the exact 1-norm condition number: once g(T) is known,
+(cT + dI)^(-1) = (a - c g(T)) / (ad - bc) costs O(n^2), whereas an SVD for
+the 2-norm one would cost more than the solve itself.
 
 The unitary group action needs no sampling and no solve either.  The
 associated representation is multiplicity free, the sum of the discrete
 series D+_(lam_j), lam_j = lam - m/2 + j, and e^j_(n-j) is the orthonormal
 basis of the j-th summand.  So U_g on degrees 0..N is block-diagonal in j,
 and each block is the compression of the closed-form matrix of
-D+_(lam_j)(g): a binomial series in its first column, then one product
-with a Toeplitz matrix shared by every j per further column.
+D+_(lam_j)(g): a binomial series in its first column, and columns K..2K-1
+are the Toeplitz matrix of phi^K, shared by every j, times columns 0..K-1.
 
 Both operators are kept in this layout: T as its shift blocks W(n), U_g as
 its component blocks U_j.  The dense ((N+1)(m+1))^2 matrices over the slots
 i = n*(m+1) + j are assembled only on the first read of .matrix.  The
-homogeneity check never reads them: it compares U_i^* T U_j' with g(T)
-one component pair at a time.
+homogeneity check never reads them: for each component i it compares
+U_i^* T U_j', for every j' <= i side by side, with g(T) in one product.
 """
 
 from __future__ import annotations
@@ -142,14 +143,16 @@ def mobius_calculus(g: GroupElement, t) -> np.ndarray:
 
         g(T) = b/d + (ad - bc) sum_{k>=1} (-c)^(k-1) d^(-k-1) T^k,
 
-    assembled block by block from products of the shift blocks; d = 0 (or
-    coefficients past the float range) raises SingularResolventError.
+    assembled block by block from products of the shift blocks and stopped
+    once the terms left sum below rounding; d = 0 (or coefficients past the
+    float range) raises SingularResolventError.
 
-    A plain square matrix is the oracle of the block form.  It takes one
-    inverse R^(-1) of R = cT + dI and returns R^(-1) (aT + bI).  The guard
-    reads the exact 1-norm condition number ||R||_1 ||R^(-1)||_1 off that
-    inverse, so no SVD is needed for it.  SingularResolventError is raised on
-    an exact zero pivot, or when that number is non-finite or above 1e13.
+    A plain square matrix is the oracle of the block form.  It returns the
+    solution X of R X = aT + bI, R = cT + dI, from one LU factorization.  The
+    guard is the exact 1-norm condition number ||R||_1 ||R^(-1)||_1, with
+    R^(-1) = (aI - c X) / (ad - bc) at O(n^2), so neither an inverse nor an SVD
+    is needed for it.  SingularResolventError is raised on an exact zero
+    pivot, or when that number is non-finite or above 1e13.
     The 1-norm bound differs from the 2-norm one by at most the size n:
     cond_2 / n <= cond_1 <= n cond_2.
     """
@@ -162,20 +165,26 @@ def mobius_calculus(g: GroupElement, t) -> np.ndarray:
         resolvent[diagonal] += g.d
         right[diagonal] += g.b
         try:
-            inverse = np.linalg.inv(resolvent)
+            # (aT + b) and (cT + d)^(-1) are both functions of T, hence commute.
+            out = np.linalg.solve(resolvent, right)
         except np.linalg.LinAlgError as exc:
             raise SingularResolventError(f"c*T + d*I has an exact zero pivot: {exc}") from None
-        cond = np.linalg.norm(resolvent, 1) * np.linalg.norm(inverse, 1)
+        inverse = -g.c * out  # (cT + d)^(-1) = (a - c g(T)) / (ad - bc)
+        inverse[diagonal] += g.a
+        cond = np.linalg.norm(resolvent, 1) * np.linalg.norm(inverse, 1) / abs(g.a * g.d - g.b * g.c)
     if not np.isfinite(cond) or cond > 1e13:
         raise SingularResolventError(f"c*T + d*I has 1-norm condition number {cond}")
-    # (aT + b) and (cT + d)^(-1) are both functions of T, hence commute.
-    return inverse @ right
+    return out
 
 
 def _block_calculus(g: GroupElement, t: TruncatedOperator, max_degree: int | None = None) -> np.ndarray:
     """g(T) as the array out[n, :, n', :] of its degree blocks (n, n'), n, n' <= max_degree (default N).
 
     Block (n, n') reads only W(n')..W(n-1), so stopping at max_degree changes no kept block.
+    The sum stops after term k once q^k <= 1e-3 eps (1 - q), with q = |c/d| omega and
+    omega = max_n ||W(n)||_F >= ||T||: the terms past k then add less than 1e-3 eps times
+    the bound |coef_1| omega of the T^1 term.  A rotation (c = 0) stops after T^1 exactly;
+    for q >= 1 every term is kept.  omega reads every block, so max_degree does not move the cut.
     """
     if g.d == 0:
         raise SingularResolventError("d = 0: c*T + d*I is nilpotent, hence singular")
@@ -187,11 +196,15 @@ def _block_calculus(g: GroupElement, t: TruncatedOperator, max_degree: int | Non
         ratios[:1] = 1.0
         coefs = (g.a * g.d - g.b * g.c) / d**2 * np.cumprod(ratios)  # coefs[k-1] multiplies T^k
         constant = g.b / d
+        q = abs(g.c / d) * float(np.max(np.linalg.norm(t.blocks, axis=(1, 2))))
+    floor = 1e-3 * np.finfo(float).eps * (1.0 - q)  # below 0 when q >= 1: nothing is cut
     out = np.zeros((top + 1, size, top + 1, size), dtype=complex)
     out[np.arange(top + 1), :, np.arange(top + 1), :] = constant * np.eye(size)
     prod = w_blks  # prod[n] = W(n+k-1)...W(n), block (n+k, n) of T^k
     for k in range(1, top + 1):
         out[np.arange(k, top + 1), :, np.arange(top + 1 - k), :] = coefs[k - 1] * prod
+        if q**k <= floor:
+            break
         prod = w_blks[k:] @ prod[:-1]
     if not np.all(np.isfinite(out)):
         raise SingularResolventError(f"the Taylor coefficients of g overflow at |d| = {abs(g.d)}")
@@ -233,8 +246,10 @@ def representation_matrix(
         sqrt(r_N' / r_M) [z^M] a0_j (1 - (c/a) z)^(-2*lam_j) phi(z)^N',   phi = (dz - b)/(a - cz),
 
     where a0_j = (a^-2)^eta a^(-2j) is entry j of J_(g^-1)(0), so multiplier_J keeps the
-    branch convention.  Column 0 is a binomial series, and each further column is one product
-    with the lower-triangular Toeplitz matrix of phi, shared by every j.  Each block compresses
+    branch convention.  Column 0 is a binomial series.  Columns K..2K-1 are the lower-triangular
+    Toeplitz matrix of phi^K, shared by every j, times columns 0..K-1, and the coefficients of
+    phi^2K are those of phi^K convolved with themselves, so ceil(log2(N+1)) products fill the
+    N columns.  Each block compresses
     a unitary matrix, so truncation_loss is the exact leak sqrt(1 - |column|^2), worst over the
     columns; the subtraction resolves leaks above about 1e-8.  Raises NormalizationError when
     2*lam <= m and OverflowError when a normalization or an entry leaves the float range.
@@ -248,12 +263,14 @@ def representation_matrix(
     with np.errstate(all="ignore"):  # overflow surfaces as a non-finite value below
         norms = np.cumprod(np.sqrt(growth), axis=0)  # sqrt(r_K), never r_K itself
         ratio = g.c / g.a
-        phi = np.concatenate(([-g.b / g.a], (g.d - g.b * ratio) / g.a * ratio ** deg[:-1]))
-        toeplitz = np.where(deg[:, None] >= deg, phi[np.abs(deg[:, None] - deg)], 0.0)
+        power = np.concatenate(([-g.b / g.a], (g.d - g.b * ratio) / g.a * ratio ** deg[:-1]))  # [z^M] phi
         series = np.empty((n_trunc + 1, n_trunc + 1, size), dtype=complex)  # [M, N', j], without sqrt(r_N'/r_M)
         series[:, 0] = a0 * np.cumprod(np.where(deg[:, None] > 0, growth * ratio, 1.0), axis=0)  # a0_j r_M (c/a)^M
-        for col in range(n_trunc):
-            series[:, col + 1] = toeplitz @ series[:, col]
+        lags, done = deg[:, None] - deg, 1  # columns 0..done-1 are filled, and power holds [z^M] phi^done
+        while done <= n_trunc:
+            width, toeplitz = min(done, n_trunc + 1 - done), np.where(lags >= 0, power[lags], 0.0)
+            series[:, done : done + width] = np.tensordot(toeplitz, series[:, :width], axes=1)
+            done, power = done + width, np.convolve(power, power)[: n_trunc + 1]
         blocks = series * (norms[None, :, :] / norms[:, None, :])
     degree = deg[:, None] + np.arange(size)  # degree[K, j] = j + K, the degree of row or column K of U_j
     blocks = np.where((degree[:, None, :] <= n_trunc) & (degree[None, :, :] <= n_trunc), blocks, 0.0)
@@ -292,9 +309,10 @@ def check_homogeneity(
     conjugated side correctly leaves them empty.
 
     The residual is the Frobenius norm over the kept slots, summed one
-    component pair (i, j') at a time.  Component i of T U_j' is zero for
-    i < j', since every W(n) is lower triangular; for i >= j' its row M is
-    W(i+M-1)[i, j'] times row M + i - j' - 1 of U_j'.
+    component i at a time.  Component i of T U_j' is zero for i < j', since
+    every W(n) is lower triangular; for i >= j' its row M is W(i+M-1)[i, j']
+    times row M + i - j' - 1 of U_j'.  The blocks of T U_j' for j' <= i sit side
+    by side, so each i takes one product with U_i^*.
     """
     if window is None:
         window = n_trunc - DEFAULT_GUARD_BAND
@@ -303,19 +321,20 @@ def check_homogeneity(
     t_op = truncate(params, n_trunc)
     u_blocks = representation_matrix(g, params, rep, n_trunc).blocks
     g_of_t = _block_calculus(g, t_op, window)  # only the blocks of degree <= window are compared
-    kept = range(min(params.m, window) + 1)  # the components with a slot of degree <= window
+    slots = np.arange(params.m + 1)[:, None] <= np.arange(window + 1)  # [j', n']: the kept slots, j' <= n'
     total = 0.0
-    for i in kept:
+    for i in range(min(params.m, window) + 1):  # the components with a slot of degree <= window
+        rhs = g_of_t[i : window + 1, i, : window + 1].transpose(0, 2, 1)[:, slots]  # columns (n', j'), j'-major
+        t_u = np.zeros((n_trunc + 1 - i, np.count_nonzero(slots[: i + 1])), dtype=complex)
+        col = 0
+        for jp in range(i + 1):
+            lo, width = (1 if i == jp else 0), window + 1 - jp  # row 0 of T U_i would come from below degree i
+            weights = t_op.blocks[i + lo - 1 :, i, jp, None]  # W(i+M-1)[i, j'] for the rows M >= lo
+            t_u[lo:, col : col + width] = weights * u_blocks[lo + i - jp - 1 : n_trunc - jp, :width, jp]
+            col += width
         u_i = u_blocks[: n_trunc + 1 - i, : window + 1 - i, i]  # all rows, kept columns
-        for jp in kept:
-            rhs = g_of_t[i : window + 1, i, jp : window + 1, jp]
-            if i < jp:
-                total += float(np.linalg.norm(rhs)) ** 2
-                continue
-            lo = 1 if i == jp else 0  # row 0 of component i would come from below degree i
-            weights = t_op.blocks[i + lo - 1 :, i, jp]  # W(i+M-1)[i, j'] for the rows M >= lo
-            t_u = weights[:, None] * u_blocks[lo + i - jp - 1 : n_trunc - jp, : window + 1 - jp, jp]
-            total += float(np.linalg.norm(u_i[lo:].conj().T @ t_u - rhs)) ** 2
+        rhs[:, :col] -= u_i.conj().T @ t_u  # the columns j' > i stay: T U_j' is zero there
+        total += float(np.linalg.norm(rhs)) ** 2
     return math.sqrt(total)
 
 

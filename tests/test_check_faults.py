@@ -4,11 +4,15 @@ A fault is a monkeypatch of one ingredient of the program.  For every fault the
 test pins which checks of a suite fail at the model (1.6, 2, mu = (1, 0.7, 1.3));
 the other checks of the suite cannot see that fault.  The rep faults sit in the
 multiplier J, the Pascal table exp(S_m) and the sl(2) operators H and F, patched
-at their (f, params) signatures.  The shift and operator faults sit in one W(n)
-entry, one G(n) entry, the mu-weighting of K, one U_j entry and one Taylor
-coefficient of g(T).  A check that no fault can move is listed in CANNOT_FAIL
-with the reason.
+at their (f, params) signatures.  The kernel faults sit in one D_j entry, one
+lam_j inside K_j, the mu-weighting of K, one G(n) entry that reaches the series
+oracle and one Leibniz term of the derivative form.  The shift and operator
+faults sit in one W(n) entry, one G(n) entry, the mu-weighting of K, one U_j
+entry and one Taylor coefficient of g(T).  A check that no fault can move is
+listed in CANNOT_FAIL with the reason.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from cdhom.representation import TriangularRep
 from cdhom.scalars import VectorPolynomial
 
 CFG = verify.RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
-SUITE_CHECKS = {suite: {c.name for c in verify.CHECKS if c.suite == suite} for suite in ("shift", "rep", "operator")}
+SUITE_CHECKS = {suite: {c.name for c in verify.CHECKS if c.suite == suite} for suite in verify.SUITES[1:]}
 
 
 def _wrap_multiplier(monkeypatch, shift_eta=0.0, shift_den=None):
@@ -103,6 +107,37 @@ def _g_entry(monkeypatch):
     monkeypatch.setattr(basis, "_ladder_coefficients", ladder_coefficients)
 
 
+def _d0_entry(monkeypatch):
+    original = kernel.d_j_diagonal
+
+    def d_j_diagonal(j, params):
+        out = original(j, params)
+        if j == 0:
+            out[1, 1] *= 1.01  # D_0[1, 1]
+        return out
+
+    monkeypatch.setattr(kernel, "d_j_diagonal", d_j_diagonal)
+
+
+def _lam1_in_k1(monkeypatch):
+    original = kernel.kernel_Kj
+
+    def kernel_kj(j, z, w, params):
+        return original(j, z, w, dataclasses.replace(params, lam=params.lam + 0.05) if j == 1 else params)
+
+    monkeypatch.setattr(kernel, "kernel_Kj", kernel_kj)
+
+
+def _leibniz_term(monkeypatch):
+    original = kernel._deriv_power_entry
+
+    def deriv_power_entry(a, b, beta, z, w):
+        # del^1 delbar^0 moves and its mirror del^0 delbar^1 does not, so K(z, w) != K(w, z)^*.
+        return original(a, b, beta, z, w) * (1.01 if (a, b) == (1, 0) else 1.0)
+
+    monkeypatch.setattr(kernel, "_deriv_power_entry", deriv_power_entry)
+
+
 def _mu_unsquared_in_k(monkeypatch):
     original = kernel.kernel_Kj
     # kernel_full weights K_j by mu_j^2; dividing K_j by mu_j leaves mu_j.
@@ -155,6 +190,16 @@ REP_FAULTS = {
         },
     ),
 }
+KERNEL_FAULTS = {
+    "D_0[1,1] x1.01": (_d0_entry, {"kernel_oracle", "quasi_invariance", "monotone_truncation"}),
+    "lam_1+0.05 in K_1": (_lam1_in_k1, {"kernel_oracle", "quasi_invariance"}),
+    "mu_j^2 -> mu_j in K": (_mu_unsquared_in_k, {"kernel_oracle", "monotone_truncation"}),
+    "G(3)[1,0] x1.01": (_g_entry, {"kernel_oracle", "monotone_truncation"}),
+    "Leibniz del^1 term x1.01": (
+        _leibniz_term,
+        {"hermitian_symmetry", "kernel_oracle", "positive_definite", "quasi_invariance", "monotone_truncation"},
+    ),
+}
 SHIFT_FAULTS = {
     "W(3)[2,1] x1.01": (_w_entry, {"golden_w", "adjoint_reproducing", "column_action"}),
     "G(3)[1,0] x1.01": (_g_entry, {"golden_g", "adjoint_reproducing", "column_action"}),
@@ -168,8 +213,9 @@ OPERATOR_FAULTS = {
         {"homogeneity_rotation", "homogeneity_interior", "calculus_rotation"},
     ),
 }
-FAULTS = {"shift": SHIFT_FAULTS, "operator": OPERATOR_FAULTS}
+FAULTS = {"kernel": KERNEL_FAULTS, "shift": SHIFT_FAULTS, "operator": OPERATOR_FAULTS}
 CANNOT_FAIL = {
+    "normalization": "phi(z) K(z, 0) is root inv(A) A with A = K(z, 0): it measures only the rounding of inv(A) @ A",
     "shift_norm_bound": "||T_N|| <= max ||W(n)|| holds for every block shift, whatever its W(n)",
     "homogeneity_monotone": "a fault adds the same residual at N = 20, 40 and 60 in its fixed window: the rise stays 0",
 }
@@ -206,7 +252,17 @@ def test_fault_fails_exactly_the_checks_of_its_suite_that_can_see_it(monkeypatch
     assert _failing(suite) == expected
 
 
-def test_every_shift_and_operator_check_fails_under_some_fault_or_cannot_fail():
-    failed = set().union(*(expected for faults in FAULTS.values() for _, expected in faults.values()))
+def _uncovered(*suites: str) -> set[str]:
+    """The checks of the suites that no fault makes fail and CANNOT_FAIL does not name."""
+    failed = set().union(*(expected for suite in suites for _, expected in FAULTS[suite].values()))
     assert failed.isdisjoint(CANNOT_FAIL)
-    assert failed | set(CANNOT_FAIL) == SUITE_CHECKS["shift"] | SUITE_CHECKS["operator"]
+    return set().union(*(SUITE_CHECKS[suite] for suite in suites)) - failed - set(CANNOT_FAIL)
+
+
+def test_every_kernel_check_fails_under_some_fault_or_cannot_fail():
+    assert _uncovered("kernel") == set()
+
+
+def test_every_shift_and_operator_check_fails_under_some_fault_or_cannot_fail():
+    assert _uncovered("shift", "operator") == set()
+    assert set(CANNOT_FAIL) <= set().union(*(SUITE_CHECKS[suite] for suite in FAULTS))

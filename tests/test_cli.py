@@ -320,10 +320,11 @@ def _overflow_cases():
     ]
     for i, (command, argv) in enumerate(cases):
         yield pytest.param(command, argv, id=f"{command}-extra{i}")
-    # 2*lam overflows to inf, so the kernel's principal powers get an infinite exponent.
+    # 2*lam overflows to inf, so ModelParams rejects the model before any kernel code runs;
+    # the kernel's own overflow is reached by the lam = 1e300 case above.
     for m in range(4):
         model = ["--lambda", "1.7e308", "--m", str(m), "--mu", ",".join(["1"] * (m + 1))]
-        yield pytest.param("verify", model + ["--suite", "kernel"], id=f"verify-kernel-2lam-inf-m{m}")
+        yield pytest.param("verify", model + ["--suite", "kernel"], id=f"verify-kernel-2lam-rejected-m{m}")
 
 
 @pytest.mark.parametrize("command, extra", _overflow_cases())
@@ -335,6 +336,8 @@ def test_exit_code_overflowing_parameters(command, extra):
     assert res.stdout == ""
     if "1e300" in extra and (command == "kernel-eval" or extra[-1] == "kernel"):
         assert "K(z, w) leaves the float range at lam = 1e+300" in res.stderr
+    if "1.7e308" in extra:
+        assert "2*lam overflows the float range" in res.stderr
 
 
 def test_shift_weights_at_huge_lambda_match_mpmath():

@@ -21,7 +21,8 @@ from cdhom import (
 )
 from cdhom import goldens
 from cdhom.kernel import d_j_diagonal, kernel_Bj_closed, kernel_Kj
-from cdhom.mobius import X0, X1, Y
+from cdhom.mobius import X0, X1, Y, act
+from cdhom.representation import multiplier_J
 from cdhom.scalars import cpow_principal
 from cdhom.verify import RunConfig, run_suite
 from helpers import g_reference, traced_peak
@@ -373,6 +374,31 @@ def test_quasi_invariance_sequence_matches_single_calls():
     together = check_quasi_invariance(elements, default_grid(), p, rep)
     assert together == [check_quasi_invariance(g, default_grid(), p, rep) for g in elements]
     assert check_quasi_invariance(iter(elements[2:]), default_grid(), p, rep) == together[2:]
+
+
+def test_quasi_invariance_is_relative_to_the_product_scale():
+    # At mu = 1e-8, 1e8 max |K| is about 2e16, so the absolute residual is rounding far above 1;
+    # each pair is relative to max(1, ||J_g(z)||_F ||K(g.z, g.w)||_F ||J_g(w)||_F).
+    p, rep = make(1.0, 1, (1e-8, 1e8))
+    g, pts = exp_basis(Y, 0.2), default_grid().points
+    jz, gz = multiplier_J(g, pts, p, rep), act(g, pts)
+    absolute, relative = 0.0, 0.0
+    for i, k in itertools.product(range(len(pts)), repeat=2):
+        moved = kernel_full(complex(gz[i]), complex(gz[k]), p)
+        diff = np.linalg.norm(jz[i] @ moved @ jz[k].conj().T - kernel_full(pts[i], pts[k], p))
+        scale = max(1.0, np.linalg.norm(jz[i]) * np.linalg.norm(moved) * np.linalg.norm(jz[k]))
+        absolute, relative = max(absolute, diff), max(relative, diff / scale)
+    assert absolute > 1.0
+    assert check_quasi_invariance(g, default_grid(), p, rep) == pytest.approx(relative, rel=1e-12, abs=0.0)
+    assert relative <= 1e-14
+
+
+def test_quasi_invariance_passes_at_extreme_mu_and_m12():
+    # Absolute, these residuals read 6.7e-4 and 6.5e-8 against the 1e-8 tolerance.
+    p, rep = make(3.7, 6, (1e-5, 1.0, 1.0, 1.0, 1.0, 1.0, 1e5))
+    assert check_quasi_invariance(exp_basis(X1, 0.11), default_grid(), p, rep) <= 1e-14
+    p, rep = make(8.0, 12)
+    assert check_quasi_invariance(exp_basis(X0, 0.11), SampleGrid(default_grid().points[::3]), p, rep) <= 1e-14
 
 
 # --------------------------------------------------------------- normalization

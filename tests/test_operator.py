@@ -300,6 +300,59 @@ def test_block_calculus_matches_dense_solve(lam, m, n_trunc):
         assert np.max(np.abs(blocks - dense)) <= 1e-14 * max(1.0, np.max(np.abs(dense))), g
 
 
+@pytest.mark.parametrize("lam, m", [(1.0, 1), (3.7, 6)])
+def test_dense_calculus_solve_and_its_inverse_identity(lam, m):
+    # The LU solve against one inverse times aT + bI, and (cT + dI)^(-1) = (aI - c g(T)) / (ad - bc),
+    # which the 1-norm guard reads, against np.linalg.inv.
+    p = ModelParams(lam=lam, m=m, mu=tuple(1.0 + 0.1 * j for j in range(m + 1)))
+    t_mat = truncate(p, 20).matrix
+    eye = np.eye(t_mat.shape[0])
+    for g in CALCULUS_ELEMENTS:
+        got = mobius_calculus(g, t_mat)
+        inverse = np.linalg.inv(g.c * t_mat + g.d * eye)
+        scale = max(1.0, np.max(np.abs(got)))
+        assert np.max(np.abs(got - inverse @ (g.a * t_mat + g.b * eye))) <= 1e-14 * scale, g
+        from_solution = (g.a * eye - g.c * got) / (g.a * g.d - g.b * g.c)
+        assert np.max(np.abs(from_solution - inverse)) <= 1e-14 * max(1.0, np.max(np.abs(inverse))), g
+
+
+def _full_taylor_sum(g, t_op):
+    """g(T) by the block Taylor sum with every term up to T^N kept: the oracle of the cut sum."""
+    top, size = t_op.n_trunc, t_op.params.m + 1
+    d = np.complex128(g.d)
+    ratios = np.full(top, -g.c / d)
+    ratios[:1] = 1.0
+    coefs = (g.a * g.d - g.b * g.c) / d**2 * np.cumprod(ratios)
+    out = np.zeros((top + 1, size, top + 1, size), dtype=complex)
+    out[np.arange(top + 1), :, np.arange(top + 1), :] = g.b / d * np.eye(size)
+    prod = t_op.blocks
+    for k in range(1, top + 1):
+        out[np.arange(k, top + 1), :, np.arange(top + 1 - k), :] = coefs[k - 1] * prod
+        prod = t_op.blocks[k:] @ prod[:-1]
+    return out
+
+
+@pytest.mark.parametrize("lam, m, mu", [(1.6, 2, (1.0, 0.7, 1.3)), REF_M6])
+@pytest.mark.parametrize("n_trunc", [20, 80])
+def test_block_calculus_cut_matches_the_full_taylor_sum(lam, m, mu, n_trunc):
+    from cdhom import operator
+
+    t_op = truncate(ModelParams(lam=lam, m=m, mu=mu), n_trunc)
+    lag = np.subtract.outer(np.arange(n_trunc + 1), np.arange(n_trunc + 1))  # lag[n, n'] = n - n'
+    for theta in (0.4, -0.7):
+        # A rotation's coefficients past T^1 are 0: only the blocks (n, n) and (n+1, n) are nonzero.
+        got = operator._block_calculus(GroupElement.rotation(theta), t_op)
+        assert np.array_equal(got, _full_taylor_sum(GroupElement.rotation(theta), t_op))
+        assert not np.any(got.transpose(0, 2, 1, 3)[(lag != 0) & (lag != 1)])
+    for g in (exp_basis(X1, 0.05), exp_basis(Y, -0.045), exp_basis(X1, 0.3), exp_basis(X1, 0.2) @ exp_basis(Y, 0.4)):
+        full = _full_taylor_sum(g, t_op)
+        got = operator._block_calculus(g, t_op)
+        assert np.max(np.abs(got - full)) <= 1e-18 * np.max(np.abs(full)), g
+    # exp(0.05 X1) stops after T^14 (m = 2) or T^16 (m = 6): no block further below the diagonal is summed.
+    got = operator._block_calculus(exp_basis(X1, 0.05), t_op)
+    assert not np.any(got.transpose(0, 2, 1, 3)[lag > 16])
+
+
 # --------------------------------------------------------- representation of U
 
 
@@ -397,6 +450,38 @@ def test_representation_matches_mpmath(lam, m):
     ):
         ref = _u_reference(mp, g, lam, m, n_trunc)
         assert np.max(np.abs(representation_matrix(g, p, rep, n_trunc).matrix - ref)) <= 1e-13, g
+
+
+def _column_loop_blocks(g, params, rep, n_trunc):
+    """U_g's component blocks with column N' + 1 = Toeplitz(phi) @ column N', one column at a time."""
+    m, size = params.m, params.m + 1
+    a0 = np.diagonal(multiplier_J(g.inverse(), 0.0, params, rep))
+    deg, two_l = np.arange(n_trunc + 1), 2.0 * params.lam - m + 2.0 * np.arange(size)
+    growth = np.ones((n_trunc + 1, size))
+    growth[1:] = (two_l + deg[:-1, None]) / deg[1:, None]
+    norms = np.cumprod(np.sqrt(growth), axis=0)
+    ratio = g.c / g.a
+    phi = np.concatenate(([-g.b / g.a], (g.d - g.b * ratio) / g.a * ratio ** deg[:-1]))
+    toeplitz = np.where(deg[:, None] >= deg, phi[np.abs(deg[:, None] - deg)], 0.0)
+    series = np.empty((n_trunc + 1, n_trunc + 1, size), dtype=complex)
+    series[:, 0] = a0 * np.cumprod(np.where(deg[:, None] > 0, growth * ratio, 1.0), axis=0)
+    for col in range(n_trunc):
+        series[:, col + 1] = toeplitz @ series[:, col]
+    blocks = series * (norms[None, :, :] / norms[:, None, :])
+    degree = deg[:, None] + np.arange(size)
+    return np.where((degree[:, None, :] <= n_trunc) & (degree[None, :, :] <= n_trunc), blocks, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::cdhom.TruncationLossWarning")  # exp(0.5 X1) leaks at small N
+@pytest.mark.parametrize("m, lam", [(0, 0.8), (1, 1.0), (2, 1.6), (6, 3.7)])
+def test_representation_doubling_matches_the_column_loop(m, lam):
+    # N = 1, 2, 3, 4, 5, 7, 8 cover every edge of the doubling: a last block of one column, a full one, ...
+    p, rep = make(lam, m, tuple(1.0 + 0.1 * j for j in range(m + 1)))
+    for g in (GroupElement.rotation(0.4), exp_basis(X1, 0.05), exp_basis(Y, -0.045), exp_basis(X1, 0.5)):
+        for n_trunc in (1, 2, 3, 4, 5, 7, 8, 40, 80):
+            got = representation_matrix(g, p, rep, n_trunc).blocks
+            ref = _column_loop_blocks(g, p, rep, n_trunc)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(got))), (g, n_trunc)
 
 
 @pytest.mark.filterwarnings("ignore::cdhom.TruncationLossWarning")  # the wide truncation's own edge leaks
