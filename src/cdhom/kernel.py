@@ -200,22 +200,33 @@ def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: Triang
     g is one GroupElement, giving one float, or a sequence of them, giving
     one float per element; K(z, w) on the grid is evaluated once for all.
     """
+    elements = [g] if isinstance(g, GroupElement) else list(g)
+    residuals = [worst for worst, *_ in _quasi_invariance_worst(elements, grid, params, rep)]
+    return residuals[0] if isinstance(g, GroupElement) else residuals
+
+
+def _quasi_invariance_worst(elements, grid: SampleGrid, params: ModelParams, rep: TriangularRep):
+    """Per element, (residual, i, k, scale) at the worst grid pair (z_i, z_k) of check_quasi_invariance.
+
+    A non-finite residual is the worst one, so it is never passed over.
+    """
     pts = grid.points
     k_grid = [[kernel_full(z, w, params) for w in pts] for z in pts]
-    elements = [g] if isinstance(g, GroupElement) else list(g)
-    residuals = []
+    found = []
     for h in elements:
         jz = multiplier_J(h, pts, params, rep)
         j_norms = np.linalg.norm(jz, axis=(1, 2))
         hz = act(h, pts).tolist()  # Python complex: kernel_full is slower on numpy scalars
-        worst = 0.0
+        worst = (-1.0, 0, 0, 1.0)  # every residual is >= 0 or NaN, so the first pair replaces it
         for i, z in enumerate(hz):
             for k, w in enumerate(hz):
                 moved = kernel_full(z, w, params)
                 scale = max(1.0, float(j_norms[i] * np.linalg.norm(moved) * j_norms[k]))
-                worst = max(worst, float(np.linalg.norm(jz[i] @ moved @ jz[k].conj().T - k_grid[i][k])) / scale)
-        residuals.append(worst)
-    return residuals[0] if isinstance(g, GroupElement) else residuals
+                r = float(np.linalg.norm(jz[i] @ moved @ jz[k].conj().T - k_grid[i][k])) / scale
+                if r > worst[0] or r != r:
+                    worst = (r, i, k, scale)
+        found.append(worst)
+    return found
 
 
 def _hermitian_sqrt(mat: np.ndarray) -> np.ndarray:

@@ -15,10 +15,11 @@ every retained block because the shift only propagates downward in
 degree.  It needs no solve: g(T) is the finite Taylor sum
 b/d + sum_k coef_k T^k, cut once the terms left sum below rounding, and
 block (n+k, n) of T^k is the product W(n+k-1)...W(n).  On a plain matrix,
-the oracle of that sum, g(T) is one LU solve of (cT + dI) X = aT + bI.  Its
-guard is the exact 1-norm condition number: once g(T) is known,
-(cT + dI)^(-1) = (a - c g(T)) / (ad - bc) costs O(n^2), whereas an SVD for
-the 2-norm one would cost more than the solve itself.
+the oracle of that sum, an affine g (c = 0, a rotation for one) gives
+g(T) = (a/d) T + (b/d) I in closed form.  For c != 0, g(T) is one LU solve
+of (cT + dI) X = aT + bI, guarded by the exact 1-norm condition number:
+once g(T) is known, (cT + dI)^(-1) = (a - c g(T)) / (ad - bc) costs O(n^2),
+whereas an SVD for the 2-norm one would cost more than the solve itself.
 
 The unitary group action needs no sampling and no solve either.  The
 associated representation is multiplicity free, the sum of the discrete
@@ -147,12 +148,16 @@ def mobius_calculus(g: GroupElement, t) -> np.ndarray:
     once the terms left sum below rounding; d = 0 (or coefficients past the
     float range) raises SingularResolventError.
 
-    A plain square matrix is the oracle of the block form.  It returns the
-    solution X of R X = aT + bI, R = cT + dI, from one LU factorization.  The
-    guard is the exact 1-norm condition number ||R||_1 ||R^(-1)||_1, with
-    R^(-1) = (aI - c X) / (ad - bc) at O(n^2), so neither an inverse nor an SVD
-    is needed for it.  SingularResolventError is raised on an exact zero
-    pivot, or when that number is non-finite or above 1e13.
+    A plain square matrix is the oracle of the block form.  An affine g
+    (c = 0) gives g(T) = (a/d) T + (b/d) I in closed form, as a fresh array:
+    det g = 1 makes d nonzero and cond_1(dI) = 1, so there is nothing to
+    factorize or guard, and only a non-finite entry raises
+    SingularResolventError.  For c != 0 it returns the solution X of
+    R X = aT + bI, R = cT + dI, from one LU factorization.  The guard, for
+    c != 0 only, is the exact 1-norm condition number ||R||_1 ||R^(-1)||_1,
+    with R^(-1) = (aI - c X) / (ad - bc) at O(n^2), so neither an inverse nor
+    an SVD is needed for it.  SingularResolventError is raised on an exact
+    zero pivot, or when that number is non-finite or above 1e13.
     The 1-norm bound differs from the 2-norm one by at most the size n:
     cond_2 / n <= cond_1 <= n cond_2.
     """
@@ -160,6 +165,13 @@ def mobius_calculus(g: GroupElement, t) -> np.ndarray:
         return _block_calculus(g, t).reshape(((t.n_trunc + 1) * (t.params.m + 1),) * 2)
     mat = np.asarray(t, dtype=complex)
     diagonal = np.diag_indices_from(mat)
+    if g.c == 0:
+        with np.errstate(all="ignore"):  # a non-finite entry is caught below
+            out = (g.a / g.d) * mat
+            out[diagonal] += g.b / g.d
+        if not np.all(np.isfinite(out)):
+            raise SingularResolventError("a*T/d + b*I/d has a non-finite entry")
+        return out
     with np.errstate(all="ignore"):  # a non-finite entry surfaces in the guard below
         resolvent, right = g.c * mat, g.a * mat
         resolvent[diagonal] += g.d

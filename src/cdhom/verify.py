@@ -27,7 +27,7 @@ from .errors import ConfigError, NormalizationError, SingularKernelColumnError
 from .kernel import (
     SampleGrid,
     check_positive_definite,
-    check_quasi_invariance,
+    _quasi_invariance_worst,
     default_grid,
     kernel_full,
     kernel_series,
@@ -208,19 +208,20 @@ def check_pd(cfg: RunConfig) -> Measurement:
 
 
 def check_qi(cfg: RunConfig) -> Measurement:
-    """The worst quasi-invariance residual over the subgroup elements and grid pairs, with its element.
+    """The worst quasi-invariance residual over the subgroup elements and grid pairs, with where it sits.
 
     Each pair is relative to max(1, ||J_g(z)||_F ||K(g.z, g.w)||_F ||J_g(w)||_F), the scale the
-    cocycle check also uses, so the check means the same at mu = 1e-8, 1e8 and at m = 12.
+    cocycle check also uses, so the check means the same at mu = 1e-8, 1e8 and at m = 12.  The
+    record names the element, the grid pair (z, w) as [[re, im], [re, im]] and that pair's scale.
     """
     p, grid = cfg.params(), cfg.grid()
     rep = TriangularRep.from_params(p)
     labels, elements = zip(*_subgroup_elements())
-    worst, worst_g = 0.0, ""
-    for label, r in zip(labels, check_quasi_invariance(elements, grid, p, rep)):
-        if r > worst:
-            worst, worst_g = r, label
-    return _measured(worst, worst_element=worst_g)
+    found = _quasi_invariance_worst(elements, grid, p, rep)
+    e = int(np.argmax([worst for worst, *_ in found]))  # the first element at the largest (or a NaN) residual
+    worst, i, k, scale = found[e]
+    pair = [[float(x.real), float(x.imag)] for x in (grid.points[i], grid.points[k])]
+    return _measured(worst, worst_element=labels[e], pair=pair, scale=scale)
 
 
 def check_normalization(cfg: RunConfig) -> Measurement:
@@ -477,26 +478,32 @@ def check_infinitesimal(cfg: RunConfig) -> Measurement:
 # -------------------------------------------------------------- operator suite
 
 
-def _worst_homogeneity(cfg: RunConfig, elements) -> tuple[float, str]:
-    """The largest check_homogeneity residual at N = 40 over (label, element) pairs, with its label."""
-    p = cfg.params()
-    rep = TriangularRep.from_params(p)
-    return max((check_homogeneity(g, p, rep, 40), label) for label, g in elements)
-
-
 def check_homog_rotation(cfg: RunConfig) -> Measurement:
     """Homogeneity at N = 40 for two rotations: a rotation check of the representation code.
 
     Every graded block shift is rotation-circular, whatever its W(n), so this cannot see T.
     """
-    worst, worst_g = _worst_homogeneity(cfg, [(f"rotation({t})", GroupElement.rotation(t)) for t in (0.3, -0.45)])
+    p = cfg.params()
+    rep = TriangularRep.from_params(p)
+    worst, worst_g = max(
+        (check_homogeneity(GroupElement.rotation(t), p, rep, 40), f"rotation({t})") for t in (0.3, -0.45)
+    )
     return _measured(worst, truncation=40, worst_element=worst_g)
 
 
 def check_homog_interior(cfg: RunConfig) -> Measurement:
-    elements = [(f"exp(0.05*{name})", exp_basis(elem, 0.05)) for name, elem in (("X1", X1), ("Y", Y))]
-    worst, worst_g = _worst_homogeneity(cfg, elements)
-    return _measured(worst, truncation=40, guard_band=5, worst_element=worst_g)
+    """Homogeneity at N = 40, guard band 5, for exp(0.05 X1) and exp(0.05 Y), both residuals recorded.
+
+    A rotation conjugates one element into the other, so their residuals agree to rounding and
+    the record names no worst element.
+    """
+    p = cfg.params()
+    rep = TriangularRep.from_params(p)
+    residuals = {
+        f"exp(0.05*{name})": check_homogeneity(exp_basis(elem, 0.05), p, rep, 40)
+        for name, elem in (("X1", X1), ("Y", Y))
+    }
+    return _measured(max(residuals.values()), truncation=40, guard_band=5, residuals=residuals)
 
 
 def check_homog_monotone(cfg: RunConfig) -> Measurement:

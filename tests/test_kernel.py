@@ -401,6 +401,19 @@ def test_quasi_invariance_passes_at_extreme_mu_and_m12():
     assert check_quasi_invariance(exp_basis(X0, 0.11), SampleGrid(default_grid().points[::3]), p, rep) <= 1e-14
 
 
+def test_quasi_invariance_does_not_pass_over_a_nan_residual(monkeypatch):
+    # A NaN in J_g at one grid point makes every pair through it NaN; the check must report NaN, not skip it.
+    p, rep = make(1.0, 1)
+
+    def poisoned(g, z, params, rep):
+        out = multiplier_J(g, z, params, rep)
+        out[5] = np.nan
+        return out
+
+    monkeypatch.setattr("cdhom.kernel.multiplier_J", poisoned)
+    assert np.isnan(check_quasi_invariance(exp_basis(X1, 0.1), default_grid(), p, rep))
+
+
 # --------------------------------------------------------------- normalization
 
 

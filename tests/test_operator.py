@@ -269,14 +269,43 @@ def test_dense_calculus_raises_above_the_one_norm_condition_bound():
         mobius_calculus(g, t_mat)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_dense_calculus_raises_on_a_non_finite_entry(bad):
+@pytest.mark.parametrize(
+    "bad, g",
+    [(bad, g) for g in (exp_basis(X1, 0.3), GroupElement.rotation(0.3)) for bad in (np.nan, np.inf)],
+    ids=["nan", "inf", "nan-rotation(0.3)", "inf-rotation(0.3)"],  # exp(0.3*X1) keeps the bare ids
+)
+def test_dense_calculus_raises_on_a_non_finite_entry(bad, g):
     t_mat = np.array(truncate(ModelParams(lam=1.0, m=1, mu=(1.0, 1.0)), 5).matrix)
     t_mat[3, 1] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularResolventError):
-            mobius_calculus(exp_basis(X1, 0.3), t_mat)
+            mobius_calculus(g, t_mat)
+
+
+AFFINE_ELEMENTS = [
+    GroupElement.identity(),
+    GroupElement.rotation(0.7),
+    GroupElement.rotation(-0.7),
+    GroupElement(2.0, 0.3, 0.0, 0.5),  # affine, and it maps the disc outside itself
+]
+
+
+@pytest.mark.parametrize("lam, m", [(1.0, 1), (1.6, 2), (3.7, 6)])
+@pytest.mark.parametrize("n_trunc", [20, 80])
+def test_dense_calculus_of_an_affine_element_is_closed_form(monkeypatch, lam, m, n_trunc):
+    # c = 0: g(T) = (a/d) T + (b/d) I, with no solve, bit for bit, in a fresh writable array.
+    solve = np.linalg.solve
+    t_mat = truncate(ModelParams(lam=lam, m=m, mu=tuple(1.0 + 0.1 * j for j in range(m + 1))), n_trunc).matrix
+    eye = np.eye(t_mat.shape[0])
+    for g in AFFINE_ELEMENTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", lambda *args: pytest.fail("an affine g(T) took a solve"))
+            got = mobius_calculus(g, t_mat)
+        assert np.array_equal(got, (g.a / g.d) * t_mat + (g.b / g.d) * eye), g
+        reference = solve(g.d * eye, g.a * t_mat + g.b * eye)
+        assert np.max(np.abs(got - reference)) <= 1e-15 * max(1.0, np.max(np.abs(got))), g
+        assert got.flags.writeable and not np.shares_memory(got, t_mat), g
 
 
 CALCULUS_ELEMENTS = [
@@ -570,8 +599,10 @@ def test_operator_checks_pass_at_m8():
     ]
     assert 0.0 < params["truncation_loss"] == max(losses) < 1.0
     residual, params, _ = check_homog_interior(cfg)
-    assert residual <= 1e-4
-    assert params["worst_element"] in ("exp(0.05*X1)", "exp(0.05*Y)")
+    assert residual == max(params["residuals"].values()) <= 1e-4
+    # A rotation conjugates exp(0.05 X1) into exp(0.05 Y), so both are recorded and neither is named.
+    x1, y = params["residuals"]["exp(0.05*X1)"], params["residuals"]["exp(0.05*Y)"]
+    assert math.isclose(x1, y, rel_tol=1e-10) and "worst_element" not in params
 
 
 def test_representation_unitary_on_interior():

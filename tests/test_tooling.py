@@ -35,6 +35,25 @@ def test_traced_names_resolve_in_the_package():
     assert not missing, f"traced names missing from cdhom: {missing}"
 
 
+# Suffixes run.py appends to a layer name "<module>.<function>" to name a per-layer metric.
+_LAYER_METRIC = re.compile(r"^(.+)\.(?:calls|self_s|distinct_ratio|total_s|wall_share)$")
+
+
+def test_layers_the_benchmark_reports_resolve_in_the_package():
+    # A layer that no longer resolves would read 0 in every traced run instead of failing.
+    run = _load("run")
+    layers = set(run._TIMED_LAYERS + run._CALLS_REPORTED)
+    layers |= {match[1] for name, _ in run.PER_LAYER if (match := _LAYER_METRIC.match(name))}
+    missing = []
+    for layer in sorted(layers):
+        holder = cdhom
+        for attr in layer.split("."):
+            holder = getattr(holder, attr, None)
+        if holder is None:
+            missing.append(layer)
+    assert not missing, f"layers perfbench/run.py reports are missing from cdhom: {missing}"
+
+
 # A package name the benchmark reads: c.<path>, self.c.<path>, self.env.c.<path> or cdhom.<path>.
 _PACKAGE_NAME = re.compile(r"(?<![\w.])(?:self\.(?:env\.)?)?(?:c|cdhom)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)")
 

@@ -7,9 +7,9 @@ import pytest
 
 from cdhom import goldens, verify
 from cdhom.errors import ConfigError
-from cdhom.kernel import kernel_full, kernel_series
-from cdhom.mobius import X, X0, X1, Y, Y_LOWER, exp_basis
-from cdhom.representation import TriangularRep, check_cocycle
+from cdhom.kernel import check_quasi_invariance, kernel_full, kernel_series
+from cdhom.mobius import X, X0, X1, Y, Y_LOWER, act, exp_basis
+from cdhom.representation import TriangularRep, check_cocycle, multiplier_J
 from cdhom.verify import (
     CHECKS,
     DEFAULT_TOLERANCES,
@@ -139,6 +139,26 @@ def test_cocycle_records_the_worst_pair_and_point():
     assert at_worst[0] / scale[0] == residual <= cfg.tolerance("cocycle")
     assert parameters["scale"] == scale[0] >= 1.0
     record = next(c for c in run_suite(cfg, "rep").checks if c.name == "cocycle")
+    assert record.parameters == parameters
+
+
+def test_quasi_invariance_records_the_worst_pair_and_scale():
+    cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
+    p, pts = cfg.params(), cfg.grid().points
+    rep = TriangularRep.from_params(p)
+    residual, parameters, _ = check_qi(cfg)
+    labels = dict(verify._subgroup_elements())
+    g = labels[parameters["worst_element"]]
+    z, w = (complex(*point) for point in parameters["pair"])
+    i, k = pts.index(z), pts.index(w)
+    jz = multiplier_J(g, pts, p, rep)
+    gz = act(g, pts).tolist()
+    moved = kernel_full(gz[i], gz[k], p)
+    scale = max(1.0, float(np.linalg.norm(jz[i]) * np.linalg.norm(moved) * np.linalg.norm(jz[k])))
+    at_worst = float(np.linalg.norm(jz[i] @ moved @ jz[k].conj().T - kernel_full(z, w, p))) / scale
+    assert parameters["scale"] == scale >= 1.0
+    assert at_worst == residual == max(check_quasi_invariance(labels.values(), cfg.grid(), p, rep))
+    record = next(c for c in run_suite(cfg, "kernel").checks if c.name == "quasi_invariance")
     assert record.parameters == parameters
 
 
