@@ -17,6 +17,15 @@ with the rest of the package but no code with the derivative formula.
 kernel_series takes scalar points or broadcastable point arrays; it sums
 a few degrees at a time from basis values at the distinct points, so its
 working set is O(pairs (m+1) max(m+1, 32) + points N (m+1)^2).
+
+K is Hermitian, K(w, z) = K(z, w)^*, so the grid checks evaluate each
+unordered pair once: _kernel_grid calls kernel_full for the n(n+1)/2 pairs
+z_i, z_k with i <= k and fills k > i with the conjugate transpose.  The
+Gram of check_positive_definite, the reference grid of the kernel_oracle
+check and both grids of check_quasi_invariance (the fixed one, and the
+moved one per group element, whose residuals are taken over i <= k) read
+it.  The hermitian_symmetry check in verify.py is what licenses the
+mirror, so it alone evaluates K at all n^2 ordered pairs.
 """
 
 from __future__ import annotations
@@ -163,6 +172,22 @@ def kernel_series(z, w, params: ModelParams, n_trunc: int) -> np.ndarray:
     return out.reshape(zs.shape + out.shape[1:])
 
 
+def _kernel_grid(points, params: ModelParams) -> np.ndarray:
+    """K(z_i, z_k) over every ordered pair of points, of shape (n, n, m+1, m+1).
+
+    kernel_full runs once per pair i <= k; each pair k > i is the conjugate
+    transpose of its mirror, and the diagonal is never mirrored.
+    """
+    n, size = len(points), params.m + 1
+    out = np.empty((n, n, size, size), dtype=complex)
+    for i, z in enumerate(points):
+        out[i, i] = kernel_full(z, z, params)
+        for k in range(i + 1, n):
+            out[i, k] = kernel_full(z, points[k], params)
+            out[k, i] = out[i, k].conj().T
+    return out
+
+
 @dataclass(frozen=True)
 class PositiveDefiniteReport:
     """Minimum eigenvalue of the block Gram matrix over a grid, and its scale max(1, max |entry|).
@@ -177,19 +202,11 @@ class PositiveDefiniteReport:
 
 def check_positive_definite(params: ModelParams, grid: SampleGrid) -> PositiveDefiniteReport:
     """Assemble the Hermitian block Gram matrix [K(z_i, z_k)] and report its smallest eigenvalue."""
-    pts = grid.points
-    m = params.m
-    size = len(pts) * (m + 1)
-    gram = np.zeros((size, size), dtype=complex)
-    for i, zi in enumerate(pts):
-        for k in range(i, len(pts)):
-            block = kernel_full(zi, pts[k], params)
-            gram[i * (m + 1): (i + 1) * (m + 1), k * (m + 1): (k + 1) * (m + 1)] = block
-            if k > i:
-                gram[k * (m + 1): (k + 1) * (m + 1), i * (m + 1): (i + 1) * (m + 1)] = block.conj().T
+    n, size = len(grid.points), params.m + 1
+    gram = _kernel_grid(grid.points, params).transpose(0, 2, 1, 3).reshape(n * size, n * size)
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
     scale = max(1.0, float(np.max(np.abs(gram))))
-    return PositiveDefiniteReport(min_eigenvalue=float(eigs[0]), gram_size=size, scale=scale)
+    return PositiveDefiniteReport(min_eigenvalue=float(eigs[0]), gram_size=n * size, scale=scale)
 
 
 def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: TriangularRep) -> float | list[float]:
@@ -197,8 +214,10 @@ def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: Triang
 
     The scale of a pair is max(1, ||J_g(z)||_F ||K(g.z, g.w)||_F ||J_g(w)||_F), the bound
     that ||AB||_F <= ||A||_F ||B||_F gives for the product, as in the cocycle check.
-    g is one GroupElement, giving one float, or a sequence of them, giving
-    one float per element; K(z, w) on the grid is evaluated once for all.
+    The pair (w, z) gives the conjugate transpose of the matrix of (z, w), so only the
+    pairs z_i, z_k with i <= k are measured.  g is one GroupElement, giving one float,
+    or a sequence of them, giving one float per element; K(z, w) on the grid is
+    evaluated once for all.
     """
     elements = [g] if isinstance(g, GroupElement) else list(g)
     residuals = [worst for worst, *_ in _quasi_invariance_worst(elements, grid, params, rep)]
@@ -206,23 +225,23 @@ def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: Triang
 
 
 def _quasi_invariance_worst(elements, grid: SampleGrid, params: ModelParams, rep: TriangularRep):
-    """Per element, (residual, i, k, scale) at the worst grid pair (z_i, z_k) of check_quasi_invariance.
+    """Per element, (residual, i, k, scale) at the worst grid pair (z_i, z_k), i <= k, of check_quasi_invariance.
 
     A non-finite residual is the worst one, so it is never passed over.
     """
     pts = grid.points
-    k_grid = [[kernel_full(z, w, params) for w in pts] for z in pts]
+    k_grid = _kernel_grid(pts, params)
     found = []
     for h in elements:
         jz = multiplier_J(h, pts, params, rep)
         j_norms = np.linalg.norm(jz, axis=(1, 2))
-        hz = act(h, pts).tolist()  # Python complex: kernel_full is slower on numpy scalars
+        moved_grid = _kernel_grid(act(h, pts).tolist(), params)  # Python complex: kernel_full is slower on numpy scalars
         worst = (-1.0, 0, 0, 1.0)  # every residual is >= 0 or NaN, so the first pair replaces it
-        for i, z in enumerate(hz):
-            for k, w in enumerate(hz):
-                moved = kernel_full(z, w, params)
+        for i in range(len(pts)):
+            for k in range(i, len(pts)):
+                moved = moved_grid[i, k]
                 scale = max(1.0, float(j_norms[i] * np.linalg.norm(moved) * j_norms[k]))
-                r = float(np.linalg.norm(jz[i] @ moved @ jz[k].conj().T - k_grid[i][k])) / scale
+                r = float(np.linalg.norm(jz[i] @ moved @ jz[k].conj().T - k_grid[i, k])) / scale
                 if r > worst[0] or r != r:
                     worst = (r, i, k, scale)
         found.append(worst)

@@ -141,13 +141,20 @@ def _multiplier(c, d, z, rep: TriangularRep, eta: float) -> np.ndarray:
     return out
 
 
+def _require_matching(rep: TriangularRep, params: ModelParams) -> None:
+    if rep.m != params.m:
+        raise ConfigError(f"rep is built for m = {rep.m}, the model has m = {params.m}")
+
+
 def multiplier_J(g: GroupElement, z, params: ModelParams, rep: TriangularRep) -> np.ndarray:
     """Full multiplier (g'(z))^eta * J0_g(z), of shape z.shape + (m+1, m+1).
 
     The power is taken on the principal branch.  Raises PoleError at a pole,
     warns BranchWarning once if Re(cz+d) <= 0 anywhere, and raises
-    OverflowError when the parameters leave the float range.
+    OverflowError when the parameters leave the float range, and ConfigError when rep
+    was built for another m than params.
     """
+    _require_matching(rep, params)
     return _multiplier(g.c, g.d, np.asarray(z, dtype=complex), rep, params.eta)
 
 
@@ -183,7 +190,9 @@ def check_cocycle(g, h, z, params: ModelParams, rep: TriangularRep):
     sequence of them.  Both have shape (len g, len h) + z.shape, without the axis of
     a single element, so one pair at a scalar point gives two floats.  The
     multipliers are evaluated once for all h and once per g over all h.
+    Raises ConfigError when rep was built for another m than params.
     """
+    _require_matching(rep, params)
     z = np.asarray(z, dtype=complex)
     ha, hb, hc, hd = _entries(h, np.ndim(z))
     j_h = _multiplier(hc, hd, z, rep, params.eta)  # checks the poles of h.z

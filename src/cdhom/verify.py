@@ -12,7 +12,6 @@ no timestamps are recorded.  Checks are declared once, in the registry
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 import platform
@@ -26,8 +25,9 @@ from .basis import g_matrix, g_table, op_E, op_F, op_H, u_closed
 from .errors import ConfigError, NormalizationError, SingularKernelColumnError
 from .kernel import (
     SampleGrid,
-    check_positive_definite,
+    _kernel_grid,
     _quasi_invariance_worst,
+    check_positive_definite,
     default_grid,
     kernel_full,
     kernel_series,
@@ -175,25 +175,34 @@ def seeded_points(seed: int, count: int, r: float = 0.5) -> list[complex]:
 # ---------------------------------------------------------------- kernel suite
 
 
+def _grid_pair(points, i: int, k: int) -> list[list[float]]:
+    """The grid points z_i and z_k as [[re, im], [re, im]]."""
+    return [[float(x.real), float(x.imag)] for x in (points[i], points[k])]
+
+
 def check_hermitian_symmetry(cfg: RunConfig) -> Measurement:
-    """max |K(z, w) - K(w, z)^*| over grid pairs, relative to max(1, max |K|) over them."""
-    p, grid = cfg.params(), cfg.grid()
-    worst, scale = 0.0, 1.0
-    for z, w in itertools.product(grid.points, repeat=2):
-        k = kernel_full(z, w, p)
-        worst = max(worst, float(np.max(np.abs(k - kernel_full(w, z, p).conj().T))))
-        scale = max(scale, float(np.max(np.abs(k))))
-    return _measured(worst / scale, points=len(grid.points), scale=scale)
+    """max |K(z, w) - K(w, z)^*| over grid pairs, relative to max(1, max |K|) over them, with the worst pair.
+
+    This licenses the mirror of kernel._kernel_grid, so it evaluates K at every ordered pair.
+    """
+    p, pts = cfg.params(), cfg.grid().points
+    full = np.array([[kernel_full(z, w, p) for w in pts] for z in pts])
+    asym = np.max(np.abs(full - full.transpose(1, 0, 3, 2).conj()), axis=(2, 3))
+    i, k = np.unravel_index(np.argmax(asym), asym.shape)  # the first of a mirrored pair, or the first NaN
+    scale = max(1.0, float(np.max(np.abs(full))))
+    return _measured(float(asym[i, k]) / scale, points=len(pts), pair=_grid_pair(pts, i, k), scale=scale)
 
 
 def check_kernel_oracle(cfg: RunConfig) -> Measurement:
-    """max |series - K| over grid pairs, relative to max(1, max |K|) over them."""
+    """max |series - K| over grid pairs, relative to max(1, max |K|) over them, with the worst pair."""
     p, pts = cfg.params(), cfg.grid().points
     grid = np.array(pts)
     series = kernel_series(grid[:, None], grid[None, :], p, cfg.truncation)
-    full = np.array([[kernel_full(z, w, p) for w in pts] for z in pts])
+    full = _kernel_grid(pts, p)
+    dev = np.max(np.abs(series - full), axis=(2, 3))
+    i, k = np.unravel_index(np.argmax(dev), dev.shape)
     scale = max(1.0, float(np.max(np.abs(full))))
-    return _measured(float(np.max(np.abs(series - full))) / scale, truncation=cfg.truncation, scale=scale)
+    return _measured(float(dev[i, k]) / scale, truncation=cfg.truncation, pair=_grid_pair(pts, i, k), scale=scale)
 
 
 def check_pd(cfg: RunConfig) -> Measurement:
@@ -220,8 +229,7 @@ def check_qi(cfg: RunConfig) -> Measurement:
     found = _quasi_invariance_worst(elements, grid, p, rep)
     e = int(np.argmax([worst for worst, *_ in found]))  # the first element at the largest (or a NaN) residual
     worst, i, k, scale = found[e]
-    pair = [[float(x.real), float(x.imag)] for x in (grid.points[i], grid.points[k])]
-    return _measured(worst, worst_element=labels[e], pair=pair, scale=scale)
+    return _measured(worst, worst_element=labels[e], pair=_grid_pair(grid.points, i, k), scale=scale)
 
 
 def check_normalization(cfg: RunConfig) -> Measurement:

@@ -137,16 +137,17 @@ def test_verify_default_passes_and_validates(tmp_path):
         jsonschema.validate(report, SCHEMA)
     del record["parameters"]["cond_k_z0"]
     jsonschema.validate(report, SCHEMA)
-    # pair ([[re, im], [re, im]]) and scale (>= 1) are optional on the quasi_invariance record.
-    (record,) = [c for c in report["checks"] if c["name"] == "quasi_invariance"]
-    assert len(record["parameters"]["pair"]) == 2 and record["parameters"]["scale"] >= 1.0
-    for key, bad in (("pair", [[0.1, 0.2]]), ("pair", [[0.1, 0.2], [0.3]]), ("scale", 0.5)):
-        good, record["parameters"][key] = record["parameters"][key], bad
-        with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(report, SCHEMA)
-        record["parameters"][key] = good
-    del record["parameters"]["pair"], record["parameters"]["scale"]
-    jsonschema.validate(report, SCHEMA)
+    # pair ([[re, im], [re, im]]) and scale (>= 1) are optional on these records.
+    for name in ("hermitian_symmetry", "kernel_oracle", "quasi_invariance"):
+        (record,) = [c for c in report["checks"] if c["name"] == name]
+        assert len(record["parameters"]["pair"]) == 2 and record["parameters"]["scale"] >= 1.0
+        for key, bad in (("pair", [[0.1, 0.2]]), ("pair", [[0.1, 0.2], [0.3]]), ("scale", 0.5)):
+            good, record["parameters"][key] = record["parameters"][key], bad
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(report, SCHEMA)
+            record["parameters"][key] = good
+        del record["parameters"]["pair"], record["parameters"]["scale"]
+        jsonschema.validate(report, SCHEMA)
 
 
 def test_verify_rep_report_locates_the_worst_cocycle_residual(tmp_path):

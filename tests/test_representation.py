@@ -7,11 +7,15 @@ import pytest
 
 from cdhom import (
     BranchWarning,
+    ConfigError,
     GroupElement,
     ModelParams,
     TriangularRep,
     act_U,
     check_cocycle,
+    check_homogeneity,
+    check_quasi_invariance,
+    default_grid,
     exp_basis,
     multiplier_J,
 )
@@ -280,3 +284,20 @@ def test_cocycle_over_element_sequences_has_the_pair_axes():
     assert shapes(gs, hs[0], zs) == [(3,) + zs.shape] * 2
     assert shapes(gs, hs, 0.2j) == [(3, 2)] * 2
     assert all(isinstance(part, float) for part in check_cocycle(gs[0], hs[0], 0.2j, p, rep))
+
+
+def test_a_rep_built_for_another_m_is_a_config_error():
+    # Unchecked, an m = 2 rep gave an m = 6 model a 3 x 3 multiplier, or a bare numpy ValueError further on.
+    p6, rep6 = make(3.7, 6)
+    p2, rep2 = make(1.6, 2, mu=(1.0, 0.7, 1.3))
+    g = exp_basis(X1, 0.1)
+    for p, rep in ((p6, rep2), (p2, rep6)):
+        with pytest.raises(ConfigError, match=f"rep is built for m = {rep.m}, the model has m = {p.m}"):
+            multiplier_J(g, 0.2, p, rep)
+        with pytest.raises(ConfigError, match="rep is built for"):
+            check_cocycle(g, g, 0.2, p, rep)
+        with pytest.raises(ConfigError, match="rep is built for"):
+            check_homogeneity(g, p, rep, 20)
+        with pytest.raises(ConfigError, match="rep is built for"):
+            check_quasi_invariance(g, default_grid(), p, rep)
+    assert multiplier_J(g, 0.2, p6, rep6).shape == (7, 7)

@@ -1,11 +1,12 @@
 """The check registry: one declaration per report name, in a pinned order, and check scales."""
 
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cdhom import goldens, verify
+from cdhom import goldens, kernel, verify
 from cdhom.errors import ConfigError
 from cdhom.kernel import check_quasi_invariance, kernel_full, kernel_series
 from cdhom.mobius import X, X0, X1, Y, Y_LOWER, act, exp_basis
@@ -87,23 +88,27 @@ def test_positive_definite_is_relative_to_the_gram_scale():
 
 
 def _oracle_deviation(cfg):
+    """The largest |series - K| over every ordered grid pair, each evaluated, with its pair and the scale."""
     p, pts = cfg.params(), cfg.grid().points
     grid = np.array(pts)
     series = kernel_series(grid[:, None], grid[None, :], p, cfg.truncation)
     full = np.array([[kernel_full(z, w, p) for w in pts] for z in pts])
-    return float(np.max(np.abs(series - full))), max(1.0, float(np.max(np.abs(full))))
+    dev = np.max(np.abs(series - full), axis=(2, 3))
+    i, k = np.unravel_index(np.argmax(dev), dev.shape)
+    pair = [[pts[i].real, pts[i].imag], [pts[k].real, pts[k].imag]]
+    return float(dev[i, k]), pair, max(1.0, float(np.max(np.abs(full))))
 
 
 def test_kernel_oracle_is_relative_to_the_kernel_scale():
     # |K| > 1 on the grid: the deviation is divided by max |K| over the pairs compared.
     cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
-    deviation, scale = _oracle_deviation(cfg)
+    deviation, pair, scale = _oracle_deviation(cfg)
     residual, parameters, _ = check_kernel_oracle(cfg)
-    assert parameters == {"truncation": cfg.truncation, "scale": scale} and scale > 1.0
+    assert parameters == {"truncation": cfg.truncation, "pair": pair, "scale": scale} and scale > 1.0
     assert residual == deviation / scale <= cfg.tolerance("kernel_oracle")
     # |K| <= 1 on the grid (mu_0^2 / (1 - r^2)^(2 lam) < 0.45): the residual is the absolute deviation.
     cfg = RunConfig(lam=1.0, m=0, mu=(0.5,))
-    deviation, scale = _oracle_deviation(cfg)
+    deviation, _, scale = _oracle_deviation(cfg)
     residual, parameters, _ = check_kernel_oracle(cfg)
     assert parameters["scale"] == scale == 1.0
     assert residual == deviation
@@ -160,6 +165,92 @@ def test_quasi_invariance_records_the_worst_pair_and_scale():
     assert at_worst == residual == max(check_quasi_invariance(labels.values(), cfg.grid(), p, rep))
     record = next(c for c in run_suite(cfg, "kernel").checks if c.name == "quasi_invariance")
     assert record.parameters == parameters
+
+
+def test_hermitian_symmetry_records_the_worst_pair():
+    cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
+    p, pts = cfg.params(), cfg.grid().points
+    residual, parameters, _ = check_hermitian_symmetry(cfg)
+    z, w = (complex(*point) for point in parameters["pair"])
+    at_worst = float(np.max(np.abs(kernel_full(z, w, p) - kernel_full(w, z, p).conj().T)))
+    assert residual == at_worst / parameters["scale"] > 0.0
+    assert pts.index(z) <= pts.index(w)  # of a pair and its mirror, which read alike, the first is named
+
+
+def test_hermitian_symmetry_does_not_pass_over_a_nan(monkeypatch):
+    cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
+    pts = cfg.grid().points
+
+    def poisoned(z, w, params):
+        return kernel_full(z, w, params) * (np.nan if (z, w) == (pts[3], pts[5]) else 1.0)
+
+    monkeypatch.setattr(verify, "kernel_full", poisoned)
+    residual, parameters, _ = check_hermitian_symmetry(cfg)
+    assert np.isnan(residual)
+    assert parameters["pair"] == [[pts[3].real, pts[3].imag], [pts[5].real, pts[5].imag]]
+
+
+def test_kernel_checks_evaluate_each_unordered_grid_pair_once(monkeypatch):
+    # The 12-point grid has 144 ordered pairs and 78 with i <= k.  Only hermitian_symmetry,
+    # which licenses the mirror, evaluates every ordered pair.
+    cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
+    p, grid = cfg.params(), cfg.grid()
+    calls = []
+
+    def counted(z, w, params):
+        calls.append((z, w))
+        return kernel_full(z, w, params)
+
+    monkeypatch.setattr(kernel, "kernel_full", counted)
+    monkeypatch.setattr(verify, "kernel_full", counted)
+
+    def evaluations(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert evaluations(check_hermitian_symmetry, cfg) == 144
+    assert evaluations(check_kernel_oracle, cfg) == 78
+    assert evaluations(check_pd, cfg) == 78
+    assert evaluations(check_qi, cfg) == 78 * 10  # the fixed grid, then one moved grid per subgroup element
+    one = evaluations(check_quasi_invariance, exp_basis(X1, 0.1), grid, p, TriangularRep.from_params(p))
+    assert one == 156
+
+
+PAIR_REDUCTION_MODELS = [
+    (1.0, 1, (1.0, 1.0)),
+    (1.6, 2, (1.0, 0.7, 1.3)),
+    (3.5, 5, (1.0, 0.8, 1.2, 0.9, 1.1, 1.3)),
+    (3.7, 6, (1.0, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7)),
+    (5.0, 8, (1.0,) * 9),
+    (8.0, 12, (1.0,) * 13),
+    (1.0, 1, (1e-8, 1e8)),
+]
+
+
+@pytest.mark.parametrize("lam,m,mu", PAIR_REDUCTION_MODELS)
+def test_the_pair_reduction_loses_nothing(lam, m, mu):
+    # References evaluate K at every ordered pair; a pair (w, z) differs from the mirror of
+    # (z, w) by rounding only, so each relative residual moves by a few eps at most.
+    eps = np.finfo(float).eps
+    cfg = RunConfig(lam=lam, m=m, mu=mu)
+    p, grid = cfg.params(), cfg.grid()
+    deviation, _, scale = _oracle_deviation(cfg)
+    residual, parameters, _ = check_kernel_oracle(cfg)
+    assert parameters["scale"] == pytest.approx(scale, rel=4 * eps, abs=0.0)
+    assert abs(residual - deviation / scale) <= 4 * eps
+    # One subgroup element of quasi_invariance; the check takes its pairs i <= k alone.
+    pts, g, rep = grid.points, exp_basis(X1, 0.2), TriangularRep.from_params(p)
+    jz, gz = multiplier_J(g, pts, p, rep), act(g, pts).tolist()
+    j_norms = np.linalg.norm(jz, axis=(1, 2))  # batched, as in the check: it may differ from norm(jz[i]) by an ulp
+    ordered = {}
+    for i, k in itertools.product(range(len(pts)), repeat=2):
+        moved = kernel_full(gz[i], gz[k], p)
+        scale = max(1.0, float(j_norms[i] * np.linalg.norm(moved) * j_norms[k]))
+        ordered[i, k] = float(np.linalg.norm(jz[i] @ moved @ jz[k].conj().T - kernel_full(pts[i], pts[k], p))) / scale
+    got = check_quasi_invariance(g, grid, p, rep)
+    assert got == max(r for (i, k), r in ordered.items() if i <= k)  # the same arithmetic on the same pairs
+    assert 0.0 <= max(ordered.values()) - got <= 4 * eps
 
 
 def test_cocycle_sweep_memory_bounded():
