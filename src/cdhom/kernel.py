@@ -20,12 +20,11 @@ working set is O(pairs (m+1) max(m+1, 32) + points N (m+1)^2).
 
 K is Hermitian, K(w, z) = K(z, w)^*, so the grid checks evaluate each
 unordered pair once: _kernel_grid calls kernel_full for the n(n+1)/2 pairs
-z_i, z_k with i <= k and fills k > i with the conjugate transpose.  The
-Gram of check_positive_definite, the reference grid of the kernel_oracle
-check and both grids of check_quasi_invariance (the fixed one, and the
-moved one per group element, whose residuals are taken over i <= k) read
-it.  The hermitian_symmetry check in verify.py is what licenses the
-mirror, so it alone evaluates K at all n^2 ordered pairs.
+z_i, z_k with i <= k, and _mirror fills k > i with the conjugate transpose.
+check_positive_definite, the kernel_oracle check and check_quasi_invariance
+(its fixed grid, and its moved grid per element, with residuals over i <= k)
+read it.  hermitian_symmetry in verify.py licenses the mirror, so it alone
+evaluates all n^2 ordered pairs; in a run, the others read its mirror instead.
 """
 
 from __future__ import annotations
@@ -172,6 +171,13 @@ def kernel_series(z, w, params: ModelParams, n_trunc: int) -> np.ndarray:
     return out.reshape(zs.shape + out.shape[1:])
 
 
+def _mirror(grid: np.ndarray) -> np.ndarray:
+    """Fill each pair k > i of an (n, n, m+1, m+1) grid, in place, with the conjugate transpose of pair (i, k)."""
+    k, i = np.tril_indices(len(grid), -1)
+    grid[k, i] = grid[i, k].conj().swapaxes(1, 2)
+    return grid
+
+
 def _kernel_grid(points, params: ModelParams) -> np.ndarray:
     """K(z_i, z_k) over every ordered pair of points, of shape (n, n, m+1, m+1).
 
@@ -181,11 +187,9 @@ def _kernel_grid(points, params: ModelParams) -> np.ndarray:
     n, size = len(points), params.m + 1
     out = np.empty((n, n, size, size), dtype=complex)
     for i, z in enumerate(points):
-        out[i, i] = kernel_full(z, z, params)
-        for k in range(i + 1, n):
+        for k in range(i, n):
             out[i, k] = kernel_full(z, points[k], params)
-            out[k, i] = out[i, k].conj().T
-    return out
+    return _mirror(out)
 
 
 @dataclass(frozen=True)
@@ -202,11 +206,15 @@ class PositiveDefiniteReport:
 
 def check_positive_definite(params: ModelParams, grid: SampleGrid) -> PositiveDefiniteReport:
     """Assemble the Hermitian block Gram matrix [K(z_i, z_k)] and report its smallest eigenvalue."""
-    n, size = len(grid.points), params.m + 1
-    gram = _kernel_grid(grid.points, params).transpose(0, 2, 1, 3).reshape(n * size, n * size)
+    return _gram_report(_kernel_grid(grid.points, params))
+
+
+def _gram_report(k_grid: np.ndarray) -> PositiveDefiniteReport:
+    """The report of check_positive_definite for the K grid of shape (n, n, m+1, m+1)."""
+    gram = k_grid.transpose(0, 2, 1, 3).reshape(len(k_grid) * k_grid.shape[2], -1)
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
     scale = max(1.0, float(np.max(np.abs(gram))))
-    return PositiveDefiniteReport(min_eigenvalue=float(eigs[0]), gram_size=n * size, scale=scale)
+    return PositiveDefiniteReport(min_eigenvalue=float(eigs[0]), gram_size=len(gram), scale=scale)
 
 
 def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: TriangularRep) -> float | list[float]:
@@ -220,17 +228,16 @@ def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: Triang
     evaluated once for all.
     """
     elements = [g] if isinstance(g, GroupElement) else list(g)
-    residuals = [worst for worst, *_ in _quasi_invariance_worst(elements, grid, params, rep)]
+    residuals = [r for r, *_ in _quasi_invariance_worst(elements, grid, params, rep, _kernel_grid(grid.points, params))]
     return residuals[0] if isinstance(g, GroupElement) else residuals
 
 
-def _quasi_invariance_worst(elements, grid: SampleGrid, params: ModelParams, rep: TriangularRep):
+def _quasi_invariance_worst(elements, grid: SampleGrid, params: ModelParams, rep: TriangularRep, k_grid):
     """Per element, (residual, i, k, scale) at the worst grid pair (z_i, z_k), i <= k, of check_quasi_invariance.
 
-    A non-finite residual is the worst one, so it is never passed over.
+    k_grid is K on the grid, as _kernel_grid gives it.  The first NaN residual is the worst one.
     """
     pts = grid.points
-    k_grid = _kernel_grid(pts, params)
     found = []
     for h in elements:
         jz = multiplier_J(h, pts, params, rep)
@@ -242,7 +249,7 @@ def _quasi_invariance_worst(elements, grid: SampleGrid, params: ModelParams, rep
                 moved = moved_grid[i, k]
                 scale = max(1.0, float(j_norms[i] * np.linalg.norm(moved) * j_norms[k]))
                 r = float(np.linalg.norm(jz[i] @ moved @ jz[k].conj().T - k_grid[i, k])) / scale
-                if r > worst[0] or r != r:
+                if r > worst[0] or (r != r and worst[0] == worst[0]):
                     worst = (r, i, k, scale)
         found.append(worst)
     return found

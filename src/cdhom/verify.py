@@ -16,6 +16,7 @@ import json
 import math
 import platform
 from collections.abc import Callable
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +26,10 @@ from .basis import g_matrix, g_table, op_E, op_F, op_H, u_closed
 from .errors import ConfigError, NormalizationError, SingularKernelColumnError
 from .kernel import (
     SampleGrid,
+    _gram_report,
     _kernel_grid,
+    _mirror,
     _quasi_invariance_worst,
-    check_positive_definite,
     default_grid,
     kernel_full,
     kernel_series,
@@ -50,6 +52,9 @@ SUITES = ("all", "kernel", "shift", "rep", "operator")
 
 _SUBGROUP_TIMES = (0.2, -0.2, 0.11)
 _SUBGROUP_ELEMENTS = (("X0", X0), ("X1", X1), ("Y", Y))
+# The slot of the run in progress, opened and dropped by run_suite: hermitian_symmetry leaves the read-only
+# mirror of its ordered grid there and the later grid checks read it, so a run evaluates K on the grid once.
+_RUN_GRID: ContextVar[dict | None] = ContextVar("_RUN_GRID", default=None)
 
 
 @dataclass(frozen=True)
@@ -175,6 +180,12 @@ def seeded_points(seed: int, count: int, r: float = 0.5) -> list[complex]:
 # ---------------------------------------------------------------- kernel suite
 
 
+def _run_kernel_grid(cfg: RunConfig) -> np.ndarray:
+    """K on the grid of cfg as kernel._kernel_grid gives it: the run's shared grid, or a new evaluation."""
+    shared = (_RUN_GRID.get() or {}).get("grid")
+    return _kernel_grid(cfg.grid().points, cfg.params()) if shared is None else shared
+
+
 def _grid_pair(points, i: int, k: int) -> list[list[float]]:
     """The grid points z_i and z_k as [[re, im], [re, im]]."""
     return [[float(x.real), float(x.imag)] for x in (points[i], points[k])]
@@ -183,10 +194,13 @@ def _grid_pair(points, i: int, k: int) -> list[list[float]]:
 def check_hermitian_symmetry(cfg: RunConfig) -> Measurement:
     """max |K(z, w) - K(w, z)^*| over grid pairs, relative to max(1, max |K|) over them, with the worst pair.
 
-    This licenses the mirror of kernel._kernel_grid, so it evaluates K at every ordered pair.
+    This licenses the mirror of kernel._kernel_grid, so it evaluates K at every ordered pair (shared in a run).
     """
     p, pts = cfg.params(), cfg.grid().points
     full = np.array([[kernel_full(z, w, p) for w in pts] for z in pts])
+    if (slot := _RUN_GRID.get()) is not None:
+        slot["grid"] = _mirror(full.copy())
+        slot["grid"].flags.writeable = False
     asym = np.max(np.abs(full - full.transpose(1, 0, 3, 2).conj()), axis=(2, 3))
     i, k = np.unravel_index(np.argmax(asym), asym.shape)  # the first of a mirrored pair, or the first NaN
     scale = max(1.0, float(np.max(np.abs(full))))
@@ -198,7 +212,7 @@ def check_kernel_oracle(cfg: RunConfig) -> Measurement:
     p, pts = cfg.params(), cfg.grid().points
     grid = np.array(pts)
     series = kernel_series(grid[:, None], grid[None, :], p, cfg.truncation)
-    full = _kernel_grid(pts, p)
+    full = _run_kernel_grid(cfg)
     dev = np.max(np.abs(series - full), axis=(2, 3))
     i, k = np.unravel_index(np.argmax(dev), dev.shape)
     scale = max(1.0, float(np.max(np.abs(full))))
@@ -207,7 +221,7 @@ def check_kernel_oracle(cfg: RunConfig) -> Measurement:
 
 def check_pd(cfg: RunConfig) -> Measurement:
     """The most negative Gram eigenvalue, relative to the Gram's scale max(1, max |K|) over the grid."""
-    report = check_positive_definite(cfg.params(), cfg.grid())
+    report = _gram_report(_run_kernel_grid(cfg))
     return _measured(
         max(0.0, -report.min_eigenvalue) / report.scale,
         min_eigenvalue=report.min_eigenvalue,
@@ -226,7 +240,7 @@ def check_qi(cfg: RunConfig) -> Measurement:
     p, grid = cfg.params(), cfg.grid()
     rep = TriangularRep.from_params(p)
     labels, elements = zip(*_subgroup_elements())
-    found = _quasi_invariance_worst(elements, grid, p, rep)
+    found = _quasi_invariance_worst(elements, grid, p, rep, _run_kernel_grid(cfg))
     e = int(np.argmax([worst for worst, *_ in found]))  # the first element at the largest (or a NaN) residual
     worst, i, k, scale = found[e]
     return _measured(worst, worst_element=labels[e], pair=_grid_pair(grid.points, i, k), scale=scale)
@@ -652,7 +666,11 @@ def run_suite(cfg: RunConfig, suite: str = "all") -> VerificationReport:
     """Run the selected checks one at a time, in registry order, and assemble the report."""
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
-    results = [_run_check(check, cfg) for check in CHECKS if suite in ("all", check.suite)]
+    token = _RUN_GRID.set({})
+    try:
+        results = [_run_check(check, cfg) for check in CHECKS if suite in ("all", check.suite)]
+    finally:
+        _RUN_GRID.reset(token)
     return VerificationReport(
         config=_config_echo(cfg, suite),
         environment=_environment(),

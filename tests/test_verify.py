@@ -29,6 +29,7 @@ from cdhom.verify import (
     seeded_points,
 )
 from helpers import traced_peak
+from test_check_faults import KERNEL_FAULTS
 
 GENERATORS = (("x", X), ("y", Y_LOWER), ("X0", X0), ("X1", X1), ("Y", Y))
 
@@ -215,6 +216,78 @@ def test_kernel_checks_evaluate_each_unordered_grid_pair_once(monkeypatch):
     assert evaluations(check_qi, cfg) == 78 * 10  # the fixed grid, then one moved grid per subgroup element
     one = evaluations(check_quasi_invariance, exp_basis(X1, 0.1), grid, p, TriangularRep.from_params(p))
     assert one == 156
+
+
+def test_a_kernel_run_evaluates_the_grid_once(monkeypatch):
+    # hermitian_symmetry's 144 ordered pairs; kernel_oracle and positive_definite read their mirror,
+    # quasi_invariance its fixed grid, so it evaluates only 9 moved grids of 78; 13 + 3 for the rest.
+    cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
+    calls = []
+
+    def counted(z, w, params):
+        calls.append((z, w))
+        return kernel_full(z, w, params)
+
+    monkeypatch.setattr(kernel, "kernel_full", counted)
+    monkeypatch.setattr(verify, "kernel_full", counted)
+    run_suite(cfg, "kernel")
+    assert len(calls) == 144 + 9 * 78 + 13 + 3 == 862
+
+
+SHARED_GRID_MODELS = [
+    (1.0, 1, (1.0, 1.0)),
+    (1.6, 2, (1.0, 0.7, 1.3)),
+    (3.7, 6, (1.0, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7)),
+    (1.0, 1, (1e-8, 1e8)),
+]
+
+
+@pytest.mark.parametrize("lam,m,mu", SHARED_GRID_MODELS)
+def test_the_shared_grid_loses_nothing(lam, m, mu):
+    # Each record of a kernel run equals, bit for bit, the one its check gives on its own grid.
+    cfg = RunConfig(lam=lam, m=m, mu=mu)
+    alone = tuple(verify._run_check(check, cfg) for check in CHECKS if check.suite == "kernel")
+    assert repr(run_suite(cfg, "kernel").checks) == repr(alone)
+
+
+def test_the_shared_grid_does_not_outlive_its_run(monkeypatch):
+    cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
+    seen = []
+    gram_report = verify._gram_report
+    monkeypatch.setattr(verify, "_gram_report", lambda k_grid: seen.append(k_grid) or gram_report(k_grid))
+    assert run_suite(cfg, "kernel").passed
+    assert not seen[0].flags.writeable and verify._RUN_GRID.get() is None
+    # The same RunConfig object with a fault planted in K: a grid kept from the clean run would hide it.
+    plant, expected = KERNEL_FAULTS["D_0[1,1] x1.01"]
+    plant(monkeypatch)
+    assert {"kernel_oracle", "quasi_invariance"} <= expected
+    assert {c.name for c in run_suite(cfg, "kernel").checks if not c.passed} == expected
+    # A run that raises after hermitian_symmetry filled the slot drops it too.
+    monkeypatch.setattr(verify, "normalize_kernel", lambda params, grid: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        run_suite(cfg, "kernel")
+    assert verify._RUN_GRID.get() is None
+    calls = []
+    monkeypatch.setattr(kernel, "kernel_full", lambda z, w, params: calls.append(1) or np.eye(3, dtype=complex))
+    check_kernel_oracle(cfg)
+    assert len(calls) == 78  # called on its own, the check evaluates its own grid
+
+
+def test_grid_checks_name_the_first_nan_pair(monkeypatch):
+    # Two NaN pairs, (z_1, z_2) and (z_3, z_5): every grid check names the first of them.
+    cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
+    pts = cfg.grid().points
+    poisoned_pairs = {(pts[1], pts[2]), (pts[3], pts[5])}
+
+    def poisoned(z, w, params):
+        return kernel_full(z, w, params) * (np.nan if (z, w) in poisoned_pairs else 1.0)
+
+    monkeypatch.setattr(kernel, "kernel_full", poisoned)
+    monkeypatch.setattr(verify, "kernel_full", poisoned)
+    for check in (check_hermitian_symmetry, check_kernel_oracle, check_qi):
+        residual, parameters, _ = check(cfg)
+        assert np.isnan(residual)
+        assert parameters["pair"] == [[pts[1].real, pts[1].imag], [pts[2].real, pts[2].imag]], check.__name__
 
 
 PAIR_REDUCTION_MODELS = [
