@@ -6,7 +6,10 @@ The three operators on C^(m+1)-valued polynomials are
     (H f)(z) = (-eta*I + rho0(h)) f(z) - z f'(z)
     (F f)(z) = (-2*eta*z*I + 2*z*rho0(h) - rho(y)) f(z) - z^2 f'(z)
 
-with rho0(h) = diag(-l) and rho(y) = S_m.  H and F take (f, params):
+with rho0(h) = diag(-l) and rho(y) = S_m.  They act on plain coefficient
+arrays c[..., d, l], the degree-d coefficient of component l, with any
+leading axes stacking polynomials; nothing is trimmed, so E lowers the
+degree axis by one and F raises it by one.  H and F take (c, params):
 they read eta, m/2 - l and the S_m weights l from (lam, m) alone.  -F,
 that is op_F followed by an exact negation, repeatedly applied to the
 coordinate vectors eps_j, produces the ladder u^j_n = (-F)^n eps_j whose
@@ -25,67 +28,75 @@ from the ladder closed form and its normalization: `g_matrix`,
 `g_table`, `e_basis` and the batched evaluator `basis_values` all read
 it.  Row n of the table does not depend on how many rows were built, so
 every route sees the same G(n).  `u_closed` keeps the unnormalized
-closed form as the oracle of the (-F)^n recursion.
+closed form as the oracle of the (-F)^n recursion, and `e_basis` wraps
+one basis vector in an evaluable `VectorPolynomial`.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
+import math
 
 import numpy as np
 
 from .errors import NormalizationError
 from .representation import ModelParams
-from .scalars import VectorPolynomial, binom
+from .scalars import VectorPolynomial
 
 
-def op_E(f: VectorPolynomial) -> VectorPolynomial:
-    """(E f)(z) = -f'(z)."""
-    degs = np.arange(1, f.coeffs.shape[0])[:, None]
-    return VectorPolynomial(-(f.coeffs[1:] * degs)) if f.degree else VectorPolynomial.zero(f.m)
+def op_E(c: np.ndarray) -> np.ndarray:
+    """(E f)(z) = -f'(z), one degree below f; a constant goes to the zero constant."""
+    degs = np.arange(1, c.shape[-2])[:, None]
+    return -(c[..., 1:, :] * degs) if c.shape[-2] > 1 else np.zeros_like(c)
 
 
-def op_H(f: VectorPolynomial, params: ModelParams) -> VectorPolynomial:
+def op_H(c: np.ndarray, params: ModelParams) -> np.ndarray:
     """(H f)(z) = (-eta*I + rho0(h)) f(z) - z f'(z): degree d of component l scales by -(eta + l) - d."""
-    degs = np.arange(f.coeffs.shape[0])[:, None]
-    return VectorPolynomial(f.coeffs * -(params.eta + np.arange(params.m + 1)) - f.coeffs * degs)
+    degs = np.arange(c.shape[-2])[:, None]
+    return c * -(params.eta + np.arange(params.m + 1)) - c * degs
 
 
-def op_F(f: VectorPolynomial, params: ModelParams) -> VectorPolynomial:
+def op_F(c: np.ndarray, params: ModelParams) -> np.ndarray:
     """(F f)(z) = (-2*eta*z*I + 2*z*rho0(h) - rho(y)) f(z) - z^2 f'(z), one degree above f.
 
     In -F, degree d of component l moves to d + 1 with weight 2*lam - 2*(m/2 - l) + d,
     and S_m moves component l - 1 to l at the same degree with weight l.
     """
-    c, m = f.coeffs, params.m
-    out = np.zeros((c.shape[0] + 1, c.shape[1]), dtype=complex)
-    out[1:] = c * (2.0 * params.lam - 2.0 * (m / 2.0 - np.arange(m + 1)) + np.arange(c.shape[0])[:, None])
-    out[:-1, 1:] += c[:, :-1] * np.arange(1.0, m + 1)
-    return VectorPolynomial(-out)
+    m, degree_count = params.m, c.shape[-2]
+    out = np.zeros(c.shape[:-2] + (degree_count + 1, m + 1), dtype=complex)
+    out[..., 1:, :] = c * (2.0 * params.lam - 2.0 * (m / 2.0 - np.arange(m + 1)) + np.arange(degree_count)[:, None])
+    out[..., :-1, 1:] += c[..., :-1] * np.arange(1.0, m + 1)
+    return -out
 
 
-def u_closed(j: int, n: int, params: ModelParams) -> VectorPolynomial:
-    """The ladder vector u^j_n = (-F)^n eps_j from its closed form.
+def u_closed(j, n: int, params: ModelParams) -> np.ndarray:
+    """The ladder vector u^j_n = (-F)^n eps_j from its closed form, as coefficients c[..., d, l].
 
     Component l = j + k is C(n, k) (j+1)_k (a + k)_{n-k} z^(n-k) with
     a = 2*lam - m + 2j.  The rising factorials for all k come from one
     running product of j + 1 + k and one suffix product of a + i (i < n),
-    whose entry k is (a + k)_{n-k}.
+    whose entry k is (a + k)_{n-k}.  j is one index or an array of them,
+    which stacks the ladders along leading axes of shape np.shape(j).
+    Raises OverflowError when a coefficient leaves the float range.
     """
     m = params.m
-    if not 0 <= j <= m:
+    js = np.asarray(j)
+    if not np.all((0 <= js) & (js <= m)):
         raise ValueError(f"j must lie in 0..{m}, got {j}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    a = 2.0 * params.lam - m + 2 * j
-    rising = list(itertools.accumulate((a + i for i in range(n - 1, -1, -1)), operator.mul, initial=1.0))[::-1]
-    coeffs = np.zeros((n + 1, m + 1), dtype=complex)
-    lowest = 1.0  # (j+1)_k
-    for k in range(min(n, m - j) + 1):  # C(n, k) = 0 past n: those components vanish
-        coeffs[n - k, j + k] = binom(n, k) * lowest * rising[k]
-        lowest *= j + 1.0 + k
-    return VectorPolynomial(coeffs)
+    flat = js.reshape(-1, 1)
+    ones = np.ones(flat.shape)
+    a = 2.0 * params.lam - m + 2 * flat
+    comb = np.array([math.comb(n, k) for k in range(min(n, m) + 1)], dtype=float)
+    b, k = np.nonzero((np.arange(m + 1) <= n) & (flat + np.arange(m + 1) <= m))  # C(n, k) = 0 past n
+    coeffs = np.zeros((len(flat), n + 1, m + 1), dtype=complex)
+    with np.errstate(over="ignore"):  # an overflow raises below
+        rising = np.cumprod(np.concatenate([ones, a + np.arange(n - 1, -1, -1)], axis=1), axis=1)[:, ::-1]
+        lowest = np.cumprod(np.concatenate([ones, flat + 1.0 + np.arange(m)], axis=1), axis=1)  # (j+1)_k
+        coeffs[b, n - k, flat[b, 0] + k] = comb[k] * lowest[b, k] * rising[b, k]
+    if not np.isfinite(coeffs).all():
+        raise OverflowError(f"a coefficient of u^j_{n} overflows at lam = {params.lam}")
+    return coeffs.reshape(js.shape + (n + 1, m + 1))
 
 
 def _require_normalizable(j: int, n: int, params: ModelParams):
@@ -142,7 +153,7 @@ def e_basis(j: int, n: int, params: ModelParams) -> VectorPolynomial:
     if not 0 <= j <= m:
         raise ValueError(f"j must lie in 0..{m}, got {j}")
     if n < j:
-        return VectorPolynomial.zero(m)
+        return VectorPolynomial(np.zeros((1, m + 1)))
     _require_normalizable(j, n, params)
     comps = np.arange(min(n, m) + 1)
     coeffs = np.zeros((n + 1, m + 1))

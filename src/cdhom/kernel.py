@@ -38,7 +38,7 @@ from .basis import basis_values
 from .errors import DomainError, NormalizationError, SingularKernelColumnError
 from .mobius import GroupElement, act
 from .representation import ModelParams, TriangularRep, multiplier_J
-from .scalars import binom, cpow_principal, pochhammer
+from .scalars import cpow_principal, pochhammer
 
 DEFAULT_RADIUS_FRACTIONS = (0.3, 0.6, 0.9)
 DEFAULT_ANGLE_COUNT = 4
@@ -86,7 +86,7 @@ def _deriv_power_entry(a: int, b: int, beta: float, z: complex, w: complex) -> c
     total = 0.0 + 0.0j
     for i in range(min(a, b) + 1):
         coeff = (
-            binom(a, i)
+            math.comb(a, i)
             * pochhammer(b - i + 1.0, i)
             * pochhammer(beta + b, a - i)
         )
@@ -133,12 +133,15 @@ def kernel_Kj(j: int, z: complex, w: complex, params: ModelParams) -> np.ndarray
 
 
 def kernel_full(z: complex, w: complex, params: ModelParams) -> np.ndarray:
-    """The reproducing kernel K(z, w) = sum_j mu_j^2 K_j(z, w); OverflowError names K when a power overflows."""
+    """The reproducing kernel K(z, w) = sum_j mu_j^2 K_j(z, w); OverflowError names K when a value is not finite."""
     _require_disc(z, w)
     out = np.zeros((params.m + 1, params.m + 1), dtype=complex)
     try:
-        for j in range(params.m + 1):
-            out += params.mu[j] ** 2 * kernel_Kj(j, z, w, params)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite K raises below instead
+            for j in range(params.m + 1):
+                out += params.mu[j] ** 2 * kernel_Kj(j, z, w, params)
+        if not np.isfinite(out).all():
+            raise OverflowError("K(z, w) is not finite")
     except OverflowError as exc:
         raise OverflowError(f"a value of K(z, w) leaves the float range at lam = {params.lam}") from exc
     return out
@@ -194,7 +197,7 @@ def _kernel_grid(points, params: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PositiveDefiniteReport:
-    """Minimum eigenvalue of the block Gram matrix over a grid, and its scale max(1, max |entry|).
+    """Minimum eigenvalue of the block Gram matrix over a grid, and its scale max(1, max |finite entry|).
 
     The verify registry holds the tolerance, which applies to max(0, -min_eigenvalue) / scale.
     """
@@ -210,11 +213,19 @@ def check_positive_definite(params: ModelParams, grid: SampleGrid) -> PositiveDe
 
 
 def _gram_report(k_grid: np.ndarray) -> PositiveDefiniteReport:
-    """The report of check_positive_definite for the K grid of shape (n, n, m+1, m+1)."""
+    """The report of check_positive_definite for the K grid of shape (n, n, m+1, m+1).
+
+    A Gram with a non-finite entry has no eigenvalues to report: its min_eigenvalue is NaN.
+    """
     gram = k_grid.transpose(0, 2, 1, 3).reshape(len(k_grid) * k_grid.shape[2], -1)
-    eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-    scale = max(1.0, float(np.max(np.abs(gram))))
-    return PositiveDefiniteReport(min_eigenvalue=float(eigs[0]), gram_size=len(gram), scale=scale)
+    finite = np.isfinite(gram).all()
+    min_eig = float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0]) if finite else math.nan
+    return PositiveDefiniteReport(min_eigenvalue=min_eig, gram_size=len(gram), scale=_finite_scale(gram))
+
+
+def _finite_scale(values: np.ndarray) -> float:
+    """max(1, max |entry|) over the finite entries, so a NaN or inf entry leaves the scale of the rest."""
+    return max(1.0, float(np.max(np.abs(values), where=np.isfinite(values), initial=0.0)))
 
 
 def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: TriangularRep) -> float | list[float]:

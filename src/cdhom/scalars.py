@@ -1,15 +1,16 @@
-"""Scalar kernels and dense vector-valued polynomials.
+"""Scalar kernels and the evaluable vector-valued polynomial.
 
 Everything here is exact-in-structure floating point: rising factorials,
-binomial coefficients with the usual out-of-range zeros, principal-branch
-complex powers, and C^(m+1)-valued polynomials in one complex variable
-stored as dense coefficient arrays.
+principal-branch complex powers, and C^(m+1)-valued polynomials in one
+complex variable wrapped for evaluation.  The sl(2) operators of basis.py
+act on plain coefficient arrays c[..., d, l]; VectorPolynomial only
+validates one such array and evaluates it by Horner's rule, for the
+basis vectors e_basis returns and the functions act_U moves.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,13 +26,6 @@ def pochhammer(x: float, n: int) -> float:
     for i in range(n):
         out *= x + i
     return out
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient, zero whenever k < 0 or n < k."""
-    if k < 0 or n < k:
-        return 0
-    return math.comb(n, k)
 
 
 def cpow_principal(base: complex, exponent: float) -> complex:
@@ -80,10 +74,6 @@ class VectorPolynomial:
         return self.coeffs.shape[0] - 1
 
     @classmethod
-    def zero(cls, m: int) -> "VectorPolynomial":
-        return cls(np.zeros((1, m + 1), dtype=complex))
-
-    @classmethod
     def monomial(cls, m: int, component: int, degree: int, coefficient: complex = 1.0) -> "VectorPolynomial":
         """coefficient * eps_component * z**degree."""
         arr = np.zeros((degree + 1, m + 1), dtype=complex)
@@ -96,37 +86,3 @@ class VectorPolynomial:
         for d in range(self.coeffs.shape[0] - 2, -1, -1):
             out = out * z + self.coeffs[d]
         return out
-
-    def __add__(self, other: "VectorPolynomial") -> "VectorPolynomial":
-        if other.m != self.m:
-            raise ValueError("component counts differ")
-        d = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        out = np.zeros((d, self.m + 1), dtype=complex)
-        out[: self.coeffs.shape[0]] += self.coeffs
-        out[: other.coeffs.shape[0]] += other.coeffs
-        return VectorPolynomial(out)
-
-    def __sub__(self, other: "VectorPolynomial") -> "VectorPolynomial":
-        return self + (other * (-1.0))
-
-    def __mul__(self, scalar: complex) -> "VectorPolynomial":
-        return VectorPolynomial(self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def padded(self, degree: int) -> np.ndarray:
-        """Coefficients zero-padded up to the given degree (inclusive)."""
-        if degree < self.degree:
-            raise ValueError("cannot pad below the actual degree")
-        out = np.zeros((degree + 1, self.m + 1), dtype=complex)
-        out[: self.coeffs.shape[0]] = self.coeffs
-        return out
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-
-def poly_distance(p: VectorPolynomial, q: VectorPolynomial) -> float:
-    """Max absolute coefficient difference between two polynomials."""
-    d = max(p.degree, q.degree)
-    return float(np.max(np.abs(p.padded(d) - q.padded(d))))

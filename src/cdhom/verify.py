@@ -26,6 +26,7 @@ from .basis import g_matrix, g_table, op_E, op_F, op_H, u_closed
 from .errors import ConfigError, NormalizationError, SingularKernelColumnError
 from .kernel import (
     SampleGrid,
+    _finite_scale,
     _gram_report,
     _kernel_grid,
     _mirror,
@@ -46,7 +47,7 @@ from .operator import (
     truncate,
 )
 from .representation import ModelParams, TriangularRep, act_U, check_cocycle, multiplier_J
-from .scalars import VectorPolynomial, poly_distance
+from .scalars import VectorPolynomial
 
 SUITES = ("all", "kernel", "shift", "rep", "operator")
 
@@ -192,7 +193,7 @@ def _grid_pair(points, i: int, k: int) -> list[list[float]]:
 
 
 def check_hermitian_symmetry(cfg: RunConfig) -> Measurement:
-    """max |K(z, w) - K(w, z)^*| over grid pairs, relative to max(1, max |K|) over them, with the worst pair.
+    """max |K(z, w) - K(w, z)^*| over grid pairs, relative to max(1, max |K|) over finite entries, with the worst pair.
 
     This licenses the mirror of kernel._kernel_grid, so it evaluates K at every ordered pair (shared in a run).
     """
@@ -203,28 +204,31 @@ def check_hermitian_symmetry(cfg: RunConfig) -> Measurement:
         slot["grid"].flags.writeable = False
     asym = np.max(np.abs(full - full.transpose(1, 0, 3, 2).conj()), axis=(2, 3))
     i, k = np.unravel_index(np.argmax(asym), asym.shape)  # the first of a mirrored pair, or the first NaN
-    scale = max(1.0, float(np.max(np.abs(full))))
+    scale = _finite_scale(full)
     return _measured(float(asym[i, k]) / scale, points=len(pts), pair=_grid_pair(pts, i, k), scale=scale)
 
 
 def check_kernel_oracle(cfg: RunConfig) -> Measurement:
-    """max |series - K| over grid pairs, relative to max(1, max |K|) over them, with the worst pair."""
+    """max |series - K| over grid pairs, relative to max(1, max |K|) over finite entries, with the worst pair."""
     p, pts = cfg.params(), cfg.grid().points
     grid = np.array(pts)
     series = kernel_series(grid[:, None], grid[None, :], p, cfg.truncation)
     full = _run_kernel_grid(cfg)
     dev = np.max(np.abs(series - full), axis=(2, 3))
     i, k = np.unravel_index(np.argmax(dev), dev.shape)
-    scale = max(1.0, float(np.max(np.abs(full))))
+    scale = _finite_scale(full)
     return _measured(float(dev[i, k]) / scale, truncation=cfg.truncation, pair=_grid_pair(pts, i, k), scale=scale)
 
 
 def check_pd(cfg: RunConfig) -> Measurement:
-    """The most negative Gram eigenvalue, relative to the Gram's scale max(1, max |K|) over the grid."""
+    """The most negative Gram eigenvalue, relative to the Gram's scale max(1, max |K|) over the grid.
+
+    A non-finite K leaves no eigenvalue: the residual is NaN and min_eigenvalue null.
+    """
     report = _gram_report(_run_kernel_grid(cfg))
     return _measured(
-        max(0.0, -report.min_eigenvalue) / report.scale,
-        min_eigenvalue=report.min_eigenvalue,
+        float(np.maximum(0.0, -report.min_eigenvalue)) / report.scale,  # keeps a NaN, which max(0.0, nan) drops
+        min_eigenvalue=report.min_eigenvalue if math.isfinite(report.min_eigenvalue) else None,
         gram_size=report.gram_size,
         scale=report.scale,
     )
@@ -425,40 +429,40 @@ def check_holomorphy(cfg: RunConfig) -> Measurement:
     return _measured(float(np.max(np.abs(dx - dy))))
 
 
-def _test_polynomials(p: ModelParams, seed: int, degree: int = 15, count: int = 3) -> list[VectorPolynomial]:
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        coeffs = rng.standard_normal((degree + 1, p.m + 1)) + 1j * rng.standard_normal((degree + 1, p.m + 1))
-        out.append(VectorPolynomial(coeffs))
-    return out
+def _test_polynomials(p: ModelParams, seed: int, degree: int = 15, count: int = 3) -> np.ndarray:
+    """count random complex polynomials of the given degree, stacked as coefficients c[b, d, l]."""
+    parts = np.random.default_rng(seed).standard_normal((count, 2, degree + 1, p.m + 1))
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def check_sl2(cfg: RunConfig) -> Measurement:
+    """[H, E] = E, [H, F] = -F and [E, F] = -2H on three degree-15 polynomials, each relative to its max |coeff|."""
     p = cfg.params()
-    worst = 0.0
-    for f in _test_polynomials(p, cfg.seed + 8):
-        scale = f.max_abs()
-        he = op_H(op_E(f), p) - op_E(op_H(f, p))
-        worst = max(worst, poly_distance(he, op_E(f)) / scale)
-        hf = op_H(op_F(f, p), p) - op_F(op_H(f, p), p)
-        worst = max(worst, poly_distance(hf, op_F(f, p) * (-1.0)) / scale)
-        ef = op_E(op_F(f, p)) - op_F(op_E(f), p)
-        worst = max(worst, poly_distance(ef, op_H(f, p) * (-2.0)) / scale)
-    return _measured(worst, degree=15)
+    f = _test_polynomials(p, cfg.seed + 8)
+    e_f, h_f, f_f = op_E(f), op_H(f, p), op_F(f, p)
+    relations = (
+        (op_H(e_f, p) - op_E(h_f), e_f),
+        (op_H(f_f, p) - op_F(h_f, p), -f_f),
+        (op_E(f_f) - op_F(e_f, p), -2.0 * h_f),
+    )
+    dev = np.array([np.max(np.abs(lhs - rhs), axis=(1, 2)) for lhs, rhs in relations])  # [relation, polynomial]
+    return _measured(float(np.max(dev / np.max(np.abs(f), axis=(1, 2)))), degree=15)
 
 
 def check_ladder_recursion(cfg: RunConfig) -> Measurement:
-    """(-F)^n eps_j, stepped by op_F and an exact negation, against u_closed (n <= 15), relative to max(1, max |u|)."""
+    """(-F)^n eps_j, stepped by op_F and an exact negation, against u_closed (n <= 15), relative to max(1, max |u|).
+
+    The m+1 ladders step together as one stack c[j, d, l].
+    """
     p = cfg.params()
-    worst = 0.0
-    for j in range(p.m + 1):
-        current = u_closed(j, 0, p)
-        for n in range(15):
-            current = op_F(current, p) * (-1.0)
-            ref = u_closed(j, n + 1, p)
-            worst = max(worst, poly_distance(current, ref) / max(ref.max_abs(), 1.0))
-    return _measured(worst, max_n=15)
+    js = np.arange(p.m + 1)
+    current = u_closed(js, 0, p)
+    dev = []
+    for n in range(1, 16):
+        current = -op_F(current, p)
+        ref = u_closed(js, n, p)
+        dev.append(np.max(np.abs(current - ref), axis=(1, 2)) / np.maximum(np.max(np.abs(ref), axis=(1, 2)), 1.0))
+    return _measured(float(np.max(dev)), max_n=15)
 
 
 def check_k_type(cfg: RunConfig) -> Measurement:
@@ -480,20 +484,21 @@ def check_k_type(cfg: RunConfig) -> Measurement:
 def check_infinitesimal(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     rep = TriangularRep.from_params(p)
-    f = _test_polynomials(p, cfg.seed + 9, degree=6, count=1)[0]
+    c = _test_polynomials(p, cfg.seed + 9, degree=6, count=1)[0]
+    f = VectorPolynomial(c)
     h = 1e-6
     worst = 0.0
     cases = [
-        (X_UPPER, op_E(f)),
-        (H_DIAG, op_H(f, p)),
-        (Y_LOWER, op_F(f, p) * (-1.0)),  # d/dt U_{exp(tY_-)} = U_y = -F
+        (X_UPPER, op_E(c)),
+        (H_DIAG, op_H(c, p)),
+        (Y_LOWER, -op_F(c, p)),  # d/dt U_{exp(tY_-)} = U_y = -F
     ]
     for elem, expected in cases:
         for z in (0.3, 0.18 - 0.22j):
             up = act_U(exp_basis(elem, h), f, p, rep)(z)
             dn = act_U(exp_basis(elem, -h), f, p, rep)(z)
             fd = (up - dn) / (2 * h)
-            worst = max(worst, float(np.max(np.abs(fd - expected(z)))))
+            worst = max(worst, float(np.max(np.abs(fd - VectorPolynomial(expected)(z)))))
     return _measured(worst, step=h)
 
 

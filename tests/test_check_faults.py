@@ -4,12 +4,12 @@ A fault is a monkeypatch of one ingredient of the program.  For every fault the
 test pins which checks of a suite fail at the model (1.6, 2, mu = (1, 0.7, 1.3));
 the other checks of the suite cannot see that fault.  The rep faults sit in the
 multiplier J, the Pascal table exp(S_m) and the sl(2) operators H and F, patched
-at their (f, params) signatures.  The kernel faults sit in one D_j entry, one
-lam_j inside K_j, the mu-weighting of K, one G(n) entry that reaches the series
-oracle and one Leibniz term of the derivative form.  The shift and operator
-faults sit in one W(n) entry, one G(n) entry, the mu-weighting of K, one U_j
-entry and one Taylor coefficient of g(T).  A check that no fault can move is
-listed in CANNOT_FAIL with the reason.
+at their (c, params) signatures on coefficient arrays.  The kernel faults sit in
+one D_j entry, one lam_j inside K_j, the mu-weighting of K, one G(n) entry that
+reaches the series oracle and one Leibniz term of the derivative form.  The
+shift and operator faults sit in one W(n) entry, one G(n) entry, the
+mu-weighting of K, one U_j entry and one Taylor coefficient of g(T).  A check
+that no fault can move is listed in CANNOT_FAIL with the reason.
 """
 
 import dataclasses
@@ -19,7 +19,6 @@ import pytest
 
 from cdhom import basis, kernel, operator, representation, verify
 from cdhom.representation import TriangularRep
-from cdhom.scalars import VectorPolynomial
 
 CFG = verify.RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
 SUITE_CHECKS = {suite: {c.name for c in verify.CHECKS if c.suite == suite} for suite in verify.SUITES[1:]}
@@ -55,10 +54,10 @@ def _pascal_entry(monkeypatch):
 def _op_h_component(monkeypatch):
     original = basis.op_H
 
-    def op_h(f, params):
-        coeffs = original(f, params).coeffs.copy()
-        coeffs[:, 1] *= 1.01
-        return VectorPolynomial(coeffs)
+    def op_h(c, params):
+        out = original(c, params)
+        out[..., 1] *= 1.01
+        return out
 
     monkeypatch.setattr(verify, "op_H", op_h)
 
@@ -66,10 +65,10 @@ def _op_h_component(monkeypatch):
 def _shift_weight_in_f(monkeypatch):
     original = basis.op_F
 
-    def op_f(f, params):
-        coeffs = original(f, params).padded(f.degree + 1)
-        coeffs[:-1, 2] -= 0.01 * f.coeffs[:, 1]  # the S_m weight moving component 1 to 2 reads 2.01 in -F
-        return VectorPolynomial(coeffs)
+    def op_f(c, params):
+        out = original(c, params)
+        out[..., :-1, 2] -= 0.01 * c[..., 1]  # the S_m weight moving component 1 to 2 reads 2.01 in -F
+        return out
 
     monkeypatch.setattr(verify, "op_F", op_f)
 

@@ -351,6 +351,32 @@ def test_exit_code_overflowing_parameters(command, extra):
         assert "2*lam overflows the float range" in res.stderr
 
 
+def test_kernel_eval_reports_a_non_finite_kernel_as_one_config_error_line():
+    from cdhom import ModelParams, kernel_full
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning from numpy would raise here instead
+        with pytest.raises(OverflowError, match=r"K\(z, w\) leaves the float range at lam = 1e\+160"):
+            kernel_full(0.1, 0.0, ModelParams(lam=1e160, m=2, mu=(1.0, 1.0, 1.0)))
+    res = call_cli("kernel-eval", "--lambda", "1e160", "--m", "2", "--mu", "1,1,1", "--z", "0.1", "--w", "0")
+    assert res.returncode == 3 and res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("config error:")
+
+
+def test_verify_reports_a_nan_in_k_as_a_failed_positive_definite(monkeypatch):
+    from test_verify import poison_pair
+
+    from cdhom.verify import RunConfig
+
+    poison_pair(monkeypatch, RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3)), 1, 2)
+    res = call_cli("verify", "--lambda", "1.6", "--m", "2", "--mu", "1,0.7,1.3", "--suite", "kernel")
+    assert res.returncode == 1 and "Traceback" not in res.stderr
+    payload = json.loads(res.stdout, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+    jsonschema.validate(payload, SCHEMA)
+    pd = next(c for c in payload["checks"] if c["name"] == "positive_definite")
+    assert pd["residual"] is None and pd["parameters"]["min_eigenvalue"] is None and not pd["passed"]
+
+
 def test_shift_weights_at_huge_lambda_match_mpmath():
     # G(3) overflows at lam = 1e300, but no weight W(n), n <= 2, leaves the float range.
     mp = pytest.importorskip("mpmath")

@@ -179,7 +179,7 @@ def test_act_u_matches_minus_y_generator():
         up = act_U(exp_basis(Y_LOWER, -h), f, p, rep)(z)
         dn = act_U(exp_basis(Y_LOWER, h), f, p, rep)(z)
         fd = (up - dn) / (2 * h)
-        assert np.max(np.abs(fd - op_F(f, p)(z))) <= 1e-6
+        assert np.max(np.abs(fd - VectorPolynomial(op_F(f.coeffs, p))(z))) <= 1e-6
 
 
 def test_rotation_multiplier_constant_in_z():

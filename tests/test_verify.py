@@ -148,8 +148,9 @@ def test_cocycle_records_the_worst_pair_and_point():
     assert record.parameters == parameters
 
 
-def test_quasi_invariance_records_the_worst_pair_and_scale():
-    cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
+@pytest.mark.parametrize("lam,m,mu", [(1.6, 2, (1.0, 0.7, 1.3)), (1.0, 1, (1e-8, 1e8))])
+def test_quasi_invariance_records_the_worst_pair_and_scale(lam, m, mu):
+    cfg = RunConfig(lam=lam, m=m, mu=mu)
     p, pts = cfg.params(), cfg.grid().points
     rep = TriangularRep.from_params(p)
     residual, parameters, _ = check_qi(cfg)
@@ -160,7 +161,8 @@ def test_quasi_invariance_records_the_worst_pair_and_scale():
     jz = multiplier_J(g, pts, p, rep)
     gz = act(g, pts).tolist()
     moved = kernel_full(gz[i], gz[k], p)
-    scale = max(1.0, float(np.linalg.norm(jz[i]) * np.linalg.norm(moved) * np.linalg.norm(jz[k])))
+    j_norms = np.linalg.norm(jz, axis=(1, 2))  # batched as in the check; np.linalg.norm(jz[i]) can differ by one bit
+    scale = max(1.0, float(j_norms[i] * np.linalg.norm(moved) * j_norms[k]))
     at_worst = float(np.linalg.norm(jz[i] @ moved @ jz[k].conj().T - kernel_full(z, w, p))) / scale
     assert parameters["scale"] == scale >= 1.0
     assert at_worst == residual == max(check_quasi_invariance(labels.values(), cfg.grid(), p, rep))
@@ -288,6 +290,36 @@ def test_grid_checks_name_the_first_nan_pair(monkeypatch):
         residual, parameters, _ = check(cfg)
         assert np.isnan(residual)
         assert parameters["pair"] == [[pts[1].real, pts[1].imag], [pts[2].real, pts[2].imag]], check.__name__
+
+
+def poison_pair(monkeypatch, cfg, i, k):
+    """Make kernel_full, in kernel and in verify, return NaN at the grid pairs (z_i, z_k) and (z_k, z_i)."""
+    pts = cfg.grid().points
+    poisoned_pairs = {(pts[i], pts[k]), (pts[k], pts[i])}
+
+    def poisoned(z, w, params):
+        return kernel_full(z, w, params) * (np.nan if (z, w) in poisoned_pairs else 1.0)
+
+    monkeypatch.setattr(kernel, "kernel_full", poisoned)
+    monkeypatch.setattr(verify, "kernel_full", poisoned)
+
+
+def test_a_nan_in_k_fails_positive_definite_and_leaves_finite_scales(monkeypatch):
+    cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
+    p, pts = cfg.params(), cfg.grid().points
+    poison_pair(monkeypatch, cfg, 1, 2)
+    records = {c.name: c for c in run_suite(cfg, "kernel").checks}
+    pd = records["positive_definite"]
+    assert not pd.passed and np.isnan(pd.residual) and pd.parameters["min_eigenvalue"] is None
+    # The scales come from the finite entries: the ordered grid, and its mirror over i <= k.
+    finite = [(i, k) for i, k in itertools.product(range(len(pts)), repeat=2) if {i, k} != {1, 2}]
+    ordered = max(float(np.max(np.abs(kernel_full(pts[i], pts[k], p)))) for i, k in finite)
+    mirrored = max(float(np.max(np.abs(kernel_full(pts[min(i, k)], pts[max(i, k)], p)))) for i, k in finite)
+    assert records["hermitian_symmetry"].parameters["scale"] == ordered > 13.0
+    assert records["kernel_oracle"].parameters["scale"] == mirrored > 13.0
+    assert pd.parameters["scale"] == mirrored
+    for name in ("hermitian_symmetry", "kernel_oracle"):
+        assert np.isnan(records[name].residual) and not records[name].passed
 
 
 PAIR_REDUCTION_MODELS = [
