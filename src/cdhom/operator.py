@@ -31,9 +31,10 @@ are the Toeplitz matrix of phi^K, shared by every j, times columns 0..K-1.
 
 Both operators are kept in this layout: T as its shift blocks W(n), U_g as
 its component blocks U_j.  The dense ((N+1)(m+1))^2 matrices over the slots
-i = n*(m+1) + j are assembled only on the first read of .matrix.  The
-homogeneity check never reads them: for each component i it compares
-U_i^* T U_j', for every j' <= i side by side, with g(T) in one product.
+i = n*(m+1) + j are assembled only on the first read of .matrix, and no
+verify check reads them.  The homogeneity check compares, for each
+component i, U_i^* T U_j' for every j' <= i side by side with g(T) in one
+product.
 """
 
 from __future__ import annotations

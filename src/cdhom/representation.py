@@ -204,7 +204,8 @@ def check_cocycle(g, h, z, params: ModelParams, rep: TriangularRep):
         lhs = _multiplier(gc * ha + gd * hc, gc * hb + gd * hd, z, rep, params.eta)
         j_g = _multiplier(gc, gd, hz, rep, params.eta)
         scale = np.maximum(1.0, h_norm * np.linalg.norm(j_g, axis=(-2, -1)))
-        return np.linalg.norm(lhs - j_h @ j_g, axis=(-2, -1)), scale
+        # Divided by the scale before the norm squares it, so entries past 1e154 do not overflow.
+        return scale * np.linalg.norm((lhs - j_h @ j_g) / scale[..., None, None], axis=(-2, -1)), scale
 
     if isinstance(g, GroupElement):
         residual, scale = measure(g.c, g.d)

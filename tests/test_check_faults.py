@@ -7,9 +7,10 @@ multiplier J, the Pascal table exp(S_m) and the sl(2) operators H and F, patched
 at their (c, params) signatures on coefficient arrays.  The kernel faults sit in
 one D_j entry, one lam_j inside K_j, the mu-weighting of K, one G(n) entry that
 reaches the series oracle and one Leibniz term of the derivative form.  The
-shift and operator faults sit in one W(n) entry, one G(n) entry, the
-mu-weighting of K, one U_j entry and one Taylor coefficient of g(T).  A check
-that no fault can move is listed in CANNOT_FAIL with the reason.
+shift and operator faults sit in one W(n) entry, one birth-row entry of
+W(n), one G(n) entry, the mu-weighting of K, one U_j entry and one Taylor
+coefficient of g(T).  A check that no fault can move is listed in
+CANNOT_FAIL with the reason.
 """
 
 import dataclasses
@@ -81,17 +82,26 @@ def _denominator_abs_z2(monkeypatch):
     _wrap_multiplier(monkeypatch, shift_den=lambda z: 0.01 * (z * z.conj()))
 
 
-def _w_entry(monkeypatch):
+def _plant_w(monkeypatch, n, row, col, factor):
+    """Multiply W(n)[row, col] by factor in every shift_table result that holds W(n)."""
     original = operator.shift_table
 
     def shift_table(n_max, params):
         table = original(n_max, params)
-        if n_max >= 3:
-            table[3, 2, 1] *= 1.01  # W(3)[2, 1], below the diagonal
+        if n_max >= n:
+            table[n, row, col] *= factor
         return table
 
     for module in (operator, verify):
         monkeypatch.setattr(module, "shift_table", shift_table)
+
+
+def _w_entry(monkeypatch):
+    _plant_w(monkeypatch, 3, 2, 1, 1.01)  # W(3)[2, 1], below the diagonal
+
+
+def _birth_entry(monkeypatch):
+    _plant_w(monkeypatch, 1, 2, 0, 1 + 1e-8)  # W(1)[2, 0], the birth row b = 2, where mu enters
 
 
 def _g_entry(monkeypatch):
@@ -200,7 +210,8 @@ KERNEL_FAULTS = {
     ),
 }
 SHIFT_FAULTS = {
-    "W(3)[2,1] x1.01": (_w_entry, {"golden_w", "adjoint_reproducing", "column_action"}),
+    "W(3)[2,1] x1.01": (_w_entry, {"golden_w", "adjoint_reproducing", "column_action", "commutator_F"}),
+    "W(1)[2,0] x(1+1e-8)": (_birth_entry, {"golden_w", "column_action", "commutator_F"}),
     "G(3)[1,0] x1.01": (_g_entry, {"golden_g", "adjoint_reproducing", "column_action"}),
     "mu_j^2 -> mu_j in K": (_mu_unsquared_in_k, {"golden_k"}),
 }
@@ -215,7 +226,6 @@ OPERATOR_FAULTS = {
 FAULTS = {"kernel": KERNEL_FAULTS, "shift": SHIFT_FAULTS, "operator": OPERATOR_FAULTS}
 CANNOT_FAIL = {
     "normalization": "phi(z) K(z, 0) is root inv(A) A with A = K(z, 0): it measures only the rounding of inv(A) @ A",
-    "shift_norm_bound": "||T_N|| <= max ||W(n)|| holds for every block shift, whatever its W(n)",
     "homogeneity_monotone": "a fault adds the same residual at N = 20, 40 and 60 in its fixed window: the rise stays 0",
 }
 

@@ -117,6 +117,33 @@ def test_shift_table_rows_do_not_depend_on_its_length(lam, m):
             assert np.array_equal(t_op.blocks[n], table[n])
 
 
+# The six models of the reference reports, and (20, 30).
+E_T_MODELS = [
+    (1.0, 1, (1.0, 1.0)),
+    (1.6, 2, (1.0,) * 3),
+    (3.7, 6, (1.0,) * 7),
+    (5.0, 8, (1.0,) * 9),
+    (8.0, 12, (1.0,) * 13),
+    (1.0, 1, (1e-8, 1e8)),
+    (20.0, 30, (1.0,) * 31),
+]
+
+
+@pytest.mark.parametrize("lam, m, mu", E_T_MODELS)
+def test_shift_table_satisfies_e_t_commutator(lam, m, mu):
+    # [E, T] = -I on degree n: E_(n+1) W(n) - W(n-1) E_n = -I on the active columns j <= n, with
+    # E_n = -diag_j(e_n[j]), e_n[j] = sqrt(K (2 lam_j + K - 1)), K = n - j, taken from lam_j here.
+    n_max, cols = 60, np.arange(m + 1)
+    w = shift_table(n_max, ModelParams(lam=lam, m=m, mu=mu))
+    big_k = np.maximum(np.arange(n_max + 2)[:, None] - cols, 0)
+    e = np.sqrt(big_k * np.maximum(2 * lam - m + 2 * cols + big_k - 1, 0.0))  # e[n, j], n <= n_max + 1
+    resid = np.eye(m + 1) - e[1:, :, None] * w  # I + E_(n+1) W(n)
+    resid[1:] += w[:-1] * e[1:-1, None, :]  # - W(n-1) E_n
+    active = np.broadcast_to(cols <= np.arange(n_max + 1)[:, None, None], resid.shape)
+    scale = np.max(e) * np.max(np.linalg.norm(w, axis=(1, 2)))
+    assert np.max(np.abs(resid[active])) <= 1e-15 * scale
+
+
 def test_shift_block_typed_errors_in_the_degenerate_regime():
     # Exactly the inputs with 2*lam <= m raise NormalizationError, as with the
     # G(n+1) solve; everything else is finite.

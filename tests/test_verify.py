@@ -1,6 +1,7 @@
 """The check registry: one declaration per report name, in a pinned order, and check scales."""
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from cdhom import goldens, kernel, verify
 from cdhom.errors import ConfigError
 from cdhom.kernel import check_quasi_invariance, kernel_full, kernel_series
 from cdhom.mobius import X, X0, X1, Y, Y_LOWER, act, exp_basis
+from cdhom.operator import RepresentationMatrixResult, TruncatedOperator, shift_table
 from cdhom.representation import TriangularRep, check_cocycle, multiplier_J
 from cdhom.verify import (
     CHECKS,
@@ -29,7 +31,7 @@ from cdhom.verify import (
     seeded_points,
 )
 from helpers import traced_peak
-from test_check_faults import KERNEL_FAULTS
+from test_check_faults import KERNEL_FAULTS, _plant_w
 
 GENERATORS = (("x", X), ("y", Y_LOWER), ("X0", X0), ("X1", X1), ("Y", Y))
 
@@ -37,7 +39,7 @@ GENERATORS = (("x", X), ("y", Y_LOWER), ("X0", X0), ("X1", X1), ("Y", Y))
 REPORT_ORDER = [
     "hermitian_symmetry", "kernel_oracle", "positive_definite", "quasi_invariance",
     "normalization", "monotone_truncation",
-    "golden_g", "golden_w", "golden_k", "adjoint_reproducing", "column_action", "shift_norm_bound",
+    "golden_g", "golden_w", "golden_k", "adjoint_reproducing", "column_action", "commutator_F",
     "cocycle", "rotation_multiplier_constant", "multiplier_holomorphy", "sl2_commutators",
     "ladder_recursion", "rotation_k_type", "infinitesimal_generators",
     "homogeneity_rotation", "homogeneity_interior", "homogeneity_monotone",
@@ -388,3 +390,83 @@ def test_golden_checks_are_relative_to_the_closed_form_scale(lam, m, mu):
         residual, parameters, _ = check(cfg)
         assert residual <= 1e-14 and residual <= cfg.tolerance(name), name
         assert parameters["scale"] == max(1.0, float(np.max(np.abs(closed[name](parameters)))))
+
+
+@pytest.mark.parametrize("lam", [600.0, 1000.0])
+def test_sl2_commutators_are_relative_to_their_own_terms_at_large_lambda(lam):
+    # H and F scale a coefficient by about lam + degree; against max |f| alone, rounding read 1.7e-10 at lam = 600.
+    cfg = RunConfig(lam=lam, m=2, mu=(1.0,) * 3)
+    residual, parameters, _ = verify.check_sl2(cfg)
+    assert residual <= 1e-15 and parameters["relation"] in ("[H,E]=E", "[H,F]=-F", "[E,F]=-2H")
+    assert parameters["scale"] > lam
+
+
+@pytest.mark.filterwarnings("error")
+def test_cocycle_is_finite_where_the_squares_of_its_residual_overflow():
+    # At lam = 1000 this pair's residual is about 1.7e181, past the 1e154 whose square leaves the float range.
+    cfg = RunConfig(lam=1000.0, m=2, mu=(1.0,) * 3)
+    p = cfg.params()
+    g = exp_basis(Y_LOWER, 0.2)
+    residual, scale = check_cocycle(g, g, -0.5, p, TriangularRep.from_params(p))
+    assert 1e154 < residual < math.inf and residual / scale <= cfg.tolerance("cocycle")
+    residual, parameters, _ = check_cocycle_sweep(cfg)
+    assert residual <= cfg.tolerance("cocycle") and math.isfinite(parameters["scale"])
+
+
+@pytest.mark.parametrize("lam,m,mu", [(1.0, 1, (1.0, 1.0)), (3.7, 6, (1.0,) * 7), (20.0, 30, (1.0,) * 31)])
+def test_commutator_f_records_its_degree_and_scale(lam, m, mu):
+    # The scale is max e * max ||W(n)||_F, and max e = e_N[0] = sqrt(N (2 lam_0 + N - 1)).
+    cfg = RunConfig(lam=lam, m=m, mu=mu)
+    n_trunc, p = cfg.truncation, cfg.params()
+    residual, parameters, note = verify.check_commutator_f(cfg)
+    max_e = math.sqrt(n_trunc * (2 * lam - m + n_trunc - 1))
+    max_w = max(np.linalg.norm(shift_table(n_trunc - 1, p), axis=(1, 2)))
+    assert parameters["scale"] == pytest.approx(max_e * max_w, rel=1e-15) and note == ""
+    assert 0 <= parameters["degree"] <= n_trunc - 2
+    assert residual <= 1e-15
+
+
+def test_commutator_f_needs_two_degrees_of_truncation():
+    residual, parameters, note = verify.check_commutator_f(RunConfig(lam=1.6, m=2, mu=(1.0,) * 3, truncation=1))
+    assert residual == 0.0 and parameters == {} and "truncation 1" in note
+    residual, parameters, _ = verify.check_commutator_f(RunConfig(lam=1.6, m=2, mu=(1.0,) * 3, truncation=2))
+    assert parameters["degree"] == 0 and residual <= 1e-15
+
+
+def test_a_nan_shift_weight_fails_the_shift_checks_that_read_it(monkeypatch):
+    _plant_w(monkeypatch, 3, 2, 1, np.nan)
+    records = {c.name: c for c in run_suite(RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3)), "shift").checks}
+    for name, where in (("golden_w", {"degree": 3}), ("commutator_F", {"degree": 2}), ("column_action", {"degree": 3})):
+        record = records[name]
+        assert np.isnan(record.residual) and not record.passed, name
+        assert {key: record.parameters[key] for key in where} == where, name
+        assert math.isfinite(record.parameters["scale"]), name
+
+
+def test_golden_checks_read_one_table_each(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(verify, name)
+
+        def table(n_max, params):
+            calls[name, n_max] += 1
+            return original(n_max, params)
+
+        return table
+
+    for name in ("g_table", "shift_table"):
+        monkeypatch.setattr(verify, name, counted(name))
+    cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
+    check_golden_g(cfg), check_golden_w(cfg)
+    assert calls == {("g_table", 20): 1, ("shift_table", 20): 1}
+
+
+@pytest.mark.parametrize("lam,m", [(1.6, 2), (3.7, 6)])
+def test_verify_reads_no_dense_operator_matrix(monkeypatch, lam, m):
+    def refuse(self):
+        raise AssertionError("verify read a dense matrix")
+
+    monkeypatch.setattr(TruncatedOperator, "matrix", property(refuse))
+    monkeypatch.setattr(RepresentationMatrixResult, "matrix", property(refuse))
+    assert run_suite(RunConfig(lam=lam, m=m, mu=(1.0,) * (m + 1)), "all").passed
