@@ -4,8 +4,9 @@ Subcommands: kernel-eval, shift-weights, basis-emit, verify, fixtures.
 Only verify reads the numerical settings --truncation, --rmax, --tol and
 --seed; the others print closed forms fixed by (lambda, m, mu) alone.
 Exit codes: 0 success, 1 verification failure, 2 domain error, 3 config
-error (including parameters so large that a computed value overflows, and
-sizes such as --nmax or --truncation whose arrays cannot be allocated).
+error (including parameters so large that a computed value overflows,
+sizes such as --nmax or --truncation whose arrays cannot be allocated, and
+an --out path that cannot be written).
 Output is JSON (schema under cdhom/schemas/) or flat CSV, with complex
 numbers serialized as {"re": ..., "im": ...}; identical config and seed
 produce byte-identical output.  The shift-weights and basis-emit tables
@@ -89,10 +90,18 @@ def _params_from(args) -> ModelParams:
     return ModelParams(lam=args.lam, m=args.m, mu=_parse_mu(args.mu), allow_degenerate=args.allow_degenerate)
 
 
+def _write(path: Path, text: str):
+    """Write text to path, making its directory; a path that cannot be written is a config error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path}: {exc}") from exc
+
+
 def _emit(text: str, out: str):
     if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text, encoding="utf-8")
+        _write(Path(out), text)
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -250,11 +259,8 @@ def fixture_payloads(seed: int) -> dict[str, dict]:
 def cmd_fixtures(args) -> int:
     payloads = fixture_payloads(args.seed)  # a bad seed raises before any directory is made
     outdir = Path(args.out or "fixtures")
-    outdir.mkdir(parents=True, exist_ok=True)
     for name, payload in payloads.items():
-        (outdir / f"{name}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write(outdir / f"{name}.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote 6 fixture files to {outdir}\n")
     return EXIT_OK
 

@@ -223,9 +223,15 @@ def _gram_report(k_grid: np.ndarray) -> PositiveDefiniteReport:
     return PositiveDefiniteReport(min_eigenvalue=min_eig, gram_size=len(gram), scale=_finite_scale(gram))
 
 
-def _finite_scale(values: np.ndarray) -> float:
-    """max(1, max |entry|) over the finite entries, so a NaN or inf entry leaves the scale of the rest."""
-    return max(1.0, float(np.max(np.abs(values), where=np.isfinite(values), initial=0.0)))
+def _first_worst(values) -> tuple[int, ...]:
+    """The index of the first largest entry, or of the first NaN, which is worse than every number."""
+    return tuple(int(i) for i in np.unravel_index(np.argmax(values), np.shape(values)))
+
+
+def _finite_scale(values, axis=None):
+    """max(1, max |entry|) over the finite entries, of the whole array (a float) or along axis (an array)."""
+    peak = np.maximum(1.0, np.max(np.abs(values), axis=axis, where=np.isfinite(values), initial=0.0))
+    return float(peak) if axis is None else peak
 
 
 def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: TriangularRep) -> float | list[float]:
@@ -244,25 +250,20 @@ def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: Triang
 
 
 def _quasi_invariance_worst(elements, grid: SampleGrid, params: ModelParams, rep: TriangularRep, k_grid):
-    """Per element, (residual, i, k, scale) at the worst grid pair (z_i, z_k), i <= k, of check_quasi_invariance.
-
-    k_grid is K on the grid, as _kernel_grid gives it.  The first NaN residual is the worst one.
-    """
+    """Per element, (residual, i, k, scale) at the worst pair z_i, z_k, i <= k, given K on the grid as k_grid."""
     pts = grid.points
     found = []
     for h in elements:
         jz = multiplier_J(h, pts, params, rep)
         j_norms = np.linalg.norm(jz, axis=(1, 2))
         moved_grid = _kernel_grid(act(h, pts).tolist(), params)  # Python complex: kernel_full is slower on numpy scalars
-        worst = (-1.0, 0, 0, 1.0)  # every residual is >= 0 or NaN, so the first pair replaces it
+        rows = []
         for i in range(len(pts)):
             for k in range(i, len(pts)):
                 moved = moved_grid[i, k]
                 scale = max(1.0, float(j_norms[i] * np.linalg.norm(moved) * j_norms[k]))
-                r = float(np.linalg.norm(jz[i] @ moved @ jz[k].conj().T - k_grid[i, k])) / scale
-                if r > worst[0] or (r != r and worst[0] == worst[0]):
-                    worst = (r, i, k, scale)
-        found.append(worst)
+                rows.append((float(np.linalg.norm(jz[i] @ moved @ jz[k].conj().T - k_grid[i, k])) / scale, i, k, scale))
+        found.append(rows[_first_worst([row[0] for row in rows])[0]])
     return found
 
 
@@ -298,12 +299,12 @@ def normalize_kernel(params: ModelParams, grid: SampleGrid) -> NormalizationRepo
     root = _hermitian_sqrt(k00)
     phi0 = root @ np.linalg.inv(k00)
     constant = phi0 @ k00 @ phi0.conj().T
-    residual, conds = 0.0, []
+    residuals, conds = [], []
     for z in grid.points:
         kz0 = kernel_full(z, 0.0, params)  # once per point: phi(z) inverts it, and the check applies it
         conds.append(float(np.linalg.cond(kz0)))
         if conds[-1] > 1e13:
             raise SingularKernelColumnError(f"cond {conds[-1]:.3g} > 1e13, numerically singular at z = {z}")
         val = root @ np.linalg.inv(kz0) @ kz0 @ phi0.conj().T  # phi(z) K(z, 0) phi(0)^*
-        residual = max(residual, float(np.linalg.norm(val - constant)))
-    return NormalizationReport(residual=residual, phi0=phi0, cond_k_z0=max(conds))
+        residuals.append(np.linalg.norm(val - constant))
+    return NormalizationReport(residual=float(np.max(residuals)), phi0=phi0, cond_k_z0=float(np.max(conds)))

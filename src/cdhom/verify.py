@@ -24,10 +24,11 @@ import numpy as np
 
 from . import __version__, goldens
 from .basis import g_table, op_E, op_F, op_H, u_closed
-from .errors import ConfigError, NormalizationError, SingularKernelColumnError
+from .errors import ConfigError, NormalizationError, SingularKernelColumnError, SingularResolventError
 from .kernel import (
     SampleGrid,
     _finite_scale,
+    _first_worst,
     _gram_report,
     _kernel_grid,
     _mirror,
@@ -194,7 +195,7 @@ def _grid_pair(points, i: int, k: int) -> list[list[float]]:
 
 
 def check_hermitian_symmetry(cfg: RunConfig) -> Measurement:
-    """max |K(z, w) - K(w, z)^*| over grid pairs, relative to max(1, max |K|) over finite entries, with the worst pair.
+    """max |K(z, w) - K(w, z)^*| over grid pairs, relative to max(1, max |K|), with the worst pair.
 
     This licenses the mirror of kernel._kernel_grid, so it evaluates K at every ordered pair (shared in a run).
     """
@@ -204,19 +205,19 @@ def check_hermitian_symmetry(cfg: RunConfig) -> Measurement:
         slot["grid"] = _mirror(full.copy())
         slot["grid"].flags.writeable = False
     asym = np.max(np.abs(full - full.transpose(1, 0, 3, 2).conj()), axis=(2, 3))
-    i, k = np.unravel_index(np.argmax(asym), asym.shape)  # the first of a mirrored pair, or the first NaN
+    i, k = _first_worst(asym)
     scale = _finite_scale(full)
     return _measured(float(asym[i, k]) / scale, points=len(pts), pair=_grid_pair(pts, i, k), scale=scale)
 
 
 def check_kernel_oracle(cfg: RunConfig) -> Measurement:
-    """max |series - K| over grid pairs, relative to max(1, max |K|) over finite entries, with the worst pair."""
+    """max |series - K| over grid pairs, relative to max(1, max |K|), with the worst pair."""
     p, pts = cfg.params(), cfg.grid().points
     grid = np.array(pts)
     series = kernel_series(grid[:, None], grid[None, :], p, cfg.truncation)
     full = _run_kernel_grid(cfg)
     dev = np.max(np.abs(series - full), axis=(2, 3))
-    i, k = np.unravel_index(np.argmax(dev), dev.shape)
+    i, k = _first_worst(dev)
     scale = _finite_scale(full)
     return _measured(float(dev[i, k]) / scale, truncation=cfg.truncation, pair=_grid_pair(pts, i, k), scale=scale)
 
@@ -228,7 +229,7 @@ def check_pd(cfg: RunConfig) -> Measurement:
     """
     report = _gram_report(_run_kernel_grid(cfg))
     return _measured(
-        float(np.maximum(0.0, -report.min_eigenvalue)) / report.scale,  # keeps a NaN, which max(0.0, nan) drops
+        float(np.maximum(0.0, -report.min_eigenvalue)) / report.scale,
         min_eigenvalue=report.min_eigenvalue if math.isfinite(report.min_eigenvalue) else None,
         gram_size=report.gram_size,
         scale=report.scale,
@@ -246,7 +247,7 @@ def check_qi(cfg: RunConfig) -> Measurement:
     rep = TriangularRep.from_params(p)
     labels, elements = zip(*_subgroup_elements())
     found = _quasi_invariance_worst(elements, grid, p, rep, _run_kernel_grid(cfg))
-    e = int(np.argmax([worst for worst, *_ in found]))  # the first element at the largest (or a NaN) residual
+    (e,) = _first_worst([worst for worst, *_ in found])
     worst, i, k, scale = found[e]
     return _measured(worst, worst_element=labels[e], pair=_grid_pair(grid.points, i, k), scale=scale)
 
@@ -271,8 +272,8 @@ def check_monotone_truncation(cfg: RunConfig) -> Measurement:
     refs = np.array([kernel_full(z, w, p) for z, w in zip(pts, pts[::-1])])
     z, w = np.array(pts), np.array(pts[::-1])
     devs = [np.max(np.abs(kernel_series(z, w, p, cut) - refs), axis=(1, 2)) for cut in cuts]  # [cut][pair]
-    scale = max(1.0, float(np.max(np.abs(refs))))
-    return _measured(max(0.0, float(np.max(np.diff(devs, axis=0), initial=0.0))) / scale, scale=scale)
+    scale = _finite_scale(refs)
+    return _measured(float(np.max(np.diff(devs, axis=0), initial=0.0)) / scale, scale=scale)
 
 
 # ----------------------------------------------------------------- shift suite
@@ -299,9 +300,8 @@ def _point_pairs(cfg: RunConfig) -> list[tuple[dict, tuple]]:
 def _golden_check(samples, general, closed_form) -> Callable[[RunConfig], Measurement]:
     """Max |general - closed_form(p, *args)| over the samples, each relative to max(1, max |closed form|).
 
-    general(p, args) evaluates the general side once for the list of sample arguments and
-    returns one value per sample, in order.  Records where the worst sample sits (its degree
-    or point pair) and its scale; a NaN sample is the worst, so it fails with a null residual.
+    general(p, args) evaluates the general side once for the list of sample arguments and returns one
+    value per sample, in order.  Records where the worst sample sits (its degree or point pair) and its scale.
     """
 
     def check(cfg: RunConfig) -> Measurement:
@@ -314,9 +314,9 @@ def _golden_check(samples, general, closed_form) -> Callable[[RunConfig], Measur
         rows = []
         for where, arg, value in zip(wheres, args, general(p, args)):
             closed = closed_form(p, *arg)
-            scale = max(1.0, float(np.max(np.abs(closed))))
+            scale = _finite_scale(closed)
             rows.append((float(np.max(np.abs(value - closed))) / scale, where, scale))
-        worst, where, scale = rows[int(np.argmax([row[0] for row in rows]))]  # the first largest, or the first NaN
+        worst, where, scale = rows[_first_worst([row[0] for row in rows])[0]]
         return _measured(worst, covered=True, scale=scale, **where)
 
     return check
@@ -347,13 +347,13 @@ def check_adjoint(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     t_op = truncate(p, cfg.truncation)
     rng = np.random.default_rng(cfg.seed + 4)
-    worst = 0.0
+    residuals = []
     for w in seeded_points(cfg.seed + 5, 4, 0.3):
         xi = rng.standard_normal(p.m + 1) + 1j * rng.standard_normal(p.m + 1)
         c = reproducing_coefficients(w, xi, p, cfg.truncation)
         resid = t_op.apply_adjoint(c) - np.conjugate(w) * c
-        worst = max(worst, float(np.linalg.norm(resid) / np.linalg.norm(c)))
-    return _measured(worst, truncation=cfg.truncation)
+        residuals.append(np.linalg.norm(resid) / np.linalg.norm(c))
+    return _measured(float(np.max(residuals)), truncation=cfg.truncation)
 
 
 def check_column_action(cfg: RunConfig) -> Measurement:
@@ -364,8 +364,8 @@ def check_column_action(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     scaled = g_table(cfg.truncation, p) * p.mu_array()  # G(n) D(mu)
     resid = np.max(np.abs(scaled[1:] @ shift_table(cfg.truncation - 1, p) - scaled[:-1]), axis=(1, 2))
-    scales = np.maximum(1.0, np.max(np.abs(scaled[:-1]), axis=(1, 2)))
-    degree = int(np.argmax(resid / scales))
+    scales = _finite_scale(scaled[:-1], axis=(1, 2))
+    (degree,) = _first_worst(resid / scales)
     return _measured(float(resid[degree] / scales[degree]), degree=degree, scale=float(scales[degree]))
 
 
@@ -375,7 +375,7 @@ def check_commutator_f(cfg: RunConfig) -> Measurement:
     F_n = -diag_j(e_(n+1)[j]) = E_(n+1)^T takes degree n to n + 1, with e_n[j] = sqrt(K (2*lam_j + K - 1)),
     K = n - j, computed here from lam_j and not read from shift_table, so a wrong weight there shows.
     The largest entry over the active columns j <= n is relative to max e * max_n ||W(n)||_F (finite
-    norms only), and the record names the worst degree and that scale.  A NaN fails with a null residual.
+    norms only), and the record names the worst degree and that scale.
     """
     p, n_trunc = cfg.params(), cfg.truncation
     if n_trunc < 2:
@@ -389,7 +389,7 @@ def check_commutator_f(cfg: RunConfig) -> Measurement:
     norms = np.linalg.norm(w, axis=(1, 2))
     scale = float(np.max(e)) * float(np.max(norms, where=np.isfinite(norms), initial=0.0))
     per_degree = np.max(resid, axis=(1, 2))
-    degree = int(np.argmax(per_degree))  # the first degree at the largest (or a NaN) residual
+    (degree,) = _first_worst(per_degree)
     return _measured(float(per_degree[degree]) / scale, degree=degree, scale=scale)
 
 
@@ -409,7 +409,7 @@ def check_cocycle_sweep(cfg: RunConfig) -> Measurement:
     zs = np.array([z for z in zs if abs(z) <= 0.5][:25])
     residuals, scales = check_cocycle(elements, elements, zs, p, rep)  # [g, h, point]
     relative = residuals / scales
-    i, k, s = np.unravel_index(np.argmax(relative), relative.shape)
+    i, k, s = _first_worst(relative)
     return _measured(
         float(relative[i, k, s]),
         pairs=len(elements) ** 2,
@@ -423,13 +423,12 @@ def check_cocycle_sweep(cfg: RunConfig) -> Measurement:
 def check_rotation_multiplier(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     rep = TriangularRep.from_params(p)
-    worst = 0.0
+    devs = []
     for theta in (0.15, -0.3):
         k = GroupElement.rotation(theta)
         j0_inv = np.linalg.inv(multiplier_J(k, 0.0, p, rep))
-        dev = multiplier_J(k, cfg.grid().points, p, rep) @ j0_inv - np.eye(p.m + 1)
-        worst = max(worst, float(np.max(np.abs(dev))))
-    return _measured(worst)
+        devs.append(np.abs(multiplier_J(k, cfg.grid().points, p, rep) @ j0_inv - np.eye(p.m + 1)))
+    return _measured(float(np.max(devs)))
 
 
 def check_holomorphy(cfg: RunConfig) -> Measurement:
@@ -472,9 +471,9 @@ def check_sl2(cfg: RunConfig) -> Measurement:
         return np.max(np.abs(c), axis=(1, 2))  # per polynomial
 
     dev = np.array([peak(ab - ba - rhs) for ab, ba, rhs in relations.values()])  # [relation, polynomial]
-    scales = np.array([np.maximum(1.0, np.max([peak(t) for t in terms], axis=0)) for terms in relations.values()])
+    scales = np.array([_finite_scale(np.array(terms), axis=(0, 2, 3)) for terms in relations.values()])
     relative = dev / scales
-    r, b = np.unravel_index(np.argmax(relative), relative.shape)
+    r, b = _first_worst(relative)
     return _measured(float(relative[r, b]), degree=15, relation=list(relations)[r], scale=float(scales[r, b]))
 
 
@@ -490,7 +489,7 @@ def check_ladder_recursion(cfg: RunConfig) -> Measurement:
     for n in range(1, 16):
         current = -op_F(current, p)
         ref = u_closed(js, n, p)
-        dev.append(np.max(np.abs(current - ref), axis=(1, 2)) / np.maximum(np.max(np.abs(ref), axis=(1, 2)), 1.0))
+        dev.append(np.max(np.abs(current - ref), axis=(1, 2)) / _finite_scale(ref, axis=(1, 2)))
     return _measured(float(np.max(dev)), max_n=15)
 
 
@@ -498,7 +497,7 @@ def check_k_type(cfg: RunConfig) -> Measurement:
     p = cfg.params()
     rep = TriangularRep.from_params(p)
     g = GroupElement.rotation(0.4)
-    worst = 0.0
+    residuals = []
     z0 = 0.31 + 0.12j
     for j in range(p.m + 1):
         for n in (j, j + 2):
@@ -506,8 +505,8 @@ def check_k_type(cfg: RunConfig) -> Measurement:
             vals = act_U(g, mono, p, rep)(z0)
             ref = mono(z0)
             # Relative to the monomial's own size |z0|^n, so a high degree neither empties nor zeroes the check.
-            worst = max(worst, float(np.max(np.abs(np.abs(vals) - np.abs(ref))) / np.max(np.abs(ref))))
-    return _measured(worst)
+            residuals.append(np.max(np.abs(np.abs(vals) - np.abs(ref))) / np.max(np.abs(ref)))
+    return _measured(float(np.max(residuals)))
 
 
 def check_infinitesimal(cfg: RunConfig) -> Measurement:
@@ -516,7 +515,7 @@ def check_infinitesimal(cfg: RunConfig) -> Measurement:
     c = _test_polynomials(p, cfg.seed + 9, degree=6, count=1)[0]
     f = VectorPolynomial(c)
     h = 1e-6
-    worst = 0.0
+    residuals = []
     cases = [
         (X_UPPER, op_E(c)),
         (H_DIAG, op_H(c, p)),
@@ -527,8 +526,8 @@ def check_infinitesimal(cfg: RunConfig) -> Measurement:
             up = act_U(exp_basis(elem, h), f, p, rep)(z)
             dn = act_U(exp_basis(elem, -h), f, p, rep)(z)
             fd = (up - dn) / (2 * h)
-            worst = max(worst, float(np.max(np.abs(fd - VectorPolynomial(expected)(z)))))
-    return _measured(worst, step=h)
+            residuals.append(np.max(np.abs(fd - VectorPolynomial(expected)(z))))
+    return _measured(float(np.max(residuals)), step=h)
 
 
 # -------------------------------------------------------------- operator suite
@@ -541,10 +540,10 @@ def check_homog_rotation(cfg: RunConfig) -> Measurement:
     """
     p = cfg.params()
     rep = TriangularRep.from_params(p)
-    worst, worst_g = max(
-        (check_homogeneity(GroupElement.rotation(t), p, rep, 40), f"rotation({t})") for t in (0.3, -0.45)
-    )
-    return _measured(worst, truncation=40, worst_element=worst_g)
+    angles = (0.3, -0.45)
+    residuals = [check_homogeneity(GroupElement.rotation(t), p, rep, 40) for t in angles]
+    (e,) = _first_worst(residuals)
+    return _measured(residuals[e], truncation=40, worst_element=f"rotation({angles[e]})")
 
 
 def check_homog_interior(cfg: RunConfig) -> Measurement:
@@ -559,7 +558,7 @@ def check_homog_interior(cfg: RunConfig) -> Measurement:
         f"exp(0.05*{name})": check_homogeneity(exp_basis(elem, 0.05), p, rep, 40)
         for name, elem in (("X1", X1), ("Y", Y))
     }
-    return _measured(max(residuals.values()), truncation=40, guard_band=5, residuals=residuals)
+    return _measured(float(np.max(list(residuals.values()))), truncation=40, guard_band=5, residuals=residuals)
 
 
 def check_homog_monotone(cfg: RunConfig) -> Measurement:
@@ -571,9 +570,8 @@ def check_homog_monotone(cfg: RunConfig) -> Measurement:
     rep = TriangularRep.from_params(p)
     g = exp_basis(X1, 0.05)
     seq = [check_homogeneity(g, p, rep, n, window=15) for n in (20, 40, 60)]
-    worst_increase = max(b - a for a, b in zip(seq, seq[1:]))
     return _measured(
-        max(0.0, worst_increase),
+        float(np.max(np.diff(seq), initial=0.0)),
         residuals={f"N{n}": s for n, s in zip((20, 40, 60), seq)},
         window=15,
     )
@@ -589,16 +587,16 @@ def check_unitarity(cfg: RunConfig) -> Measurement:
     rep = TriangularRep.from_params(p)
     n_trunc, guard = 40, 10
     window = n_trunc - guard
-    worst, loss = 0.0, 0.0
+    norms, losses = [], []
     for g in (GroupElement.rotation(0.3), exp_basis(X1, 0.1), exp_basis(Y, -0.1)):
         res = representation_matrix(g, p, rep, n_trunc)
         total = 0.0
         for j in range(min(p.m, window) + 1):
             u_j = res.blocks[: n_trunc + 1 - j, : window + 1 - j, j]
             total += float(np.linalg.norm(u_j.conj().T @ u_j - np.eye(window + 1 - j))) ** 2
-        worst = max(worst, math.sqrt(total))
-        loss = max(loss, res.truncation_loss)
-    return _measured(worst, truncation=n_trunc, guard_band=guard, truncation_loss=loss)
+        norms.append(math.sqrt(total))
+        losses.append(res.truncation_loss)
+    return _measured(float(np.max(norms)), truncation=n_trunc, guard_band=guard, truncation_loss=float(np.max(losses)))
 
 
 def check_calculus_rotation(cfg: RunConfig) -> Measurement:
@@ -610,12 +608,12 @@ def check_calculus_rotation(cfg: RunConfig) -> Measurement:
     n_trunc, size = min(cfg.truncation, 40), p.m + 1
     t_op = truncate(p, n_trunc)
     sub = (np.arange(1, n_trunc + 1), slice(None), np.arange(n_trunc), slice(None))  # the blocks (n+1, n)
-    worst = 0.0
+    devs = []
     for theta in (0.3, -0.7):
         g_of_t = mobius_calculus(GroupElement.rotation(theta), t_op).reshape(n_trunc + 1, size, n_trunc + 1, size)
         g_of_t[sub] -= cmath.exp(1j * theta) * t_op.blocks
-        worst = max(worst, float(np.max(np.abs(g_of_t))))
-    return _measured(worst)
+        devs.append(np.max(np.abs(g_of_t)))
+    return _measured(float(np.max(devs)))
 
 
 # Every check is declared here once; registry order is report order.
@@ -685,6 +683,8 @@ def _run_check(check: Check, cfg: RunConfig) -> CheckResult:
         residual, parameters, note = float("inf"), {}, f"ill-conditioned K(z, 0): {exc}"
     except NormalizationError as exc:
         residual, parameters, note = float("inf"), {}, f"degenerate normalization: {exc}"
+    except SingularResolventError as exc:
+        residual, parameters, note = float("inf"), {}, f"singular resolvent: {exc}"
     tol = cfg.tolerance(check.name)
     return CheckResult(
         name=check.name,

@@ -312,6 +312,16 @@ def test_exit_code_config_errors(tmp_path):
         assert res.returncode == 3, argv
         assert res.stderr == "config error: seed must be >= 0, got " + argv[argv.index("--seed") + 1] + "\n"
     assert not (tmp_path / "fixtures").exists()
+    # An --out that cannot be written: a directory, or a path through a file.
+    (tmp_path / "file").write_text("")
+    for argv in (
+        ["kernel-eval", *BASE_M1, "--z", "0", "--w", "0", "--out", str(tmp_path)],
+        ["shift-weights", *BASE_M1, "--nmax", "2", "--out", str(tmp_path / "file" / "x.json")],
+        ["fixtures", "--out", str(tmp_path / "file")],
+    ):
+        res = call_cli(*argv)
+        assert res.returncode == 3, argv
+        assert res.stderr.startswith("config error: cannot write --out ") and res.stderr.count("\n") == 1, argv
 
 
 def _overflow_cases():

@@ -1,4 +1,4 @@
-"""Committed `cdhom verify --suite rep` and `--suite shift` reports, re-run and compared byte for byte.
+"""Committed `cdhom verify` reports of the rep, shift and operator suites, re-run and compared byte for byte.
 
 Each file under reference_reports/ is the JSON report of one suite at one model,
 named <suite>_<model>.json, with its `environment` block left out, since that
@@ -17,7 +17,7 @@ import pytest
 from cdhom.verify import RunConfig, run_suite
 
 REFERENCE_DIR = Path(__file__).resolve().parent / "reference_reports"
-SUITES = ("rep", "shift")
+SUITES = ("rep", "shift", "operator")
 
 # Model name in the file stem -> (lambda, m, mu).
 MODELS = {
@@ -51,6 +51,12 @@ def test_rep_report_matches_its_reference(stem):
 
 @pytest.mark.parametrize("stem", sorted(s for s in STEMS if s.startswith("shift_")))
 def test_shift_report_matches_its_reference(stem):
+    got, expected = _report_and_reference(stem)
+    assert got == expected
+
+
+@pytest.mark.parametrize("stem", sorted(s for s in STEMS if s.startswith("operator_")))
+def test_operator_report_matches_its_reference(stem):
     got, expected = _report_and_reference(stem)
     assert got == expected
 

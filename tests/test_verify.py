@@ -1,6 +1,7 @@
 """The check registry: one declaration per report name, in a pinned order, and check scales."""
 
 import itertools
+import json
 import math
 from collections import Counter
 
@@ -435,12 +436,45 @@ def test_commutator_f_needs_two_degrees_of_truncation():
 
 def test_a_nan_shift_weight_fails_the_shift_checks_that_read_it(monkeypatch):
     _plant_w(monkeypatch, 3, 2, 1, np.nan)
-    records = {c.name: c for c in run_suite(RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3)), "shift").checks}
-    for name, where in (("golden_w", {"degree": 3}), ("commutator_F", {"degree": 2}), ("column_action", {"degree": 3})):
-        record = records[name]
-        assert np.isnan(record.residual) and not record.passed, name
-        assert {key: record.parameters[key] for key in where} == where, name
-        assert math.isfinite(record.parameters["scale"]), name
+    cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
+    failing = {
+        "shift": {
+            "golden_w": {"degree": 3},
+            "commutator_F": {"degree": 2},
+            "column_action": {"degree": 3},
+            "adjoint_reproducing": {},
+        },
+        # The calculus of every operator check but unitarity reads T, and a NaN weight leaves its resolvent singular.
+        "operator": dict.fromkeys(
+            ("homogeneity_rotation", "homogeneity_interior", "homogeneity_monotone", "calculus_rotation"), {}
+        ),
+    }
+    for suite, expected in failing.items():
+        report = run_suite(cfg, suite)
+        records = {c.name: c for c in report.checks}
+        assert {name for name, record in records.items() if not record.passed} == set(expected), suite
+        written = {c["name"]: c["residual"] for c in json.loads(report.to_json())["checks"]}
+        for name, where in expected.items():
+            record = records[name]
+            assert not math.isfinite(record.residual) and written[name] is None, name
+            assert {key: record.parameters[key] for key in where} == where, name
+            assert math.isfinite(record.parameters.get("scale", 1.0)), name
+    assert "singular resolvent" in records["calculus_rotation"].note
+
+
+def test_a_nan_k_fails_monotone_truncation(monkeypatch):
+    # A NaN K at one of its seeded pairs (z, w) fails the check; the scale comes from the other, finite pairs.
+    cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
+    p, pts = cfg.params(), seeded_points(cfg.seed + 3, 3, cfg.r_max)
+
+    def poisoned(z, w, params):
+        return kernel_full(z, w, params) * (np.nan if (z, w) == (pts[0], pts[2]) else 1.0)
+
+    monkeypatch.setattr(verify, "kernel_full", poisoned)
+    record = verify._run_check(next(c for c in CHECKS if c.name == "monotone_truncation"), cfg)
+    assert np.isnan(record.residual) and not record.passed
+    finite = [kernel_full(pts[k], pts[2 - k], p) for k in (1, 2)]
+    assert record.parameters["scale"] == max(float(np.max(np.abs(k))) for k in finite) > 1.0
 
 
 def test_golden_checks_read_one_table_each(monkeypatch):
