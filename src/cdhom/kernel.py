@@ -21,10 +21,11 @@ working set is O(pairs (m+1) max(m+1, 32) + points N (m+1)^2).
 K is Hermitian, K(w, z) = K(z, w)^*, so the grid checks evaluate each
 unordered pair once: _kernel_grid calls kernel_full for the n(n+1)/2 pairs
 z_i, z_k with i <= k, and _mirror fills k > i with the conjugate transpose.
-check_positive_definite, the kernel_oracle check and check_quasi_invariance
-(its fixed grid, and its moved grid per element, with residuals over i <= k)
-read it.  hermitian_symmetry in verify.py licenses the mirror, so it alone
-evaluates all n^2 ordered pairs; in a run, the others read its mirror instead.
+check_positive_definite and check_quasi_invariance (its fixed grid, and its
+moved grid per element, with residuals over i <= k) read it.  In verify.py,
+one Run per run_suite call holds the fixed grid as Run.k_grid, which the
+kernel checks read; hermitian_symmetry, which licenses the mirror, takes the
+pairs i <= k from it and evaluates the n(n-1)/2 pairs k < i itself.
 """
 
 from __future__ import annotations
@@ -234,19 +235,16 @@ def _finite_scale(values, axis=None):
     return float(peak) if axis is None else peak
 
 
-def check_quasi_invariance(g, grid: SampleGrid, params: ModelParams, rep: TriangularRep) -> float | list[float]:
+def check_quasi_invariance(g: GroupElement, grid: SampleGrid, params: ModelParams, rep: TriangularRep) -> float:
     """Max over grid pairs of || J_g(z) K(g.z, g.w) J_g(w)^* - K(z, w) ||_F, each relative to its scale.
 
     The scale of a pair is max(1, ||J_g(z)||_F ||K(g.z, g.w)||_F ||J_g(w)||_F), the bound
     that ||AB||_F <= ||A||_F ||B||_F gives for the product, as in the cocycle check.
     The pair (w, z) gives the conjugate transpose of the matrix of (z, w), so only the
-    pairs z_i, z_k with i <= k are measured.  g is one GroupElement, giving one float,
-    or a sequence of them, giving one float per element; K(z, w) on the grid is
-    evaluated once for all.
+    pairs z_i, z_k with i <= k are measured.
     """
-    elements = [g] if isinstance(g, GroupElement) else list(g)
-    residuals = [r for r, *_ in _quasi_invariance_worst(elements, grid, params, rep, _kernel_grid(grid.points, params))]
-    return residuals[0] if isinstance(g, GroupElement) else residuals
+    ((residual, *_),) = _quasi_invariance_worst([g], grid, params, rep, _kernel_grid(grid.points, params))
+    return residual
 
 
 def _quasi_invariance_worst(elements, grid: SampleGrid, params: ModelParams, rep: TriangularRep, k_grid):

@@ -220,6 +220,9 @@ def _block_calculus(g: GroupElement, t: TruncatedOperator, max_degree: int | Non
             break
         prod = w_blks[k:] @ prod[:-1]
     if not np.all(np.isfinite(out)):
+        finite = np.isfinite(w_blks).all(axis=(1, 2))
+        if not finite.all():
+            raise SingularResolventError(f"T is not finite: W({int(np.argmin(finite))}) has a non-finite entry")
         raise SingularResolventError(f"the Taylor coefficients of g overflow at |d| = {abs(g.d)}")
     return out
 

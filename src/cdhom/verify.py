@@ -7,7 +7,8 @@ tolerances and returns a record; the report aggregates them.  Every check
 reads the operators as blocks; none assembles a dense matrix.  Reports are byte-stable for a fixed
 config and seed: all sampled points are drawn from seeded generators and
 no timestamps are recorded.  Checks are declared once, in the registry
-`CHECKS`, and run one at a time in registry order.
+`CHECKS`, and run one at a time in registry order; each takes the one `Run`
+that run_suite builds, so order does not change what a check reads.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import json
 import math
 import platform
 from collections.abc import Callable
-from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .kernel import (
     _first_worst,
     _gram_report,
     _kernel_grid,
-    _mirror,
     _quasi_invariance_worst,
     default_grid,
     kernel_full,
@@ -55,9 +55,6 @@ SUITES = ("all", "kernel", "shift", "rep", "operator")
 _SUBGROUP_TIMES = (0.2, -0.2, 0.11)
 _SUBGROUP_ELEMENTS = (("X0", X0), ("X1", X1), ("Y", Y))
 _GOLDEN_MAX_DEGREE = 20  # golden_g and golden_w compare the degrees 0..20
-# The slot of the run in progress, opened and dropped by run_suite: hermitian_symmetry leaves the read-only
-# mirror of its ordered grid there and the later grid checks read it, so a run evaluates K on the grid once.
-_RUN_GRID: ContextVar[dict | None] = ContextVar("_RUN_GRID", default=None)
 
 
 @dataclass(frozen=True)
@@ -98,6 +95,27 @@ class RunConfig:
 
     def grid(self) -> SampleGrid:
         return default_grid(self.r_max)
+
+
+class Run:
+    """One run_suite call: its RunConfig, and the model, grid and rep that the checks read from it.
+
+    k_grid is K on every ordered pair of grid points, evaluated on first read and then shared by
+    the kernel checks.  A Run lives for one call, so a second run evaluates K again.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.params = cfg.params()
+        self.grid = cfg.grid()
+        self.rep = TriangularRep.from_params(self.params)
+
+    @cached_property
+    def k_grid(self) -> np.ndarray:
+        """kernel._kernel_grid on the grid: kernel_full at each pair i <= k, the pairs k > i mirrored; read-only."""
+        grid = _kernel_grid(self.grid.points, self.params)
+        grid.flags.writeable = False
+        return grid
 
 
 @dataclass(frozen=True)
@@ -156,7 +174,7 @@ class Check:
     suite: str
     name: str
     tolerance: float
-    fn: Callable[[RunConfig], Measurement]
+    fn: Callable[[Run], Measurement]
 
 
 def _measured(residual: float, note: str = "", **parameters) -> Measurement:
@@ -183,51 +201,45 @@ def seeded_points(seed: int, count: int, r: float = 0.5) -> list[complex]:
 # ---------------------------------------------------------------- kernel suite
 
 
-def _run_kernel_grid(cfg: RunConfig) -> np.ndarray:
-    """K on the grid of cfg as kernel._kernel_grid gives it: the run's shared grid, or a new evaluation."""
-    shared = (_RUN_GRID.get() or {}).get("grid")
-    return _kernel_grid(cfg.grid().points, cfg.params()) if shared is None else shared
-
-
 def _grid_pair(points, i: int, k: int) -> list[list[float]]:
     """The grid points z_i and z_k as [[re, im], [re, im]]."""
     return [[float(x.real), float(x.imag)] for x in (points[i], points[k])]
 
 
-def check_hermitian_symmetry(cfg: RunConfig) -> Measurement:
+def check_hermitian_symmetry(run: Run) -> Measurement:
     """max |K(z, w) - K(w, z)^*| over grid pairs, relative to max(1, max |K|), with the worst pair.
 
-    This licenses the mirror of kernel._kernel_grid, so it evaluates K at every ordered pair (shared in a run).
+    This licenses the mirror of run.k_grid, so it reads only the pairs i <= k there and evaluates
+    each pair k < i itself: every off-diagonal pair meets an independent evaluation of its mirror.
     """
-    p, pts = cfg.params(), cfg.grid().points
-    full = np.array([[kernel_full(z, w, p) for w in pts] for z in pts])
-    if (slot := _RUN_GRID.get()) is not None:
-        slot["grid"] = _mirror(full.copy())
-        slot["grid"].flags.writeable = False
+    pts = run.grid.points
+    full = run.k_grid.copy()
+    for i, z in enumerate(pts):
+        for k in range(i):
+            full[i, k] = kernel_full(z, pts[k], run.params)
     asym = np.max(np.abs(full - full.transpose(1, 0, 3, 2).conj()), axis=(2, 3))
     i, k = _first_worst(asym)
     scale = _finite_scale(full)
     return _measured(float(asym[i, k]) / scale, points=len(pts), pair=_grid_pair(pts, i, k), scale=scale)
 
 
-def check_kernel_oracle(cfg: RunConfig) -> Measurement:
+def check_kernel_oracle(run: Run) -> Measurement:
     """max |series - K| over grid pairs, relative to max(1, max |K|), with the worst pair."""
-    p, pts = cfg.params(), cfg.grid().points
+    pts, n_trunc = run.grid.points, run.cfg.truncation
     grid = np.array(pts)
-    series = kernel_series(grid[:, None], grid[None, :], p, cfg.truncation)
-    full = _run_kernel_grid(cfg)
-    dev = np.max(np.abs(series - full), axis=(2, 3))
+    series = kernel_series(grid[:, None], grid[None, :], run.params, n_trunc)
+    dev = np.max(np.abs(series - run.k_grid), axis=(2, 3))
     i, k = _first_worst(dev)
-    scale = _finite_scale(full)
-    return _measured(float(dev[i, k]) / scale, truncation=cfg.truncation, pair=_grid_pair(pts, i, k), scale=scale)
+    scale = _finite_scale(run.k_grid)
+    return _measured(float(dev[i, k]) / scale, truncation=n_trunc, pair=_grid_pair(pts, i, k), scale=scale)
 
 
-def check_pd(cfg: RunConfig) -> Measurement:
+def check_pd(run: Run) -> Measurement:
     """The most negative Gram eigenvalue, relative to the Gram's scale max(1, max |K|) over the grid.
 
     A non-finite K leaves no eigenvalue: the residual is NaN and min_eigenvalue null.
     """
-    report = _gram_report(_run_kernel_grid(cfg))
+    report = _gram_report(run.k_grid)
     return _measured(
         float(np.maximum(0.0, -report.min_eigenvalue)) / report.scale,
         min_eigenvalue=report.min_eigenvalue if math.isfinite(report.min_eigenvalue) else None,
@@ -236,35 +248,33 @@ def check_pd(cfg: RunConfig) -> Measurement:
     )
 
 
-def check_qi(cfg: RunConfig) -> Measurement:
+def check_qi(run: Run) -> Measurement:
     """The worst quasi-invariance residual over the subgroup elements and grid pairs, with where it sits.
 
     Each pair is relative to max(1, ||J_g(z)||_F ||K(g.z, g.w)||_F ||J_g(w)||_F), the scale the
     cocycle check also uses, so the check means the same at mu = 1e-8, 1e8 and at m = 12.  The
     record names the element, the grid pair (z, w) as [[re, im], [re, im]] and that pair's scale.
     """
-    p, grid = cfg.params(), cfg.grid()
-    rep = TriangularRep.from_params(p)
     labels, elements = zip(*_subgroup_elements())
-    found = _quasi_invariance_worst(elements, grid, p, rep, _run_kernel_grid(cfg))
+    found = _quasi_invariance_worst(elements, run.grid, run.params, run.rep, run.k_grid)
     (e,) = _first_worst([worst for worst, *_ in found])
     worst, i, k, scale = found[e]
-    return _measured(worst, worst_element=labels[e], pair=_grid_pair(grid.points, i, k), scale=scale)
+    return _measured(worst, worst_element=labels[e], pair=_grid_pair(run.grid.points, i, k), scale=scale)
 
 
-def check_normalization(cfg: RunConfig) -> Measurement:
+def check_normalization(run: Run) -> Measurement:
     """Constancy of phi(z) K(z, 0) phi(0)^* over the grid, with the worst cond K(z, 0).
 
     phi(z) K(z, 0) is root inv(A) A with A = K(z, 0), so no fault in K moves it:
     it measures only the rounding of inv(A) A.
     """
-    report = normalize_kernel(cfg.params(), cfg.grid())
+    report = normalize_kernel(run.params, run.grid)
     return _measured(report.residual, cond_k_z0=report.cond_k_z0)
 
 
-def check_monotone_truncation(cfg: RunConfig) -> Measurement:
+def check_monotone_truncation(run: Run) -> Measurement:
     """Largest rise of the series' deviation from K between cuts 10, 20, ..., relative to max(1, max |K|)."""
-    p = cfg.params()
+    cfg, p = run.cfg, run.params
     pts = seeded_points(cfg.seed + 3, 3, cfg.r_max)
     cuts = list(range(10, cfg.truncation + 1, 10))
     if not cuts:
@@ -297,20 +307,20 @@ def _point_pairs(cfg: RunConfig) -> list[tuple[dict, tuple]]:
     return [({"pair": [[z.real, z.imag], [w.real, w.imag]]}, (z, w)) for z, w in pairs]
 
 
-def _golden_check(samples, general, closed_form) -> Callable[[RunConfig], Measurement]:
+def _golden_check(samples, general, closed_form) -> Callable[[Run], Measurement]:
     """Max |general - closed_form(p, *args)| over the samples, each relative to max(1, max |closed form|).
 
     general(p, args) evaluates the general side once for the list of sample arguments and returns one
     value per sample, in order.  Records where the worst sample sits (its degree or point pair) and its scale.
     """
 
-    def check(cfg: RunConfig) -> Measurement:
-        p = cfg.params()
+    def check(run: Run) -> Measurement:
+        p = run.params
         if p.m not in (1, 2):
             return _measured(0.0, "explicit closed forms exist only for m in {1, 2}; skipped", covered=False)
         if 2 * p.lam <= p.m:
             raise NormalizationError(f"closed forms need 2*lam > m (2*lam = {2 * p.lam}, m = {p.m})")
-        wheres, args = zip(*samples(cfg))
+        wheres, args = zip(*samples(run.cfg))
         rows = []
         for where, arg, value in zip(wheres, args, general(p, args)):
             closed = closed_form(p, *arg)
@@ -343,8 +353,9 @@ check_golden_k = _golden_check(
 )
 
 
-def check_adjoint(cfg: RunConfig) -> Measurement:
-    p = cfg.params()
+def check_adjoint(run: Run) -> Measurement:
+    """max ||T_N^* c - conj(w) c|| / ||c|| over the coefficients c of K(., w) xi at four seeded w, |w| <= 0.3."""
+    cfg, p = run.cfg, run.params
     t_op = truncate(p, cfg.truncation)
     rng = np.random.default_rng(cfg.seed + 4)
     residuals = []
@@ -356,28 +367,28 @@ def check_adjoint(cfg: RunConfig) -> Measurement:
     return _measured(float(np.max(residuals)), truncation=cfg.truncation)
 
 
-def check_column_action(cfg: RunConfig) -> Measurement:
+def check_column_action(run: Run) -> Measurement:
     """G(n+1) D(mu) W(n) = G(n) D(mu) for n < truncation, relative to max(1, max |G(n) D(mu)|) per degree.
 
     The shift from [E, T] = -I against the G(n) route; records the worst degree and its scale.
     """
-    p = cfg.params()
-    scaled = g_table(cfg.truncation, p) * p.mu_array()  # G(n) D(mu)
-    resid = np.max(np.abs(scaled[1:] @ shift_table(cfg.truncation - 1, p) - scaled[:-1]), axis=(1, 2))
+    p, n_trunc = run.params, run.cfg.truncation
+    scaled = g_table(n_trunc, p) * p.mu_array()  # G(n) D(mu)
+    resid = np.max(np.abs(scaled[1:] @ shift_table(n_trunc - 1, p) - scaled[:-1]), axis=(1, 2))
     scales = _finite_scale(scaled[:-1], axis=(1, 2))
     (degree,) = _first_worst(resid / scales)
     return _measured(float(resid[degree] / scales[degree]), degree=degree, scale=float(scales[degree]))
 
 
-def check_commutator_f(cfg: RunConfig) -> Measurement:
+def check_commutator_f(run: Run) -> Measurement:
     """[F, T] = -T^2 on the blocks of T_N: F_(n+1) W(n) - W(n+1) F_n + W(n+1) W(n) for degrees n <= N - 2.
 
     F_n = -diag_j(e_(n+1)[j]) = E_(n+1)^T takes degree n to n + 1, with e_n[j] = sqrt(K (2*lam_j + K - 1)),
     K = n - j, computed here from lam_j and not read from shift_table, so a wrong weight there shows.
-    The largest entry over the active columns j <= n is relative to max e * max_n ||W(n)||_F (finite
-    norms only), and the record names the worst degree and that scale.
+    The largest entry over the active columns j <= n is relative to max(1, max e * max_n ||W(n)||_F)
+    (finite norms only), and the record names the worst degree and that scale.
     """
-    p, n_trunc = cfg.params(), cfg.truncation
+    p, n_trunc = run.params, run.cfg.truncation
     if n_trunc < 2:
         return _measured(0.0, f"[F, T] = -T^2 maps degree n to n + 2: truncation {n_trunc} < 2 has no such block")
     w = shift_table(n_trunc - 1, p)  # W(0), ..., W(N-1), the blocks of T_N
@@ -386,8 +397,9 @@ def check_commutator_f(cfg: RunConfig) -> Measurement:
     e = np.sqrt(big_k * np.maximum(2.0 * p.lam - p.m + 2 * cols + big_k - 1, 0.0))  # e[n, j], n <= N
     resid = w[1:] * e[1:-1, None, :] - e[2:, :, None] * w[:-1] + w[1:] @ w[:-1]  # [n, row, column]
     resid = np.where(cols <= np.arange(n_trunc - 1)[:, None, None], np.abs(resid), 0.0)  # active columns j <= n
-    norms = np.linalg.norm(w, axis=(1, 2))
-    scale = float(np.max(e)) * float(np.max(norms, where=np.isfinite(norms), initial=0.0))
+    peak = _finite_scale(w)
+    norms = np.linalg.norm(w / peak, axis=(1, 2)) * peak  # divided first, so no square of an entry overflows
+    scale = max(1.0, float(np.max(e)) * float(np.max(norms, where=np.isfinite(norms), initial=0.0)))
     per_degree = np.max(resid, axis=(1, 2))
     (degree,) = _first_worst(per_degree)
     return _measured(float(per_degree[degree]) / scale, degree=degree, scale=scale)
@@ -396,18 +408,16 @@ def check_commutator_f(cfg: RunConfig) -> Measurement:
 # ------------------------------------------------------------------- rep suite
 
 
-def check_cocycle_sweep(cfg: RunConfig) -> Measurement:
+def check_cocycle_sweep(run: Run) -> Measurement:
     """Largest cocycle residual over 100 element pairs and 17 points, with the pair, point and scale where it sits.
 
     Each residual is relative to max(1, ||J_h(z)||_F ||J_g(h.z)||_F), the bound ||AB||_F <= ||A||_F ||B||_F.
     """
-    p = cfg.params()
-    rep = TriangularRep.from_params(p)
     generators = (("x", X_UPPER), ("y", Y_LOWER), ("X0", X0), ("X1", X1), ("Y", Y))
     labels, elements = zip(*[(f"exp({t}*{name})", exp_basis(e, t)) for name, e in generators for t in (0.2, -0.13)])
     zs = [complex(zr, zi) for zr in (-0.5, -0.25, 0.0, 0.25, 0.5) for zi in (-0.3, -0.1, 0.0, 0.2, 0.35)]
     zs = np.array([z for z in zs if abs(z) <= 0.5][:25])
-    residuals, scales = check_cocycle(elements, elements, zs, p, rep)  # [g, h, point]
+    residuals, scales = check_cocycle(elements, elements, zs, run.params, run.rep)  # [g, h, point]
     relative = residuals / scales
     i, k, s = _first_worst(relative)
     return _measured(
@@ -420,27 +430,26 @@ def check_cocycle_sweep(cfg: RunConfig) -> Measurement:
     )
 
 
-def check_rotation_multiplier(cfg: RunConfig) -> Measurement:
-    p = cfg.params()
-    rep = TriangularRep.from_params(p)
+def check_rotation_multiplier(run: Run) -> Measurement:
+    """max |J_k(z) J_k(0)^-1 - I| over the grid for two rotations k; absolute, since I has scale 1."""
+    p, rep = run.params, run.rep
     devs = []
     for theta in (0.15, -0.3):
         k = GroupElement.rotation(theta)
         j0_inv = np.linalg.inv(multiplier_J(k, 0.0, p, rep))
-        devs.append(np.abs(multiplier_J(k, cfg.grid().points, p, rep) @ j0_inv - np.eye(p.m + 1)))
+        devs.append(np.abs(multiplier_J(k, run.grid.points, p, rep) @ j0_inv - np.eye(p.m + 1)))
     return _measured(float(np.max(devs)))
 
 
-def check_holomorphy(cfg: RunConfig) -> Measurement:
+def check_holomorphy(run: Run) -> Measurement:
     """max |dJ/dx - dJ/(i dy)| for J_g by central differences at four seeded points.
 
     J is the multiplier the cocycle needs; its factor (g')^eta is holomorphic where Re(cz + d) > 0.
     """
-    p = cfg.params()
-    rep = TriangularRep.from_params(p)
+    p, rep = run.params, run.rep
     g = exp_basis(X1, 0.17)
     h = 1e-6
-    zs = np.array(seeded_points(cfg.seed + 7, 4, cfg.r_max))
+    zs = np.array(seeded_points(run.cfg.seed + 7, 4, run.cfg.r_max))
     dx = (multiplier_J(g, zs + h, p, rep) - multiplier_J(g, zs - h, p, rep)) / (2 * h)
     dy = (multiplier_J(g, zs + 1j * h, p, rep) - multiplier_J(g, zs - 1j * h, p, rep)) / (2j * h)
     return _measured(float(np.max(np.abs(dx - dy))))
@@ -452,14 +461,14 @@ def _test_polynomials(p: ModelParams, seed: int, degree: int = 15, count: int = 
     return parts[:, 0] + 1j * parts[:, 1]
 
 
-def check_sl2(cfg: RunConfig) -> Measurement:
+def check_sl2(run: Run) -> Measurement:
     """[H, E] = E, [H, F] = -F and [E, F] = -2H on three degree-15 polynomials, with the worst relation and scale.
 
     Each relation on each polynomial is relative to max(1, the largest max |coeff| of its three
     terms), since H and F scale a coefficient by about lam + degree.
     """
-    p = cfg.params()
-    f = _test_polynomials(p, cfg.seed + 8)
+    p = run.params
+    f = _test_polynomials(p, run.cfg.seed + 8)
     e_f, h_f, f_f = op_E(f), op_H(f, p), op_F(f, p)
     relations = {  # name: (the two products of the commutator, the right side)
         "[H,E]=E": (op_H(e_f, p), op_E(h_f), e_f),
@@ -477,12 +486,12 @@ def check_sl2(cfg: RunConfig) -> Measurement:
     return _measured(float(relative[r, b]), degree=15, relation=list(relations)[r], scale=float(scales[r, b]))
 
 
-def check_ladder_recursion(cfg: RunConfig) -> Measurement:
+def check_ladder_recursion(run: Run) -> Measurement:
     """(-F)^n eps_j, stepped by op_F and an exact negation, against u_closed (n <= 15), relative to max(1, max |u|).
 
     The m+1 ladders step together as one stack c[j, d, l].
     """
-    p = cfg.params()
+    p = run.params
     js = np.arange(p.m + 1)
     current = u_closed(js, 0, p)
     dev = []
@@ -493,26 +502,26 @@ def check_ladder_recursion(cfg: RunConfig) -> Measurement:
     return _measured(float(np.max(dev)), max_n=15)
 
 
-def check_k_type(cfg: RunConfig) -> Measurement:
-    p = cfg.params()
-    rep = TriangularRep.from_params(p)
+def check_k_type(run: Run) -> Measurement:
+    """max ||(U_k f)(z0)| - |f(z0)|| for the monomials f = z^n eps_j, n in {j, j + 2}, each relative to max |f(z0)|."""
+    p = run.params
     g = GroupElement.rotation(0.4)
     residuals = []
     z0 = 0.31 + 0.12j
     for j in range(p.m + 1):
         for n in (j, j + 2):
             mono = VectorPolynomial.monomial(p.m, j, n)
-            vals = act_U(g, mono, p, rep)(z0)
+            vals = act_U(g, mono, p, run.rep)(z0)
             ref = mono(z0)
             # Relative to the monomial's own size |z0|^n, so a high degree neither empties nor zeroes the check.
             residuals.append(np.max(np.abs(np.abs(vals) - np.abs(ref))) / np.max(np.abs(ref)))
     return _measured(float(np.max(residuals)))
 
 
-def check_infinitesimal(cfg: RunConfig) -> Measurement:
-    p = cfg.params()
-    rep = TriangularRep.from_params(p)
-    c = _test_polynomials(p, cfg.seed + 9, degree=6, count=1)[0]
+def check_infinitesimal(run: Run) -> Measurement:
+    """max |(U_exp(hX) f - U_exp(-hX) f)(z) / 2h - (dU(X) f)(z)| for X = x, H, y at two points, absolute."""
+    p, rep = run.params, run.rep
+    c = _test_polynomials(p, run.cfg.seed + 9, degree=6, count=1)[0]
     f = VectorPolynomial(c)
     h = 1e-6
     residuals = []
@@ -533,43 +542,37 @@ def check_infinitesimal(cfg: RunConfig) -> Measurement:
 # -------------------------------------------------------------- operator suite
 
 
-def check_homog_rotation(cfg: RunConfig) -> Measurement:
+def check_homog_rotation(run: Run) -> Measurement:
     """Homogeneity at N = 40 for two rotations: a rotation check of the representation code.
 
     Every graded block shift is rotation-circular, whatever its W(n), so this cannot see T.
     """
-    p = cfg.params()
-    rep = TriangularRep.from_params(p)
     angles = (0.3, -0.45)
-    residuals = [check_homogeneity(GroupElement.rotation(t), p, rep, 40) for t in angles]
+    residuals = [check_homogeneity(GroupElement.rotation(t), run.params, run.rep, 40) for t in angles]
     (e,) = _first_worst(residuals)
     return _measured(residuals[e], truncation=40, worst_element=f"rotation({angles[e]})")
 
 
-def check_homog_interior(cfg: RunConfig) -> Measurement:
+def check_homog_interior(run: Run) -> Measurement:
     """Homogeneity at N = 40, guard band 5, for exp(0.05 X1) and exp(0.05 Y), both residuals recorded.
 
     A rotation conjugates one element into the other, so their residuals agree to rounding and
     the record names no worst element.
     """
-    p = cfg.params()
-    rep = TriangularRep.from_params(p)
     residuals = {
-        f"exp(0.05*{name})": check_homogeneity(exp_basis(elem, 0.05), p, rep, 40)
+        f"exp(0.05*{name})": check_homogeneity(exp_basis(elem, 0.05), run.params, run.rep, 40)
         for name, elem in (("X1", X1), ("Y", Y))
     }
     return _measured(float(np.max(list(residuals.values()))), truncation=40, guard_band=5, residuals=residuals)
 
 
-def check_homog_monotone(cfg: RunConfig) -> Measurement:
+def check_homog_monotone(run: Run) -> Measurement:
     """Largest rise of the homogeneity residual of exp(0.05 X1) over N = 20, 40, 60.
 
     It reads 0 at every model measured, and still reads 0 under a wrong W(3).
     """
-    p = cfg.params()
-    rep = TriangularRep.from_params(p)
     g = exp_basis(X1, 0.05)
-    seq = [check_homogeneity(g, p, rep, n, window=15) for n in (20, 40, 60)]
+    seq = [check_homogeneity(g, run.params, run.rep, n, window=15) for n in (20, 40, 60)]
     return _measured(
         float(np.max(np.diff(seq), initial=0.0)),
         residuals={f"N{n}": s for n, s in zip((20, 40, 60), seq)},
@@ -577,19 +580,18 @@ def check_homog_monotone(cfg: RunConfig) -> Measurement:
     )
 
 
-def check_unitarity(cfg: RunConfig) -> Measurement:
+def check_unitarity(run: Run) -> Measurement:
     """Frobenius norm of U^*U - I on the slots of degree <= N - guard, one component U_j at a time.
 
     U_g is block diagonal in j, so U^*U is too: its block j is U_j^*U_j, and the slots of
     component j with degree <= N - guard are the columns K <= N - guard - j of U_j.
     """
-    p = cfg.params()
-    rep = TriangularRep.from_params(p)
+    p = run.params
     n_trunc, guard = 40, 10
     window = n_trunc - guard
     norms, losses = [], []
     for g in (GroupElement.rotation(0.3), exp_basis(X1, 0.1), exp_basis(Y, -0.1)):
-        res = representation_matrix(g, p, rep, n_trunc)
+        res = representation_matrix(g, p, run.rep, n_trunc)
         total = 0.0
         for j in range(min(p.m, window) + 1):
             u_j = res.blocks[: n_trunc + 1 - j, : window + 1 - j, j]
@@ -599,14 +601,13 @@ def check_unitarity(cfg: RunConfig) -> Measurement:
     return _measured(float(np.max(norms)), truncation=n_trunc, guard_band=guard, truncation_loss=float(np.max(losses)))
 
 
-def check_calculus_rotation(cfg: RunConfig) -> Measurement:
+def check_calculus_rotation(run: Run) -> Measurement:
     """max |g(T) - e^(i theta) T| for rotations g, on the degree blocks: W(n) sits at (n+1, n), zeros elsewhere.
 
     A rotation check of the calculus code: g(T) = e^(i theta) T for every block shift, so this cannot see T.
     """
-    p = cfg.params()
-    n_trunc, size = min(cfg.truncation, 40), p.m + 1
-    t_op = truncate(p, n_trunc)
+    n_trunc, size = min(run.cfg.truncation, 40), run.params.m + 1
+    t_op = truncate(run.params, n_trunc)
     sub = (np.arange(1, n_trunc + 1), slice(None), np.arange(n_trunc), slice(None))  # the blocks (n+1, n)
     devs = []
     for theta in (0.3, -0.7):
@@ -675,17 +676,17 @@ def _config_echo(cfg: RunConfig, suite: str) -> dict:
     }
 
 
-def _run_check(check: Check, cfg: RunConfig) -> CheckResult:
+def _run_check(check: Check, run: Run) -> CheckResult:
     """Run one check and stamp its registered name and tolerance onto the record."""
     try:
-        residual, parameters, note = check.fn(cfg)
+        residual, parameters, note = check.fn(run)
     except SingularKernelColumnError as exc:
         residual, parameters, note = float("inf"), {}, f"ill-conditioned K(z, 0): {exc}"
     except NormalizationError as exc:
         residual, parameters, note = float("inf"), {}, f"degenerate normalization: {exc}"
     except SingularResolventError as exc:
         residual, parameters, note = float("inf"), {}, f"singular resolvent: {exc}"
-    tol = cfg.tolerance(check.name)
+    tol = run.cfg.tolerance(check.name)
     return CheckResult(
         name=check.name,
         parameters=parameters,
@@ -697,14 +698,11 @@ def _run_check(check: Check, cfg: RunConfig) -> CheckResult:
 
 
 def run_suite(cfg: RunConfig, suite: str = "all") -> VerificationReport:
-    """Run the selected checks one at a time, in registry order, and assemble the report."""
+    """Run the selected checks one at a time, in registry order, on one Run, and assemble the report."""
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
-    token = _RUN_GRID.set({})
-    try:
-        results = [_run_check(check, cfg) for check in CHECKS if suite in ("all", check.suite)]
-    finally:
-        _RUN_GRID.reset(token)
+    run = Run(cfg)
+    results = [_run_check(check, run) for check in CHECKS if suite in ("all", check.suite)]
     return VerificationReport(
         config=_config_echo(cfg, suite),
         environment=_environment(),

@@ -434,6 +434,14 @@ def test_verify_kernel_suite_at_high_truncation(tmp_path):
     assert all(c["residual"] is not None and c["passed"] for c in report["checks"])  # null marks non-finite
 
 
+def test_verify_shift_suite_where_the_shift_norms_overflow():
+    # mu = (1, 1e-160, 1) puts mu-ratios of 1e160 into W(n), so ||W(n)||_F^2 leaves the float range.
+    res = call_cli("verify", "--lambda", "1.6", "--m", "2", "--mu", "1,1e-160,1", "--suite", "shift")
+    assert res.returncode == 0 and res.stderr == ""
+    (record,) = [c for c in json.loads(res.stdout)["checks"] if c["name"] == "commutator_F"]
+    assert record["passed"] and math.isfinite(record["parameters"]["scale"])
+
+
 def test_verify_kernel_suite_on_a_small_grid_radius(tmp_path):
     # --rmax scales the 12 grid points to radii rmax * (0.3, 0.6, 0.9); 0.3 once put them outside it.
     out = tmp_path / "report.json"

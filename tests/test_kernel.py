@@ -20,7 +20,7 @@ from cdhom import (
     normalize_kernel,
 )
 from cdhom import goldens
-from cdhom.kernel import d_j_diagonal, kernel_Bj_closed, kernel_Kj
+from cdhom.kernel import _kernel_grid, _quasi_invariance_worst, d_j_diagonal, kernel_Bj_closed, kernel_Kj
 from cdhom.mobius import X0, X1, Y, act
 from cdhom.representation import multiplier_J
 from cdhom.scalars import cpow_principal
@@ -369,11 +369,11 @@ def test_quasi_invariance_subgroup_sweep(elem, t):
 
 
 def test_quasi_invariance_sequence_matches_single_calls():
-    p, rep = make(1.6, 2, (1.0, 0.7, 1.3))
+    # The quasi_invariance check measures all its elements in one call, against one K grid.
+    p, rep, grid = *make(1.6, 2, (1.0, 0.7, 1.3)), default_grid()
     elements = [GroupElement.identity(), GroupElement.rotation(0.3), exp_basis(X1, 0.1), exp_basis(Y, -0.2)]
-    together = check_quasi_invariance(elements, default_grid(), p, rep)
-    assert together == [check_quasi_invariance(g, default_grid(), p, rep) for g in elements]
-    assert check_quasi_invariance(iter(elements[2:]), default_grid(), p, rep) == together[2:]
+    together = _quasi_invariance_worst(elements, grid, p, rep, _kernel_grid(grid.points, p))
+    assert [r for r, *_ in together] == [check_quasi_invariance(g, grid, p, rep) for g in elements]
 
 
 def test_quasi_invariance_is_relative_to_the_product_scale():

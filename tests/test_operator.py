@@ -23,7 +23,7 @@ from cdhom.basis import basis_value_matrix, basis_values
 from cdhom.mobius import X1, Y, act
 from cdhom.operator import reproducing_coefficients, shift_table
 from cdhom.representation import multiplier_J
-from cdhom.verify import RunConfig, check_homog_interior, check_unitarity
+from cdhom.verify import Run, RunConfig, check_homog_interior, check_unitarity
 from helpers import active_slots, g_reference
 
 REF_M6 = (3.7, 6, (1.0, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7))
@@ -617,7 +617,7 @@ def test_representation_typed_errors():
 
 def test_operator_checks_pass_at_m8():
     cfg = RunConfig(lam=5.0, m=8, mu=(1.0,) * 9)
-    residual, params, _ = check_unitarity(cfg)
+    residual, params, _ = check_unitarity(Run(cfg))
     assert residual <= 1e-6
     p, rep = make(5.0, 8)
     losses = [
@@ -625,7 +625,7 @@ def test_operator_checks_pass_at_m8():
         for g in (GroupElement.rotation(0.3), exp_basis(X1, 0.1), exp_basis(Y, -0.1))
     ]
     assert 0.0 < params["truncation_loss"] == max(losses) < 1.0
-    residual, params, _ = check_homog_interior(cfg)
+    residual, params, _ = check_homog_interior(Run(cfg))
     assert residual == max(params["residuals"].values()) <= 1e-4
     # A rotation conjugates exp(0.05 X1) into exp(0.05 Y), so both are recorded and neither is named.
     x1, y = params["residuals"]["exp(0.05*X1)"], params["residuals"]["exp(0.05*Y)"]
@@ -661,7 +661,7 @@ def test_unitarity_check_matches_the_dense_gram(monkeypatch, m, lam):
 
     monkeypatch.setattr(RepresentationMatrixResult, "matrix", property(refuse))
     cfg = RunConfig(lam=lam, m=m, mu=p.mu)
-    residual, _, _ = check_unitarity(cfg)
+    residual, _, _ = check_unitarity(Run(cfg))
     assert abs(residual - dense) <= 1e-14, (residual, dense)
     assert residual <= cfg.tolerance("representation_unitarity")
 

@@ -80,6 +80,8 @@ def test_result_attributes_the_benchmark_reads_exist():
         "representation_matrix": cdhom.representation_matrix(g, p, cdhom.TriangularRep.from_params(p), 4),
     }
     text = (PERFBENCH / "workloads.py").read_text()
+    # kernel-grid compares the residual of one element with a tolerance.
+    assert type(cdhom.check_quasi_invariance(g, grid, p, cdhom.TriangularRep.from_params(p))) is float
     for function, result in results.items():
         attrs = set(re.findall(rf"\.{function}\([^()]*\)\.(\w+)", text))
         assert attrs, f"the benchmark no longer reads a result of {function}"

@@ -17,6 +17,7 @@ from cdhom.representation import TriangularRep, check_cocycle, multiplier_J
 from cdhom.verify import (
     CHECKS,
     DEFAULT_TOLERANCES,
+    Run,
     RunConfig,
     check_cocycle_sweep,
     check_golden_g,
@@ -65,30 +66,30 @@ def test_kernel_symmetry_checks_are_relative_to_the_kernel_scale():
     def scale(pairs):
         return max(1.0, max(float(np.max(np.abs(kernel_full(z, w, p)))) for z, w in pairs))
 
-    residual, parameters, _ = check_hermitian_symmetry(cfg)
+    residual, parameters, _ = check_hermitian_symmetry(Run(cfg))
     assert parameters["scale"] == scale([(z, w) for z in pts for w in pts]) > 1.0
     assert residual <= 1e-15  # an ulp of |K| is about 2e-15 here, so the relative residual is below 2e-16
     seeded = seeded_points(cfg.seed + 3, 3, cfg.r_max)
-    residual, parameters, _ = check_monotone_truncation(cfg)
+    residual, parameters, _ = check_monotone_truncation(Run(cfg))
     assert parameters["scale"] == scale(zip(seeded, seeded[::-1])) > 1.0
     assert residual <= cfg.tolerance("monotone_truncation")
 
 
 def test_monotone_truncation_catches_a_deviation_that_grows_with_the_cut(monkeypatch):
     cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
-    assert check_monotone_truncation(cfg)[0] <= cfg.tolerance("monotone_truncation")
+    assert check_monotone_truncation(Run(cfg))[0] <= cfg.tolerance("monotone_truncation")
     series = verify.kernel_series
     monkeypatch.setattr(verify, "kernel_series", lambda z, w, p, n: series(z, w, p, n) + 1e-9 * n * np.eye(p.m + 1))
-    assert check_monotone_truncation(cfg)[0] > cfg.tolerance("monotone_truncation")
+    assert check_monotone_truncation(Run(cfg))[0] > cfg.tolerance("monotone_truncation")
 
 
 def test_positive_definite_is_relative_to_the_gram_scale():
     # max |K| is about 2e16 here, so the min eigenvalue -2.43 is rounding; quasi_invariance is relative too.
     cfg = RunConfig(lam=1.0, m=1, mu=(1e-8, 1e8))
-    residual, parameters, _ = check_pd(cfg)
+    residual, parameters, _ = check_pd(Run(cfg))
     assert parameters["min_eigenvalue"] < -1.0 and parameters["scale"] > 1e16
     assert residual == -parameters["min_eigenvalue"] / parameters["scale"] <= cfg.tolerance("positive_definite")
-    assert check_qi(cfg)[0] <= cfg.tolerance("quasi_invariance")  # its scale reads K at the moved points
+    assert check_qi(Run(cfg))[0] <= cfg.tolerance("quasi_invariance")  # its scale reads K at the moved points
 
 
 def _oracle_deviation(cfg):
@@ -107,13 +108,13 @@ def test_kernel_oracle_is_relative_to_the_kernel_scale():
     # |K| > 1 on the grid: the deviation is divided by max |K| over the pairs compared.
     cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
     deviation, pair, scale = _oracle_deviation(cfg)
-    residual, parameters, _ = check_kernel_oracle(cfg)
+    residual, parameters, _ = check_kernel_oracle(Run(cfg))
     assert parameters == {"truncation": cfg.truncation, "pair": pair, "scale": scale} and scale > 1.0
     assert residual == deviation / scale <= cfg.tolerance("kernel_oracle")
     # |K| <= 1 on the grid (mu_0^2 / (1 - r^2)^(2 lam) < 0.45): the residual is the absolute deviation.
     cfg = RunConfig(lam=1.0, m=0, mu=(0.5,))
     deviation, _, scale = _oracle_deviation(cfg)
-    residual, parameters, _ = check_kernel_oracle(cfg)
+    residual, parameters, _ = check_kernel_oracle(Run(cfg))
     assert parameters["scale"] == scale == 1.0
     assert residual == deviation
 
@@ -122,10 +123,10 @@ def test_normalization_records_the_worst_condition_of_k_z0():
     cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
     p = cfg.params()
     conds = [float(np.linalg.cond(kernel_full(z, 0.0, p))) for z in cfg.grid().points]
-    residual, parameters, _ = check_normalization(cfg)
+    residual, parameters, _ = check_normalization(Run(cfg))
     assert parameters == {"cond_k_z0": max(conds)} and max(conds) > 1.0
     assert residual <= cfg.tolerance("normalization")
-    _, parameters, _ = check_normalization(RunConfig(lam=1.0, m=0, mu=(1.0,)))
+    _, parameters, _ = check_normalization(Run(RunConfig(lam=1.0, m=0, mu=(1.0,))))
     assert parameters["cond_k_z0"] == 1.0  # a 1x1 K(z, 0)
 
 
@@ -139,7 +140,7 @@ def test_run_config_rejects_tolerance_overrides_that_are_not_finite_and_nonnegat
 def test_cocycle_records_the_worst_pair_and_point():
     cfg = RunConfig(lam=3.7, m=6, mu=(1.0, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7))
     p = cfg.params()
-    residual, parameters, _ = check_cocycle_sweep(cfg)
+    residual, parameters, _ = check_cocycle_sweep(Run(cfg))
     assert parameters["pairs"] == 100 and parameters["points"] == 17
     labels = {f"exp({t}*{name})": exp_basis(e, t) for name, e in GENERATORS for t in (0.2, -0.13)}
     g, h = (labels[label] for label in parameters["worst_pair"])
@@ -156,7 +157,7 @@ def test_quasi_invariance_records_the_worst_pair_and_scale(lam, m, mu):
     cfg = RunConfig(lam=lam, m=m, mu=mu)
     p, pts = cfg.params(), cfg.grid().points
     rep = TriangularRep.from_params(p)
-    residual, parameters, _ = check_qi(cfg)
+    residual, parameters, _ = check_qi(Run(cfg))
     labels = dict(verify._subgroup_elements())
     g = labels[parameters["worst_element"]]
     z, w = (complex(*point) for point in parameters["pair"])
@@ -168,7 +169,7 @@ def test_quasi_invariance_records_the_worst_pair_and_scale(lam, m, mu):
     scale = max(1.0, float(j_norms[i] * np.linalg.norm(moved) * j_norms[k]))
     at_worst = float(np.linalg.norm(jz[i] @ moved @ jz[k].conj().T - kernel_full(z, w, p))) / scale
     assert parameters["scale"] == scale >= 1.0
-    assert at_worst == residual == max(check_quasi_invariance(labels.values(), cfg.grid(), p, rep))
+    assert at_worst == residual == max(check_quasi_invariance(h, cfg.grid(), p, rep) for h in labels.values())
     record = next(c for c in run_suite(cfg, "kernel").checks if c.name == "quasi_invariance")
     assert record.parameters == parameters
 
@@ -176,7 +177,7 @@ def test_quasi_invariance_records_the_worst_pair_and_scale(lam, m, mu):
 def test_hermitian_symmetry_records_the_worst_pair():
     cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
     p, pts = cfg.params(), cfg.grid().points
-    residual, parameters, _ = check_hermitian_symmetry(cfg)
+    residual, parameters, _ = check_hermitian_symmetry(Run(cfg))
     z, w = (complex(*point) for point in parameters["pair"])
     at_worst = float(np.max(np.abs(kernel_full(z, w, p) - kernel_full(w, z, p).conj().T)))
     assert residual == at_worst / parameters["scale"] > 0.0
@@ -190,15 +191,16 @@ def test_hermitian_symmetry_does_not_pass_over_a_nan(monkeypatch):
     def poisoned(z, w, params):
         return kernel_full(z, w, params) * (np.nan if (z, w) == (pts[3], pts[5]) else 1.0)
 
+    monkeypatch.setattr(kernel, "kernel_full", poisoned)  # z_3, z_5 is a pair i <= k, which Run.k_grid evaluates
     monkeypatch.setattr(verify, "kernel_full", poisoned)
-    residual, parameters, _ = check_hermitian_symmetry(cfg)
+    residual, parameters, _ = check_hermitian_symmetry(Run(cfg))
     assert np.isnan(residual)
     assert parameters["pair"] == [[pts[3].real, pts[3].imag], [pts[5].real, pts[5].imag]]
 
 
 def test_kernel_checks_evaluate_each_unordered_grid_pair_once(monkeypatch):
-    # The 12-point grid has 144 ordered pairs and 78 with i <= k.  Only hermitian_symmetry,
-    # which licenses the mirror, evaluates every ordered pair.
+    # The 12-point grid has 144 ordered pairs and 78 with i <= k.  Only hermitian_symmetry, which
+    # licenses the mirror, evaluates every ordered pair: 78 through Run.k_grid and 66 pairs k < i itself.
     cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
     p, grid = cfg.params(), cfg.grid()
     calls = []
@@ -215,17 +217,17 @@ def test_kernel_checks_evaluate_each_unordered_grid_pair_once(monkeypatch):
         fn(*args)
         return len(calls)
 
-    assert evaluations(check_hermitian_symmetry, cfg) == 144
-    assert evaluations(check_kernel_oracle, cfg) == 78
-    assert evaluations(check_pd, cfg) == 78
-    assert evaluations(check_qi, cfg) == 78 * 10  # the fixed grid, then one moved grid per subgroup element
+    assert evaluations(check_hermitian_symmetry, Run(cfg)) == 144
+    assert evaluations(check_kernel_oracle, Run(cfg)) == 78
+    assert evaluations(check_pd, Run(cfg)) == 78
+    assert evaluations(check_qi, Run(cfg)) == 78 * 10  # the fixed grid, then one moved grid per subgroup element
     one = evaluations(check_quasi_invariance, exp_basis(X1, 0.1), grid, p, TriangularRep.from_params(p))
     assert one == 156
 
 
 def test_a_kernel_run_evaluates_the_grid_once(monkeypatch):
-    # hermitian_symmetry's 144 ordered pairs; kernel_oracle and positive_definite read their mirror,
-    # quasi_invariance its fixed grid, so it evaluates only 9 moved grids of 78; 13 + 3 for the rest.
+    # Run.k_grid's 78 pairs i <= k, which kernel_oracle, positive_definite and quasi_invariance's fixed grid
+    # read too; hermitian_symmetry's 66 pairs k < i; 9 moved grids of 78; 13 + 3 for the rest.
     cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
     calls = []
 
@@ -236,46 +238,18 @@ def test_a_kernel_run_evaluates_the_grid_once(monkeypatch):
     monkeypatch.setattr(kernel, "kernel_full", counted)
     monkeypatch.setattr(verify, "kernel_full", counted)
     run_suite(cfg, "kernel")
-    assert len(calls) == 144 + 9 * 78 + 13 + 3 == 862
-
-
-SHARED_GRID_MODELS = [
-    (1.0, 1, (1.0, 1.0)),
-    (1.6, 2, (1.0, 0.7, 1.3)),
-    (3.7, 6, (1.0, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7)),
-    (1.0, 1, (1e-8, 1e8)),
-]
-
-
-@pytest.mark.parametrize("lam,m,mu", SHARED_GRID_MODELS)
-def test_the_shared_grid_loses_nothing(lam, m, mu):
-    # Each record of a kernel run equals, bit for bit, the one its check gives on its own grid.
-    cfg = RunConfig(lam=lam, m=m, mu=mu)
-    alone = tuple(verify._run_check(check, cfg) for check in CHECKS if check.suite == "kernel")
-    assert repr(run_suite(cfg, "kernel").checks) == repr(alone)
+    assert len(calls) == 78 + 66 + 9 * 78 + 13 + 3 == 862
 
 
 def test_the_shared_grid_does_not_outlive_its_run(monkeypatch):
     cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
-    seen = []
-    gram_report = verify._gram_report
-    monkeypatch.setattr(verify, "_gram_report", lambda k_grid: seen.append(k_grid) or gram_report(k_grid))
+    assert not Run(cfg).k_grid.flags.writeable
+    # A clean run, then a fault in K on the same RunConfig object: a grid kept from the clean run would hide it.
     assert run_suite(cfg, "kernel").passed
-    assert not seen[0].flags.writeable and verify._RUN_GRID.get() is None
-    # The same RunConfig object with a fault planted in K: a grid kept from the clean run would hide it.
     plant, expected = KERNEL_FAULTS["D_0[1,1] x1.01"]
     plant(monkeypatch)
     assert {"kernel_oracle", "quasi_invariance"} <= expected
     assert {c.name for c in run_suite(cfg, "kernel").checks if not c.passed} == expected
-    # A run that raises after hermitian_symmetry filled the slot drops it too.
-    monkeypatch.setattr(verify, "normalize_kernel", lambda params, grid: 1 / 0)
-    with pytest.raises(ZeroDivisionError):
-        run_suite(cfg, "kernel")
-    assert verify._RUN_GRID.get() is None
-    calls = []
-    monkeypatch.setattr(kernel, "kernel_full", lambda z, w, params: calls.append(1) or np.eye(3, dtype=complex))
-    check_kernel_oracle(cfg)
-    assert len(calls) == 78  # called on its own, the check evaluates its own grid
 
 
 def test_grid_checks_name_the_first_nan_pair(monkeypatch):
@@ -290,7 +264,7 @@ def test_grid_checks_name_the_first_nan_pair(monkeypatch):
     monkeypatch.setattr(kernel, "kernel_full", poisoned)
     monkeypatch.setattr(verify, "kernel_full", poisoned)
     for check in (check_hermitian_symmetry, check_kernel_oracle, check_qi):
-        residual, parameters, _ = check(cfg)
+        residual, parameters, _ = check(Run(cfg))
         assert np.isnan(residual)
         assert parameters["pair"] == [[pts[1].real, pts[1].imag], [pts[2].real, pts[2].imag]], check.__name__
 
@@ -344,7 +318,7 @@ def test_the_pair_reduction_loses_nothing(lam, m, mu):
     cfg = RunConfig(lam=lam, m=m, mu=mu)
     p, grid = cfg.params(), cfg.grid()
     deviation, _, scale = _oracle_deviation(cfg)
-    residual, parameters, _ = check_kernel_oracle(cfg)
+    residual, parameters, _ = check_kernel_oracle(Run(cfg))
     assert parameters["scale"] == pytest.approx(scale, rel=4 * eps, abs=0.0)
     assert abs(residual - deviation / scale) <= 4 * eps
     # One subgroup element of quasi_invariance; the check takes its pairs i <= k alone.
@@ -364,7 +338,7 @@ def test_the_pair_reduction_loses_nothing(lam, m, mu):
 def test_cocycle_sweep_memory_bounded():
     # The multipliers are batched over h and the points, one g at a time; all 100 pairs at once take several MB.
     cfg = RunConfig(lam=3.7, m=6, mu=(1.0, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7))
-    assert traced_peak(check_cocycle_sweep, cfg) <= 1.5e6
+    assert traced_peak(check_cocycle_sweep, Run(cfg)) <= 1.5e6
 
 
 # Each of these read above its tolerance while the golden checks were absolute.
@@ -388,7 +362,7 @@ def test_golden_checks_are_relative_to_the_closed_form_scale(lam, m, mu):
         * getattr(goldens, f"kernel_m{m}")(*(complex(*z) for z in where["pair"]), lam, *ratios),
     }
     for name, check in (("golden_g", check_golden_g), ("golden_w", check_golden_w), ("golden_k", check_golden_k)):
-        residual, parameters, _ = check(cfg)
+        residual, parameters, _ = check(Run(cfg))
         assert residual <= 1e-14 and residual <= cfg.tolerance(name), name
         assert parameters["scale"] == max(1.0, float(np.max(np.abs(closed[name](parameters)))))
 
@@ -397,7 +371,7 @@ def test_golden_checks_are_relative_to_the_closed_form_scale(lam, m, mu):
 def test_sl2_commutators_are_relative_to_their_own_terms_at_large_lambda(lam):
     # H and F scale a coefficient by about lam + degree; against max |f| alone, rounding read 1.7e-10 at lam = 600.
     cfg = RunConfig(lam=lam, m=2, mu=(1.0,) * 3)
-    residual, parameters, _ = verify.check_sl2(cfg)
+    residual, parameters, _ = verify.check_sl2(Run(cfg))
     assert residual <= 1e-15 and parameters["relation"] in ("[H,E]=E", "[H,F]=-F", "[E,F]=-2H")
     assert parameters["scale"] > lam
 
@@ -410,7 +384,7 @@ def test_cocycle_is_finite_where_the_squares_of_its_residual_overflow():
     g = exp_basis(Y_LOWER, 0.2)
     residual, scale = check_cocycle(g, g, -0.5, p, TriangularRep.from_params(p))
     assert 1e154 < residual < math.inf and residual / scale <= cfg.tolerance("cocycle")
-    residual, parameters, _ = check_cocycle_sweep(cfg)
+    residual, parameters, _ = check_cocycle_sweep(Run(cfg))
     assert residual <= cfg.tolerance("cocycle") and math.isfinite(parameters["scale"])
 
 
@@ -419,7 +393,7 @@ def test_commutator_f_records_its_degree_and_scale(lam, m, mu):
     # The scale is max e * max ||W(n)||_F, and max e = e_N[0] = sqrt(N (2 lam_0 + N - 1)).
     cfg = RunConfig(lam=lam, m=m, mu=mu)
     n_trunc, p = cfg.truncation, cfg.params()
-    residual, parameters, note = verify.check_commutator_f(cfg)
+    residual, parameters, note = verify.check_commutator_f(Run(cfg))
     max_e = math.sqrt(n_trunc * (2 * lam - m + n_trunc - 1))
     max_w = max(np.linalg.norm(shift_table(n_trunc - 1, p), axis=(1, 2)))
     assert parameters["scale"] == pytest.approx(max_e * max_w, rel=1e-15) and note == ""
@@ -428,9 +402,9 @@ def test_commutator_f_records_its_degree_and_scale(lam, m, mu):
 
 
 def test_commutator_f_needs_two_degrees_of_truncation():
-    residual, parameters, note = verify.check_commutator_f(RunConfig(lam=1.6, m=2, mu=(1.0,) * 3, truncation=1))
+    residual, parameters, note = verify.check_commutator_f(Run(RunConfig(lam=1.6, m=2, mu=(1.0,) * 3, truncation=1)))
     assert residual == 0.0 and parameters == {} and "truncation 1" in note
-    residual, parameters, _ = verify.check_commutator_f(RunConfig(lam=1.6, m=2, mu=(1.0,) * 3, truncation=2))
+    residual, parameters, _ = verify.check_commutator_f(Run(RunConfig(lam=1.6, m=2, mu=(1.0,) * 3, truncation=2)))
     assert parameters["degree"] == 0 and residual <= 1e-15
 
 
@@ -460,6 +434,7 @@ def test_a_nan_shift_weight_fails_the_shift_checks_that_read_it(monkeypatch):
             assert {key: record.parameters[key] for key in where} == where, name
             assert math.isfinite(record.parameters.get("scale", 1.0)), name
     assert "singular resolvent" in records["calculus_rotation"].note
+    assert "W(3) has a non-finite entry" in records["homogeneity_rotation"].note  # not the Taylor coefficients of g
 
 
 def test_a_nan_k_fails_monotone_truncation(monkeypatch):
@@ -471,7 +446,7 @@ def test_a_nan_k_fails_monotone_truncation(monkeypatch):
         return kernel_full(z, w, params) * (np.nan if (z, w) == (pts[0], pts[2]) else 1.0)
 
     monkeypatch.setattr(verify, "kernel_full", poisoned)
-    record = verify._run_check(next(c for c in CHECKS if c.name == "monotone_truncation"), cfg)
+    record = verify._run_check(next(c for c in CHECKS if c.name == "monotone_truncation"), Run(cfg))
     assert np.isnan(record.residual) and not record.passed
     finite = [kernel_full(pts[k], pts[2 - k], p) for k in (1, 2)]
     assert record.parameters["scale"] == max(float(np.max(np.abs(k))) for k in finite) > 1.0
@@ -492,7 +467,7 @@ def test_golden_checks_read_one_table_each(monkeypatch):
     for name in ("g_table", "shift_table"):
         monkeypatch.setattr(verify, name, counted(name))
     cfg = RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
-    check_golden_g(cfg), check_golden_w(cfg)
+    check_golden_g(Run(cfg)), check_golden_w(Run(cfg))
     assert calls == {("g_table", 20): 1, ("shift_table", 20): 1}
 
 
