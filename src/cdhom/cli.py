@@ -7,6 +7,10 @@ Exit codes: 0 success, 1 verification failure, 2 domain error, 3 config
 error (including parameters so large that a computed value overflows,
 sizes such as --nmax or --truncation whose arrays cannot be allocated, and
 an --out path that cannot be written).
+An --out file is rewritten in place: opened without truncation, written
+from its start and then, if it is a regular file, cut at the new length, so
+it keeps its inode, mode, symlinks and hard links.  Like a truncating open,
+this is not atomic.
 Output is JSON (schema under cdhom/schemas/) or flat CSV, with complex
 numbers serialized as {"re": ..., "im": ...}; identical config and seed
 produce byte-identical output.  The shift-weights and basis-emit tables
@@ -19,6 +23,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -91,10 +97,20 @@ def _params_from(args) -> ModelParams:
 
 
 def _write(path: Path, text: str):
-    """Write text to path, making its directory; a path that cannot be written is a config error."""
+    """Write text to path in place, making its directory; a path that cannot be written is a config error.
+
+    The file is opened without O_TRUNC, overwritten from its start and, if it is a regular
+    file, cut at the new length, so it keeps its inode, mode and links.  Truncating on open
+    makes ext4 flush the old contents when the file is closed: on a virtual disk that took
+    50-110 ms per rewrite of a 4 KB to 1.2 MB file, against 0.1 ms in place.  The rewrite
+    is no more atomic than a truncating one.
+    """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as file:
+            file.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(file.fileno()).st_mode):  # /dev/null and pipes cannot be truncated
+                file.truncate()
     except OSError as exc:
         raise ConfigError(f"cannot write --out {path}: {exc}") from exc
 

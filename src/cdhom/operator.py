@@ -30,9 +30,9 @@ D+_(lam_j)(g): a binomial series in its first column, and columns K..2K-1
 are the Toeplitz matrix of phi^K, shared by every j, times columns 0..K-1.
 
 Both operators are kept in this layout: T as its shift blocks W(n), U_g as
-its component blocks U_j.  The dense ((N+1)(m+1))^2 matrices over the slots
-i = n*(m+1) + j are assembled only on the first read of .matrix, and no
-verify check reads them.  The homogeneity check compares, for each
+its component blocks U_j = blocks[j], one square array per component.  The
+dense ((N+1)(m+1))^2 matrices over the slots i = n*(m+1) + j are assembled
+only on the first read of .matrix, and no verify check reads them.  The homogeneity check compares, for each
 component i, U_i^* T U_j' for every j' <= i side by side with g(T) in one
 product.
 """
@@ -231,8 +231,8 @@ def _block_calculus(g: GroupElement, t: TruncatedOperator, max_degree: int | Non
 class RepresentationMatrixResult:
     """U_g on degrees 0..N as its component blocks, and the largest share of a column's norm leaked past degree N.
 
-    blocks[M, N', j] is the entry of U_g from slot (j + N', j) to slot (j + M, j); the block of
-    component j is U_j = blocks[:N+1-j, :N+1-j, j], and blocks is zero outside these.
+    blocks[j, M, N'] is the entry of U_g from slot (j + N', j) to slot (j + M, j); the block of
+    component j is U_j = blocks[j, :N+1-j, :N+1-j], and blocks is zero outside these.
     """
 
     blocks: np.ndarray = field(repr=False)
@@ -241,10 +241,10 @@ class RepresentationMatrixResult:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense read-only matrix of U_g over the slots i = n*(m+1) + j, assembled from blocks on first read."""
-        n_trunc, size = self.blocks.shape[0] - 1, self.blocks.shape[2]
+        size, n_trunc = self.blocks.shape[0], self.blocks.shape[1] - 1
         out = np.zeros((n_trunc + 1, size, n_trunc + 1, size), dtype=complex)
         for j in range(min(size - 1, n_trunc) + 1):
-            out[j:, j, j:, j] = self.blocks[: n_trunc + 1 - j, : n_trunc + 1 - j, j]
+            out[j:, j, j:, j] = self.blocks[j, : n_trunc + 1 - j, : n_trunc + 1 - j]
         out = out.reshape((n_trunc + 1) * size, -1)
         out.flags.writeable = False
         return out
@@ -265,9 +265,11 @@ def representation_matrix(
     branch convention.  Column 0 is a binomial series.  Columns K..2K-1 are the lower-triangular
     Toeplitz matrix of phi^K, shared by every j, times columns 0..K-1, and the coefficients of
     phi^2K are those of phi^K convolved with themselves, so ceil(log2(N+1)) products fill the
-    N columns.  Each block compresses
-    a unitary matrix, so truncation_loss is the exact leak sqrt(1 - |column|^2), worst over the
-    columns; the subtraction resolves leaks above about 1e-8.  Raises NormalizationError when
+    N columns.  The series is built as [M, N', j], so the doubling runs over every j at once;
+    it is transposed once, and the result keeps U_j = blocks[j, :N+1-j, :N+1-j], each square
+    scaled by its own sqrt(r_N'/r_M).  Each block compresses a unitary matrix, so
+    truncation_loss is the exact leak sqrt(1 - |column|^2), worst over the columns; the
+    subtraction resolves leaks above about 1e-8.  Raises NormalizationError when
     2*lam <= m and OverflowError when a normalization or an entry leaves the float range.
     """
     m, size = params.m, params.m + 1
@@ -287,16 +289,20 @@ def representation_matrix(
             width, toeplitz = min(done, n_trunc + 1 - done), np.where(lags >= 0, power[lags], 0.0)
             series[:, done : done + width] = np.tensordot(toeplitz, series[:, :width], axes=1)
             done, power = done + width, np.convolve(power, power)[: n_trunc + 1]
-        blocks = series * (norms[None, :, :] / norms[:, None, :])
-    degree = deg[:, None] + np.arange(size)  # degree[K, j] = j + K, the degree of row or column K of U_j
-    blocks = np.where((degree[:, None, :] <= n_trunc) & (degree[None, :, :] <= n_trunc), blocks, 0.0)
+        series, norms = series.transpose(2, 0, 1), norms.T  # [j, M, N'] and [j, K]
+        blocks = np.zeros(series.shape, dtype=complex)
+        for j in range(min(m, n_trunc) + 1):  # U_j is the square of the degrees j + K <= N
+            top = n_trunc + 1 - j
+            scale = norms[j, None, :top] / norms[j, :top, None]  # sqrt(r_N' / r_M)
+            np.multiply(series[j, :top, :top], scale, out=blocks[j, :top, :top])
     if not (np.all(np.isfinite(norms)) and np.all(np.isfinite(blocks))):
         raise OverflowError(f"U_g on degrees <= {n_trunc} leaves the float range at lam = {params.lam}")
     blocks.flags.writeable = False
 
-    rel_loss = np.sqrt(np.maximum(0.0, 1.0 - np.sum(np.abs(blocks) ** 2, axis=0)))  # [N', j]
+    rel_loss = np.sqrt(np.maximum(0.0, 1.0 - np.sum(np.abs(blocks) ** 2, axis=1)))  # [j, N']
     # Columns at the truncation boundary always leak; only losses well inside
     # the guard band mean the truncation is too small for this group element.
+    degree = np.arange(size)[:, None] + deg  # degree[j, K] = j + K, the degree of row or column K of U_j
     interior = degree <= n_trunc - DEFAULT_GUARD_BAND
     if interior.any() and float(np.max(rel_loss[interior])) > 0.1:
         warnings.warn(
@@ -346,9 +352,9 @@ def check_homogeneity(
         for jp in range(i + 1):
             lo, width = (1 if i == jp else 0), window + 1 - jp  # row 0 of T U_i would come from below degree i
             weights = t_op.blocks[i + lo - 1 :, i, jp, None]  # W(i+M-1)[i, j'] for the rows M >= lo
-            t_u[lo:, col : col + width] = weights * u_blocks[lo + i - jp - 1 : n_trunc - jp, :width, jp]
+            t_u[lo:, col : col + width] = weights * u_blocks[jp, lo + i - jp - 1 : n_trunc - jp, :width]
             col += width
-        u_i = u_blocks[: n_trunc + 1 - i, : window + 1 - i, i]  # all rows, kept columns
+        u_i = u_blocks[i, : n_trunc + 1 - i, : window + 1 - i]  # all rows, kept columns
         rhs[:, :col] -= u_i.conj().T @ t_u  # the columns j' > i stay: T U_j' is zero there
         total += float(np.linalg.norm(rhs)) ** 2
     return math.sqrt(total)

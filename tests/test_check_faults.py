@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from cdhom import basis, kernel, operator, representation, verify
+from cdhom.mobius import X1, exp_basis
 from cdhom.representation import TriangularRep
 
 CFG = verify.RunConfig(lam=1.6, m=2, mu=(1.0, 0.7, 1.3))
@@ -159,7 +160,7 @@ def _u_entry(monkeypatch):
     def representation_matrix(g, params, rep, n_trunc):
         result = original(g, params, rep, n_trunc)
         blocks = result.blocks.copy()
-        blocks[1, 0, 0] += 0.01  # U_0 from degree 0 to degree 1
+        blocks[0, 1, 0] += 0.01  # U_0 from degree 0 to degree 1: blocks[j, M, N']
         return operator.RepresentationMatrixResult(blocks=blocks, truncation_loss=result.truncation_loss)
 
     for module in (operator, verify):
@@ -259,6 +260,16 @@ def test_fault_fails_exactly_the_checks_of_its_suite_that_can_see_it(monkeypatch
     plant, expected = FAULTS[suite][fault]
     plant(monkeypatch)
     assert _failing(suite) == expected
+
+
+def test_the_u_entry_plant_moves_only_the_slot_it_names(monkeypatch):
+    # U_0[1, 0] maps slot (0, 0) to slot (1, 0); in the dense layout i = n*(m+1) + j that is entry (m+1, 0).
+    p, g = CFG.params(), exp_basis(X1, 0.1)
+    rep = TriangularRep.from_params(p)
+    clean = operator.representation_matrix(g, p, rep, 10).matrix
+    _u_entry(monkeypatch)
+    moved = np.argwhere(operator.representation_matrix(g, p, rep, 10).matrix != clean)
+    assert moved.tolist() == [[p.m + 1, 0]]
 
 
 def _uncovered(*suites: str) -> set[str]:

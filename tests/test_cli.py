@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -312,16 +313,73 @@ def test_exit_code_config_errors(tmp_path):
         assert res.returncode == 3, argv
         assert res.stderr == "config error: seed must be >= 0, got " + argv[argv.index("--seed") + 1] + "\n"
     assert not (tmp_path / "fixtures").exists()
-    # An --out that cannot be written: a directory, or a path through a file.
+    # An --out that cannot be written: a directory, a path through a file, or a symlink loop.
     (tmp_path / "file").write_text("")
+    (tmp_path / "loop.json").symlink_to(tmp_path / "loop.json")
     for argv in (
         ["kernel-eval", *BASE_M1, "--z", "0", "--w", "0", "--out", str(tmp_path)],
         ["shift-weights", *BASE_M1, "--nmax", "2", "--out", str(tmp_path / "file" / "x.json")],
         ["fixtures", "--out", str(tmp_path / "file")],
+        ["verify", *BASE_M1, "--suite", "shift", "--out", str(tmp_path / "loop.json")],
     ):
         res = call_cli(*argv)
         assert res.returncode == 3, argv
         assert res.stderr.startswith("config error: cannot write --out ") and res.stderr.count("\n") == 1, argv
+
+
+# --out is rewritten in place: no O_TRUNC on open, the file cut at the new length after the write.
+SHIFT_M1 = ["shift-weights", *BASE_M1, "--nmax", "3"]
+
+
+def test_out_leaves_exactly_the_new_bytes_over_a_longer_file(tmp_path):
+    out = tmp_path / "weights.json"
+    out.write_bytes(b"x" * 100_000)
+    res = call_cli(*SHIFT_M1, "--out", str(out))
+    assert res.returncode == 0 and res.stdout == ""
+    assert out.read_text(encoding="utf-8") == call_cli(*SHIFT_M1).stdout.removesuffix("\n")
+
+
+def test_out_keeps_the_inode_mode_and_links(tmp_path):
+    out, alias = tmp_path / "weights.csv", tmp_path / "alias.csv"
+    out.write_text("old contents, longer than nothing\n" * 50)
+    out.chmod(0o640)
+    alias.hardlink_to(out)
+    before = out.stat()
+    assert call_cli(*SHIFT_M1, "--format", "csv", "--out", str(out)).returncode == 0
+    after = out.stat()
+    assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
+    assert alias.read_text() == out.read_text() == call_cli(*SHIFT_M1, "--format", "csv").stdout
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("{}" * 1000)
+    link.symlink_to(target)
+    assert call_cli(*SHIFT_M1, "--out", str(link)).returncode == 0
+    assert link.is_symlink() and link.readlink() == target
+    assert target.read_text() + "\n" == call_cli(*SHIFT_M1).stdout
+
+
+def test_out_is_never_opened_with_o_trunc(tmp_path, monkeypatch):
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *args, **kw):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kw)
+
+    monkeypatch.setattr(os, "open", spy)
+    out = tmp_path / "fixtures"
+    assert call_cli("fixtures", "--out", str(out)).returncode == 0
+    assert call_cli("fixtures", "--out", str(out)).returncode == 0  # the second pass rewrites six files
+    assert call_cli(*SHIFT_M1, "--out", str(out / "w.json")).returncode == 0
+    assert len(flags) == 13 and not any(flag & os.O_TRUNC for flag in flags)
+
+
+def test_verify_out_to_dev_null_succeeds():
+    # /dev/null is not a regular file: it is written but not truncated.
+    res = call_cli("verify", *BASE_M1, "--suite", "shift", "--out", os.devnull)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "", "")
 
 
 def _overflow_cases():

@@ -509,7 +509,7 @@ def test_representation_matches_mpmath(lam, m):
 
 
 def _column_loop_blocks(g, params, rep, n_trunc):
-    """U_g's component blocks with column N' + 1 = Toeplitz(phi) @ column N', one column at a time."""
+    """U_g's component blocks [j, M, N'] with column N' + 1 = Toeplitz(phi) @ column N', one column at a time."""
     m, size = params.m, params.m + 1
     a0 = np.diagonal(multiplier_J(g.inverse(), 0.0, params, rep))
     deg, two_l = np.arange(n_trunc + 1), 2.0 * params.lam - m + 2.0 * np.arange(size)
@@ -525,7 +525,8 @@ def _column_loop_blocks(g, params, rep, n_trunc):
         series[:, col + 1] = toeplitz @ series[:, col]
     blocks = series * (norms[None, :, :] / norms[:, None, :])
     degree = deg[:, None] + np.arange(size)
-    return np.where((degree[:, None, :] <= n_trunc) & (degree[None, :, :] <= n_trunc), blocks, 0.0)
+    blocks = np.where((degree[:, None, :] <= n_trunc) & (degree[None, :, :] <= n_trunc), blocks, 0.0)
+    return blocks.transpose(2, 0, 1)
 
 
 @pytest.mark.filterwarnings("ignore::cdhom.TruncationLossWarning")  # exp(0.5 X1) leaks at small N
@@ -594,12 +595,12 @@ def test_dense_matrices_are_read_only_and_keep_the_slot_layout():
             obj.matrix[0, 0] = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             obj.matrix = np.zeros(1)
-    # U_g: entry [(j+M, j), (j+N', j)] is blocks[M, N', j]; everything else is zero, in blocks too.
+    # U_g: entry [(j+M, j), (j+N', j)] is blocks[j, M, N']; everything else is zero, in blocks too.
     dense = res.matrix.reshape(n_trunc + 1, size, n_trunc + 1, size).copy()
     for j in range(size):
         top = n_trunc + 1 - j
-        assert np.array_equal(dense[j:, j, j:, j], res.blocks[:top, :top, j])
-        assert not np.any(res.blocks[top:, :, j]) and not np.any(res.blocks[:, top:, j])
+        assert np.array_equal(dense[j:, j, j:, j], res.blocks[j, :top, :top])
+        assert not np.any(res.blocks[j, top:, :]) and not np.any(res.blocks[j, :, top:])
         dense[j:, j, j:, j] = 0.0
     assert not np.any(dense)
 
