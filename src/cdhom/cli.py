@@ -9,8 +9,10 @@ sizes such as --nmax or --truncation whose arrays cannot be allocated, and
 an --out path that cannot be written).
 An --out file is rewritten in place: opened without truncation, written
 from its start and then, if it is a regular file, cut at the new length, so
-it keeps its inode, mode, symlinks and hard links.  Like a truncating open,
-this is not atomic.
+it keeps its inode, mode, symlinks and hard links.  It is not atomic, and it
+is less safe across a crash than a truncating open: a crash soon after a
+rewrite can leave a file of the new length holding old bytes, or a mix of
+old and new.
 Output is JSON (schema under cdhom/schemas/) or flat CSV, with complex
 numbers serialized as {"re": ..., "im": ...}; identical config and seed
 produce byte-identical output.  The shift-weights and basis-emit tables
@@ -100,10 +102,12 @@ def _write(path: Path, text: str):
     """Write text to path in place, making its directory; a path that cannot be written is a config error.
 
     The file is opened without O_TRUNC, overwritten from its start and, if it is a regular
-    file, cut at the new length, so it keeps its inode, mode and links.  Truncating on open
-    makes ext4 flush the old contents when the file is closed: on a virtual disk that took
-    50-110 ms per rewrite of a 4 KB to 1.2 MB file, against 0.1 ms in place.  The rewrite
-    is no more atomic than a truncating one.
+    file, cut at the new length, so it keeps its inode, mode and links.  After a truncating
+    open, ext4 starts writing the new contents to disk when the file is closed, so a crash
+    leaves it empty or whole; on a virtual disk that flush made each rewrite of a 4 KB to
+    1.2 MB file wait 50-110 ms, against 0.1 ms in place.  In place there is no such flush:
+    a crash soon after a rewrite can leave the new length holding old bytes, or a mix of
+    old and new.  A new path is created and written as before.
     """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

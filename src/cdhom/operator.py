@@ -30,11 +30,11 @@ D+_(lam_j)(g): a binomial series in its first column, and columns K..2K-1
 are the Toeplitz matrix of phi^K, shared by every j, times columns 0..K-1.
 
 Both operators are kept in this layout: T as its shift blocks W(n), U_g as
-its component blocks U_j = blocks[j], one square array per component.  The
-dense ((N+1)(m+1))^2 matrices over the slots i = n*(m+1) + j are assembled
-only on the first read of .matrix, and no verify check reads them.  The homogeneity check compares, for each
-component i, U_i^* T U_j' for every j' <= i side by side with g(T) in one
-product.
+its component blocks, one square array U_j = component(j) per component.
+The dense ((N+1)(m+1))^2 matrices over the slots i = n*(m+1) + j are
+assembled only on the first read of .matrix, and no verify check reads
+them.  The homogeneity check compares, for each component i, U_i^* T U_j'
+for every j' <= i side by side with g(T) in one product.
 """
 
 from __future__ import annotations
@@ -232,11 +232,16 @@ class RepresentationMatrixResult:
     """U_g on degrees 0..N as its component blocks, and the largest share of a column's norm leaked past degree N.
 
     blocks[j, M, N'] is the entry of U_g from slot (j + N', j) to slot (j + M, j); the block of
-    component j is U_j = blocks[j, :N+1-j, :N+1-j], and blocks is zero outside these.
+    component j is U_j = component(j) = blocks[j, :N+1-j, :N+1-j], and blocks is zero outside these.
     """
 
     blocks: np.ndarray = field(repr=False)
     truncation_loss: float
+
+    def component(self, j: int) -> np.ndarray:
+        """U_j, the read-only square of component j: rows and columns K are the degrees j + K <= N."""
+        top = max(self.blocks.shape[1] - j, 0)
+        return self.blocks[j, :top, :top]
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -244,7 +249,7 @@ class RepresentationMatrixResult:
         size, n_trunc = self.blocks.shape[0], self.blocks.shape[1] - 1
         out = np.zeros((n_trunc + 1, size, n_trunc + 1, size), dtype=complex)
         for j in range(min(size - 1, n_trunc) + 1):
-            out[j:, j, j:, j] = self.blocks[j, : n_trunc + 1 - j, : n_trunc + 1 - j]
+            out[j:, j, j:, j] = self.component(j)
         out = out.reshape((n_trunc + 1) * size, -1)
         out.flags.writeable = False
         return out
@@ -266,8 +271,8 @@ def representation_matrix(
     Toeplitz matrix of phi^K, shared by every j, times columns 0..K-1, and the coefficients of
     phi^2K are those of phi^K convolved with themselves, so ceil(log2(N+1)) products fill the
     N columns.  The series is built as [M, N', j], so the doubling runs over every j at once;
-    it is transposed once, and the result keeps U_j = blocks[j, :N+1-j, :N+1-j], each square
-    scaled by its own sqrt(r_N'/r_M).  Each block compresses a unitary matrix, so
+    it is transposed once, and the result keeps U_j = component(j) = blocks[j, :N+1-j, :N+1-j],
+    each square scaled by its own sqrt(r_N'/r_M).  Each block compresses a unitary matrix, so
     truncation_loss is the exact leak sqrt(1 - |column|^2), worst over the columns; the
     subtraction resolves leaks above about 1e-8.  Raises NormalizationError when
     2*lam <= m and OverflowError when a normalization or an entry leaves the float range.
@@ -341,7 +346,7 @@ def check_homogeneity(
     if not 0 <= window <= n_trunc:
         raise ValueError(f"window {window} outside 0..{n_trunc}")
     t_op = truncate(params, n_trunc)
-    u_blocks = representation_matrix(g, params, rep, n_trunc).blocks
+    u_g = representation_matrix(g, params, rep, n_trunc)
     g_of_t = _block_calculus(g, t_op, window)  # only the blocks of degree <= window are compared
     slots = np.arange(params.m + 1)[:, None] <= np.arange(window + 1)  # [j', n']: the kept slots, j' <= n'
     total = 0.0
@@ -352,9 +357,9 @@ def check_homogeneity(
         for jp in range(i + 1):
             lo, width = (1 if i == jp else 0), window + 1 - jp  # row 0 of T U_i would come from below degree i
             weights = t_op.blocks[i + lo - 1 :, i, jp, None]  # W(i+M-1)[i, j'] for the rows M >= lo
-            t_u[lo:, col : col + width] = weights * u_blocks[jp, lo + i - jp - 1 : n_trunc - jp, :width]
+            t_u[lo:, col : col + width] = weights * u_g.component(jp)[lo + i - jp - 1 : n_trunc - jp, :width]
             col += width
-        u_i = u_blocks[i, : n_trunc + 1 - i, : window + 1 - i]  # all rows, kept columns
+        u_i = u_g.component(i)[:, : window + 1 - i]  # all rows, kept columns
         rhs[:, :col] -= u_i.conj().T @ t_u  # the columns j' > i stay: T U_j' is zero there
         total += float(np.linalg.norm(rhs)) ** 2
     return math.sqrt(total)

@@ -594,7 +594,7 @@ def check_unitarity(run: Run) -> Measurement:
         res = representation_matrix(g, p, run.rep, n_trunc)
         total = 0.0
         for j in range(min(p.m, window) + 1):
-            u_j = res.blocks[j, : n_trunc + 1 - j, : window + 1 - j]
+            u_j = res.component(j)[:, : window + 1 - j]
             total += float(np.linalg.norm(u_j.conj().T @ u_j - np.eye(window + 1 - j))) ** 2
         norms.append(math.sqrt(total))
         losses.append(res.truncation_loss)

